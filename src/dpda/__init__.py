@@ -12,7 +12,6 @@ from .core import (
     Dpda,
     Entry,
     FormatError,
-    SchemeParams,
     dpda_from_json,
     dpda_to_json,
     parse_dpda,
@@ -27,13 +26,6 @@ from .validation import (
     ConditionCheck,
     RateOptimality,
     ValidationReport,
-    broadcast_counts,
-    check_c0,
-    check_c1,
-    check_c2,
-    check_c3,
-    check_c4,
-    check_rate_optimal,
     validate,
 )
 from .construct import (
@@ -81,13 +73,11 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "STAR", "Coded", "Dpda", "Entry", "FormatError", "SchemeParams",
+    "STAR", "Coded", "Dpda", "Entry", "FormatError",
     "parse_dpda", "serialize_dpda", "dpda_to_json", "dpda_from_json",
     "slot_cells", "slot_senders",
     "permute_band_rows", "permute_columns", "relabel_slots",
-    "ConditionCheck", "ValidationReport", "RateOptimality",
-    "check_c0", "check_c1", "check_c2", "check_c3", "check_c4",
-    "validate", "check_rate_optimal", "broadcast_counts",
+    "ConditionCheck", "ValidationReport", "RateOptimality", "validate",
     "subset_rank", "subset_unrank",
     "construct_jcm", "construct_grid", "construct_even", "construct_odd", "lift",
     "rate_lower_bound", "min_f_bound", "jcm_params", "JcmParams",

@@ -220,8 +220,8 @@ def _case_ratio(k: int, case: str) -> Fraction:
 
 def bounds_for_case(k: int, case: str) -> BoundsReport:
     """Rate and packet-number bounds at one covered memory-ratio case."""
+    f_bound = min_f_bound(k, case)  # range-checks K before the ratio divides by it
     ratio = _case_ratio(k, case)
-    f_bound = min_f_bound(k, case)
     notes: tuple[str, ...] = ()
     if case == "2/K" and k % 2:
         notes = ("packet-number floor attainable only for an even user count",)

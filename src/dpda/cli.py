@@ -23,7 +23,7 @@ from .core import Dpda, FormatError, dpda_to_json, parse_dpda, serialize_dpda
 from .construct import construct_even, construct_grid, construct_jcm, construct_odd, lift
 from .search import SearchSpaceError, search_min_s
 from .sim import Demand, simulate
-from .validation import CONDITION_ORDER, broadcast_counts, check_rate_optimal, validate
+from .validation import CONDITION_ORDER, validate
 
 __all__ = ["main"]
 
@@ -62,8 +62,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    p = _load(args.path)
-    report = validate(p)
+    report = validate(_load(args.path))
     ok = report.valid
     payload: dict = {"validation": report.to_json()}
     lines = [
@@ -71,12 +70,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         for name in CONDITION_ORDER
     ]
     if args.optimal:
-        if ok:
-            opt = check_rate_optimal(p)
+        opt = report.rate_optimality
+        if opt is not None:
             payload["rate_optimality"] = opt.to_json()
-            payload["broadcast_counts"] = list(broadcast_counts(p))
+            payload["broadcast_counts"] = list(report.broadcast_counts)
             lines.append(f"rate_is_minimal: {'ok' if opt.rate_is_minimal else 'FAIL'}")
-            ok = ok and opt.rate_is_minimal
+            ok = opt.rate_is_minimal
         else:
             payload["rate_optimality"] = None
             lines.append("rate_is_minimal: skipped (invalid array)")

@@ -38,7 +38,6 @@ __all__ = [
     "Coded",
     "Entry",
     "Dpda",
-    "SchemeParams",
     "FormatError",
     "parse_dpda",
     "serialize_dpda",
@@ -128,49 +127,6 @@ class Dpda:
         return self.lp * self.f
 
 
-@dataclass(frozen=True)
-class SchemeParams:
-    """Parameters of an F-division (K, M, N, L, L') coded caching scheme.
-
-    Couples the array side (f, z, s) with the scheme side (n files, cache
-    size m, l blocks per file) through the exact identity z*n == f*m.
-    """
-
-    k: int
-    n: int
-    m: int
-    l: int
-    lp: int
-    f: int
-    z: int
-    s: int
-
-    def __post_init__(self) -> None:
-        if min(self.k, self.n, self.m, self.l, self.lp, self.f) < 1:
-            raise ValueError("K, N, M, L, L' and F must all be >= 1")
-        if self.z < 0 or self.s < 0:
-            raise ValueError("Z and S must be nonnegative")
-        if self.z * self.n != self.f * self.m:
-            raise ValueError(
-                f"memory coupling violated: Z*N = {self.z * self.n} != F*M = {self.f * self.m}"
-            )
-        if not 1 <= self.lp <= self.l:
-            raise ValueError("L' must satisfy 1 <= L' <= L")
-        if self.m * self.k < self.n:
-            raise ValueError("infeasible memory: M*K < N")
-
-    @classmethod
-    def from_dpda(cls, p: Dpda, n: int, l: int) -> "SchemeParams":
-        """Derive scheme parameters for ``n`` files of ``l`` blocks each.
-
-        Requires z*n to be divisible by f so the cache size in files is an
-        integer; use :func:`dpda.sim.simulate` for the general case.
-        """
-        if (p.z * n) % p.f:
-            raise ValueError(f"Z*N = {p.z * n} is not divisible by F = {p.f}")
-        return cls(k=p.k, n=n, m=p.z * n // p.f, l=l, lp=p.lp, f=p.f, z=p.z, s=p.s)
-
-
 def _entry_token(e: Entry) -> str:
     return "*" if e is None else f"{e.slot}^{e.sender}"
 
@@ -252,10 +208,14 @@ def dpda_from_json(obj: str | Mapping) -> Dpda:
         rows = obj["grid"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"JSON mirror missing or non-integer field: {exc}") from exc
-    grid = []
-    for r, row in enumerate(rows):
-        grid.append(tuple(_parse_token(str(t), r, c) for c, t in enumerate(row)))
-    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=tuple(grid))
+    try:
+        grid = tuple(
+            tuple(_parse_token(str(t), r, c) for c, t in enumerate(row))
+            for r, row in enumerate(rows)
+        )
+    except TypeError as exc:
+        raise FormatError(f"JSON mirror grid must be a list of rows: {exc}") from exc
+    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=grid)
 
 
 def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:

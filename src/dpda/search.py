@@ -16,9 +16,8 @@ Pruning never changes answers, only node counts:
 * capacity - a slot class can never exceed min(F, K-1, Z) cells, since its
   sender column must hold a star in every class row.
 
-A hard cell-count guard (default 24, overridable per call or through the
-``DPDA_CELLS_LIMIT`` environment variable) makes refusals explicit instead
-of silently partial.
+A hard cell-count guard (default 24, overridable per call) makes refusals
+explicit instead of silently partial.
 
 ``canonicalize`` computes the exact orbit representative of a small L'=1
 array under row permutation, column permutation with sender relabeling and
@@ -28,7 +27,6 @@ entries, then by slot label and sender) is lexicographically least.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import factorial
@@ -75,15 +73,6 @@ class SearchResult:
             "nodes_explored": self.nodes_explored,
             "exhausted": self.exhausted,
         }
-
-
-def _resolve_cells_limit(cells_limit: int | None) -> int:
-    if cells_limit is not None:
-        return cells_limit
-    env = os.environ.get("DPDA_CELLS_LIMIT")
-    if env is not None:
-        return int(env)
-    return DEFAULT_CELLS_LIMIT
 
 
 def _pattern_canonical(rows: tuple[tuple[bool, ...], ...], f: int, k: int) -> bool:
@@ -195,11 +184,11 @@ def exists_dpda(k: int, f: int, z: int, s: int, *, cells_limit: int | None = Non
         raise ValueError(f"require 1 <= Z <= F, got Z={z}, F={f}")
     if s < 0:
         raise ValueError(f"S must be nonnegative, got {s}")
-    limit = _resolve_cells_limit(cells_limit)
+    limit = DEFAULT_CELLS_LIMIT if cells_limit is None else cells_limit
     if f * k > limit:
         raise SearchSpaceError(
             f"instance has {f * k} cells, above the exhaustive-search guard of "
-            f"{limit}; raise cells_limit (or DPDA_CELLS_LIMIT) to insist"
+            f"{limit}; raise cells_limit to insist"
         )
     counter = [0]
     for col_stars in product(combinations(range(f), z), repeat=k):

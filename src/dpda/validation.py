@@ -14,34 +14,25 @@ A structurally well-formed array is a DPDA when it satisfies:
 Two housekeeping checks the delivery protocol relies on are verified
 explicitly: one sender per slot, and slot ids contiguous from 0.
 
-The rate-optimality conditions (every slot occurring exactly K*Z/F times,
-every row holding exactly K*Z/F stars) and the per-user broadcast counts are
-exposed separately.  All arithmetic is exact; a non-integer target makes a
-verdict false, never rounded.
+:func:`validate` is the module's one entry point.  It indexes the array once
+(slot -> cells) and derives from that index every verdict, witness and
+counting diagnostic, plus the rate-optimality verdicts of a valid array.
+All arithmetic is exact; a non-integer target makes a verdict false, never
+rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dpda, slot_cells, slot_senders
+from .core import Dpda, slot_cells
 
 __all__ = [
+    "CONDITION_ORDER",
     "ConditionCheck",
     "ValidationReport",
     "RateOptimality",
-    "check_c0",
-    "check_c1",
-    "check_c2",
-    "check_c3",
-    "check_c4",
-    "check_c4a",
-    "check_c4b",
-    "check_unique_sender",
-    "check_slot_contiguity",
     "validate",
-    "check_rate_optimal",
-    "broadcast_counts",
 ]
 
 CONDITION_ORDER = (
@@ -55,6 +46,8 @@ CONDITION_ORDER = (
     "slot_contiguity",
 )
 
+_SlotCells = dict[int, list[tuple[int, int]]]
+
 
 @dataclass(frozen=True)
 class ConditionCheck:
@@ -67,12 +60,10 @@ class ConditionCheck:
         return self.passed
 
 
-def check_c0(p: Dpda) -> ConditionCheck:
-    """Stars must repeat with period F down every column.
+_OK = ConditionCheck(True)
 
-    Witness: (row, column) of the first non-star cell whose in-band position
-    is starred in another band of the same column.
-    """
+
+def _c0(p: Dpda) -> ConditionCheck:
     for c in range(p.k):
         for h in range(p.f):
             cells = [p.grid[band * p.f + h][c] for band in range(p.lp)]
@@ -80,49 +71,39 @@ def check_c0(p: Dpda) -> ConditionCheck:
                 for band, e in enumerate(cells):
                     if e is not None:
                         return ConditionCheck(False, (band * p.f + h, c))
-    return ConditionCheck(True)
+    return _OK
 
 
-def check_c1(p: Dpda) -> ConditionCheck:
-    """Every column of the first F rows holds exactly Z stars.
-
-    Witness: (column, observed star count).
-    """
+def _c1(p: Dpda) -> ConditionCheck:
     for c in range(p.k):
         stars = sum(1 for h in range(p.f) if p.grid[h][c] is None)
         if stars != p.z:
             return ConditionCheck(False, (c, stars))
-    return ConditionCheck(True)
+    return _OK
 
 
-def check_c2(p: Dpda) -> ConditionCheck:
-    """Every slot id in [0, S) occurs at least once.  Witness: (missing slot,)."""
-    used = {e.slot for row in p.grid for e in row if e is not None}
+def _c2(p: Dpda, cells: _SlotCells) -> ConditionCheck:
     for s in range(p.s):
-        if s not in used:
+        if s not in cells:
             return ConditionCheck(False, (s,))
-    return ConditionCheck(True)
+    return _OK
 
 
-def check_c3(p: Dpda) -> ConditionCheck:
-    """Each coded entry's row holds a star in its sender's column.
-
-    Witness: (row, column, slot, sender) of the first offending entry.
-    """
+def _c3(p: Dpda) -> ConditionCheck:
     for r, row in enumerate(p.grid):
         for c, e in enumerate(row):
-            if e is not None and p.grid[r][e.sender] is not None:
+            if e is not None and row[e.sender] is not None:
                 return ConditionCheck(False, (r, c, e.slot, e.sender))
-    return ConditionCheck(True)
+    return _OK
 
 
-def _c4_scan(p: Dpda) -> tuple[ConditionCheck, ConditionCheck]:
-    c4a = ConditionCheck(True)
-    c4b = ConditionCheck(True)
-    for s, cells in sorted(slot_cells(p).items()):
-        for i in range(len(cells)):
-            r1, c1 = cells[i]
-            for r2, c2 in cells[i + 1:]:
+def _c4(p: Dpda, cells: _SlotCells) -> tuple[ConditionCheck, ConditionCheck]:
+    """One pair scan deciding both halves of the pair condition."""
+    c4a = c4b = _OK
+    for s, occ in sorted(cells.items()):
+        for i in range(len(occ)):
+            r1, c1 = occ[i]
+            for r2, c2 in occ[i + 1:]:
                 if r1 == r2 or c1 == c2:
                     if c4a.passed:
                         c4a = ConditionCheck(False, (s, r1, c1, r2, c2))
@@ -135,57 +116,75 @@ def _c4_scan(p: Dpda) -> tuple[ConditionCheck, ConditionCheck]:
     return c4a, c4b
 
 
-def check_c4a(p: Dpda) -> ConditionCheck:
-    """Equal-slot entries lie in distinct rows and distinct columns."""
-    return _c4_scan(p)[0]
-
-
-def check_c4b(p: Dpda) -> ConditionCheck:
-    """The 2x2 subarray crossing two equal-slot entries has stars off-diagonal."""
-    return _c4_scan(p)[1]
-
-
-def check_c4(p: Dpda) -> ConditionCheck:
-    """Both halves of the pair condition; witness from the first failing half."""
-    c4a, c4b = _c4_scan(p)
-    if not c4a.passed:
-        return c4a
-    return c4b
-
-
-def check_unique_sender(p: Dpda) -> ConditionCheck:
-    """All occurrences of one slot carry the same sender.
-
-    Enforced at construction time for :class:`Dpda`, re-checked here so a
-    report certifies it independently.  Witness: (row, column, slot).
-    """
+def _unique_sender(p: Dpda) -> ConditionCheck:
     seen: dict[int, int] = {}
     for r, row in enumerate(p.grid):
         for c, e in enumerate(row):
-            if e is None:
-                continue
-            if seen.setdefault(e.slot, e.sender) != e.sender:
+            if e is not None and seen.setdefault(e.slot, e.sender) != e.sender:
                 return ConditionCheck(False, (r, c, e.slot))
-    return ConditionCheck(True)
+    return _OK
 
 
-def check_slot_contiguity(p: Dpda) -> ConditionCheck:
-    """Used slot ids form a gap-free range starting at 0.  Witness: (gap id,)."""
-    used = sorted({e.slot for row in p.grid for e in row if e is not None})
-    for i, s in enumerate(used):
+def _slot_contiguity(cells: _SlotCells) -> ConditionCheck:
+    for i, s in enumerate(sorted(cells)):
         if s != i:
             return ConditionCheck(False, (i,))
-    return ConditionCheck(True)
+    return _OK
+
+
+@dataclass(frozen=True)
+class RateOptimality:
+    """Verdicts for the two conditions characterising the minimal rate F/Z - 1.
+
+    ``c2prime`` holds iff every slot occurs exactly K*Z/F times, ``c5`` iff
+    every row holds exactly K*Z/F stars; when K*Z is not divisible by F both
+    are false.
+    """
+
+    c2prime: bool
+    c5: bool
+
+    @property
+    def rate_is_minimal(self) -> bool:
+        return self.c2prime and self.c5
+
+    def to_json(self) -> dict:
+        return {
+            "c2prime": self.c2prime,
+            "c5": self.c5,
+            "rate_is_minimal": self.rate_is_minimal,
+        }
 
 
 @dataclass(frozen=True)
 class ValidationReport:
     """Per-condition verdicts plus the counting diagnostics of an array.
 
+    Each witness is the first violation found:
+
+    * ``c0`` - (row, column) of the first non-star cell whose in-band
+      position is starred in another band of the same column;
+    * ``c1`` - (column, observed star count);
+    * ``c2`` - (missing slot,);
+    * ``c3`` - (row, column, slot, sender) of the first coded entry whose
+      row has no star in its sender's column;
+    * ``c4a`` - (slot, r1, c1, r2, c2): two equal-slot entries sharing a row
+      or a column;
+    * ``c4b`` - (slot, r1, c1, r2, c2): two equal-slot entries whose 2x2
+      crossing cells are not both stars;
+    * ``unique_sender`` - (row, column, slot) of an entry whose sender
+      differs from the slot's first sender.  Enforced at construction time
+      for :class:`Dpda`, re-checked here so a report certifies it
+      independently;
+    * ``slot_contiguity`` - (gap id,): used slot ids must form a gap-free
+      range starting at 0.
+
     ``slot_occurrences[s]`` is the number of cells carrying slot ``s``;
     ``row_integer_counts[i]`` the number of coded entries in row ``i``;
     ``column_star_counts[c]`` the stars in column ``c`` over all rows;
     ``broadcast_counts[k]`` the number of distinct slots sent by user ``k``.
+    ``rate_optimality`` holds the minimal-rate verdicts, or None when the
+    array is invalid.
     """
 
     c0: ConditionCheck
@@ -200,6 +199,7 @@ class ValidationReport:
     row_integer_counts: tuple[int, ...]
     column_star_counts: tuple[int, ...]
     broadcast_counts: tuple[int, ...]
+    rate_optimality: RateOptimality | None
 
     @property
     def valid(self) -> bool:
@@ -230,103 +230,80 @@ class ValidationReport:
         return out
 
 
+def _rate_optimality(
+    p: Dpda, occurrences: tuple[int, ...], row_ints: tuple[int, ...]
+) -> RateOptimality:
+    if (p.k * p.z) % p.f:
+        return RateOptimality(False, False)
+    target = p.k * p.z // p.f
+    return RateOptimality(
+        c2prime=all(n == target for n in occurrences),
+        c5=all(p.k - t == target for t in row_ints),
+    )
+
+
+def _assert_laws(p: Dpda, opt: RateOptimality, counts: tuple[int, ...]) -> None:
+    """The paper's laws on a valid array; a violation means a checker bug."""
+    floor = p.lp * p.f * (p.f - p.z)
+    if p.s * p.z < floor:
+        raise AssertionError(
+            f"rate bound S*Z >= L'*F*(F-Z) violated on a validated array "
+            f"({p.s}*{p.z} < {p.lp}*{p.f}*({p.f}-{p.z})); condition checks are buggy"
+        )
+    if not opt.rate_is_minimal:
+        return
+    if p.s * p.z != floor:
+        raise AssertionError(
+            "rate-optimal array must satisfy S*Z == L'*F*(F-Z) exactly; "
+            f"got {p.s}*{p.z} != {p.lp}*{p.f}*({p.f}-{p.z})"
+        )
+    for k, m_k in enumerate(counts):
+        if m_k * p.k * p.z != floor:
+            raise AssertionError(
+                f"user {k} broadcasts {m_k} slots, violating "
+                f"m_k*K*Z == L'*F*(F-Z) on a rate-optimal array"
+            )
+
+
 def validate(p: Dpda) -> ValidationReport:
     """Check every condition and fill the counting diagnostics.
 
-    On any array that passes all checks the exact rate inequality
-    S*Z >= L'*F*(F-Z) must hold; its violation would mean a checker bug and
-    raises ``AssertionError``.
+    On a valid array the report also carries the rate-optimality verdicts,
+    and three exact laws must hold: the rate floor S*Z >= L'*F*(F-Z); on a
+    rate-minimal array, S*Z == L'*F*(F-Z); and every user broadcasting
+    equally often, m_k*K*Z == L'*F*(F-Z).  A violation would mean a checker
+    bug and raises ``AssertionError``.
     """
     cells = slot_cells(p)
-    senders = slot_senders(p)
+    c4a, c4b = _c4(p, cells)
+    checks = {
+        "c0": _c0(p),
+        "c1": _c1(p),
+        "c2": _c2(p, cells),
+        "c3": _c3(p),
+        "c4a": c4a,
+        "c4b": c4b,
+        "unique_sender": _unique_sender(p),
+        "slot_contiguity": _slot_contiguity(cells),
+    }
     occurrences = tuple(len(cells.get(s, ())) for s in range(p.s))
     row_ints = tuple(sum(1 for e in row if e is not None) for row in p.grid)
     col_stars = tuple(
         sum(1 for row in p.grid if row[c] is None) for c in range(p.k)
     )
     m = [0] * p.k
-    for sender in senders.values():
-        m[sender] += 1
-    report = ValidationReport(
-        c0=check_c0(p),
-        c1=check_c1(p),
-        c2=check_c2(p),
-        c3=check_c3(p),
-        c4a=check_c4a(p),
-        c4b=check_c4b(p),
-        unique_sender=check_unique_sender(p),
-        slot_contiguity=check_slot_contiguity(p),
+    for r, c in (occ[0] for occ in cells.values()):
+        m[p.grid[r][c].sender] += 1
+    counts = tuple(m)
+    opt = None
+    if all(checks.values()):
+        opt = _rate_optimality(p, occurrences, row_ints)
+        _assert_laws(p, opt, counts)
+    return ValidationReport(
+        **checks,
         slot_occurrences=occurrences,
         row_integer_counts=row_ints,
         column_star_counts=col_stars,
-        broadcast_counts=tuple(m),
+        broadcast_counts=counts,
+        rate_optimality=opt,
     )
-    if report.valid and p.s * p.z < p.lp * p.f * (p.f - p.z):
-        raise AssertionError(
-            f"rate bound S*Z >= L'*F*(F-Z) violated on a validated array "
-            f"({p.s}*{p.z} < {p.lp}*{p.f}*({p.f}-{p.z})); condition checks are buggy"
-        )
-    return report
-
-
-@dataclass(frozen=True)
-class RateOptimality:
-    """Verdicts for the two conditions characterising the minimal rate F/Z - 1."""
-
-    c2prime: bool
-    c5: bool
-
-    @property
-    def rate_is_minimal(self) -> bool:
-        return self.c2prime and self.c5
-
-    def to_json(self) -> dict:
-        return {
-            "c2prime": self.c2prime,
-            "c5": self.c5,
-            "rate_is_minimal": self.rate_is_minimal,
-        }
-
-
-def check_rate_optimal(p: Dpda) -> RateOptimality:
-    """Decide whether the array achieves the minimal rate F/Z - 1.
-
-    ``c2prime`` holds iff every slot occurs exactly K*Z/F times, ``c5`` iff
-    every row holds exactly K*Z/F stars; when K*Z is not divisible by F both
-    are false.  Requires a valid array.
-    """
-    report = validate(p)
-    if not report.valid:
-        raise ValueError(f"array is not a valid DPDA (fails {report.first_failure})")
-    if (p.k * p.z) % p.f:
-        return RateOptimality(False, False)
-    target = p.k * p.z // p.f
-    c2prime = all(n == target for n in report.slot_occurrences)
-    c5 = all(p.k - t == target for t in report.row_integer_counts)
-    if c2prime and c5 and p.s * p.z != p.lp * p.f * (p.f - p.z):
-        raise AssertionError(
-            "rate-optimal array must satisfy S*Z == L'*F*(F-Z) exactly; "
-            f"got {p.s}*{p.z} != {p.lp}*{p.f}*({p.f}-{p.z})"
-        )
-    return RateOptimality(c2prime, c5)
-
-
-def broadcast_counts(p: Dpda) -> tuple[int, ...]:
-    """Distinct slots sent by each user.
-
-    Requires a valid array.  On rate-optimal arrays the counts obey the exact
-    law m_k * K * Z == L' * F * (F - Z) for every user, i.e. all users
-    broadcast equally often; a violation raises ``AssertionError``.
-    """
-    report = validate(p)
-    if not report.valid:
-        raise ValueError(f"array is not a valid DPDA (fails {report.first_failure})")
-    counts = report.broadcast_counts
-    if check_rate_optimal(p).rate_is_minimal:
-        for k, m_k in enumerate(counts):
-            if m_k * p.k * p.z != p.lp * p.f * (p.f - p.z):
-                raise AssertionError(
-                    f"user {k} broadcasts {m_k} slots, violating "
-                    f"m_k*K*Z == L'*F*(F-Z) on a rate-optimal array"
-                )
-    return counts

@@ -23,7 +23,8 @@ def random_well_formed(rng: random.Random) -> Dpda:
     """Structurally well-formed array: consistent senders, in-range slots.
 
     Makes no attempt at the semantic conditions; used for wire-format
-    round-trip checks.
+    round-trip checks, directly and through the ``well_formed_dpdas``
+    hypothesis strategy.
     """
     k = rng.randint(1, 5)
     lp = rng.randint(1, 3)

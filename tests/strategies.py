@@ -4,31 +4,15 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from dpda import Coded, Dpda, STAR
+from dpda import Dpda
 
-from fuzz import valid_corpus
+from fuzz import random_well_formed, valid_corpus
 
 
 @st.composite
 def well_formed_dpdas(draw) -> Dpda:
     """Arbitrary structurally well-formed arrays (conditions not enforced)."""
-    k = draw(st.integers(1, 5))
-    lp = draw(st.integers(1, 3))
-    f = draw(st.integers(1, 4))
-    z = draw(st.integers(0, f))
-    s = draw(st.integers(0, 6))
-    senders = [draw(st.integers(0, k - 1)) for _ in range(s)]
-    grid = []
-    for _ in range(lp * f):
-        row = []
-        for _ in range(k):
-            if s and draw(st.booleans()):
-                slot = draw(st.integers(0, s - 1))
-                row.append(Coded(slot, senders[slot]))
-            else:
-                row.append(STAR)
-        grid.append(tuple(row))
-    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=tuple(grid))
+    return random_well_formed(draw(st.randoms(use_true_random=False)))
 
 
 valid_dpdas = st.sampled_from(valid_corpus())

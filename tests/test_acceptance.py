@@ -17,8 +17,6 @@ import pytest
 
 from dpda import (
     Demand,
-    broadcast_counts,
-    check_rate_optimal,
     construct_even,
     construct_grid,
     construct_jcm,
@@ -121,16 +119,16 @@ def test_criterion_2_family_parameter_laws(instances):
 def test_criterion_3_rate_optimality(instances):
     with criterion(3, "rate optimality"):
         for q, p in instances["grid"].items():
-            assert check_rate_optimal(p).rate_is_minimal
+            assert validate(p).rate_optimality.rate_is_minimal
             assert Fraction(p.s, p.lp * p.f) == q - 1 == Fraction(p.f - p.z, p.z)
         for q, p in instances["even"].items():
-            assert check_rate_optimal(p).rate_is_minimal
+            assert validate(p).rate_optimality.rate_is_minimal
             assert Fraction(p.s, p.lp * p.f) == Fraction(1, q - 1)
         for q, p in instances["odd"].items():
-            assert check_rate_optimal(p).rate_is_minimal
+            assert validate(p).rate_optimality.rate_is_minimal
             assert Fraction(p.s, p.lp * p.f) == Fraction(2, 2 * q - 1)
         for (k, t), p in instances["jcm"].items():
-            assert check_rate_optimal(p).rate_is_minimal
+            assert validate(p).rate_optimality.rate_is_minimal
             rate = Fraction(p.s, p.lp * p.f)
             assert rate == Fraction(k - t, t)
             # N/M - 1 at memory ratio M/N = t/K
@@ -295,11 +293,12 @@ def test_criterion_9_property_suites(instances):
                      construct_grid(2), construct_jcm(3, 1)):
             for lp in (1, 2, 3):
                 lifted = lift(base, lp)
-                assert validate(lifted).valid
+                report = validate(lifted)
+                assert report.valid
                 assert Fraction(lifted.s, lifted.lp * lifted.f) == \
                     Fraction(base.s, base.f)
-                assert check_rate_optimal(lifted).rate_is_minimal
-                assert len(set(broadcast_counts(lifted))) == 1
+                assert report.rate_optimality.rate_is_minimal
+                assert len(set(report.broadcast_counts)) == 1
 
         # 1,000 fuzzed well-formed arrays round-trip the text format
         from dpda import parse_dpda as parse

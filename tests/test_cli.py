@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,16 @@ from dpda import construct_grid, construct_jcm, serialize_dpda
 from dpda.cli import main
 
 from golden import P4_TEXT, Q_LIFTED_P4_TEXT
+
+# Full expected stdout of `validate`, one file per array and flag set:
+# `p4.optimal.json.out` holds the output of `validate p4 --optimal --json`.
+GOLDEN_CLI = Path(__file__).parent / "golden_cli"
+
+
+def _jcm_split_text() -> str:
+    """A valid but rate-suboptimal array: one slot of jcm(4,2) split in two."""
+    text = serialize_dpda(construct_jcm(4, 2)).replace("S=12", "S=13")
+    return text.replace("* 0^0 * 6^0", "* 12^0 * 6^0")
 
 
 def run(capsys, *argv):
@@ -91,12 +102,34 @@ def test_validate_optimal_fails_on_suboptimal(tmp_path, capsys):
     f.write_text(serialize_dpda(construct_jcm(4, 2)))
     # valid and optimal
     assert run(capsys, "validate", str(f), "--optimal")[0] == 0
-    # a valid but rate-suboptimal array: split one slot of the jcm array
-    text = serialize_dpda(construct_jcm(4, 2)).replace("S=12", "S=13")
-    text = text.replace("* 0^0 * 6^0", "* 12^0 * 6^0")
-    f.write_text(text)
+    f.write_text(_jcm_split_text())
     assert run(capsys, "validate", str(f))[0] == 0
     assert run(capsys, "validate", str(f), "--optimal")[0] == 1
+
+
+GOLDEN_ARRAYS = {
+    "p4": P4_TEXT,  # valid and rate-optimal
+    "jcm_split": _jcm_split_text(),  # valid, rate-suboptimal
+    "p4_s5": P4_TEXT.replace("S=4", "S=5"),  # fails c2
+}
+
+
+@pytest.mark.parametrize("name, flags, code", [
+    ("p4", (), 0),
+    ("p4", ("--optimal",), 0),
+    ("p4", ("--optimal", "--json"), 0),
+    ("jcm_split", (), 0),
+    ("jcm_split", ("--optimal",), 1),
+    ("jcm_split", ("--optimal", "--json"), 1),
+    ("p4_s5", (), 1),
+    ("p4_s5", ("--optimal",), 1),
+    ("p4_s5", ("--optimal", "--json"), 1),
+])
+def test_validate_golden_stdout(tmp_path, capsys, name, flags, code):
+    f = tmp_path / f"{name}.dpda"
+    f.write_text(GOLDEN_ARRAYS[name])
+    expected = (GOLDEN_CLI / f"{name}{''.join(flags).replace('--', '.')}.out").read_text()
+    assert run(capsys, "validate", str(f), *flags) == (code, expected, "")
 
 
 def test_validate_malformed_file_is_input_error(tmp_path, capsys):
@@ -118,6 +151,13 @@ def test_bounds_case(capsys):
     j = json.loads(out)
     assert j["f_bound"] == 9
     assert j["rate_bound"] == "2"
+
+
+@pytest.mark.parametrize("case", ["1/K", "2/K", "(K-2)/K", "(K-1)/K"])
+def test_bounds_case_rejects_zero_users(capsys, case):
+    code, out, err = run(capsys, "bounds", "--k", "0", "--case", case)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 def test_bounds_from_file(tmp_path, capsys):

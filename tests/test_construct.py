@@ -9,8 +9,6 @@ import pytest
 
 from dpda import (
     Coded,
-    broadcast_counts,
-    check_rate_optimal,
     construct_even,
     construct_grid,
     construct_jcm,
@@ -131,31 +129,35 @@ class TestValidityAndOptimality:
     @pytest.mark.parametrize("q", range(2, 7))
     def test_grid_validates(self, q):
         p = construct_grid(q)
-        assert validate(p).valid
-        assert check_rate_optimal(p).rate_is_minimal
+        report = validate(p)
+        assert report.valid
+        assert report.rate_optimality.rate_is_minimal
         assert Fraction(p.s, p.f) == q - 1
 
     @pytest.mark.parametrize("q", range(2, 9))
     def test_even_validates(self, q):
         p = construct_even(q)
-        assert validate(p).valid
-        assert check_rate_optimal(p).rate_is_minimal
+        report = validate(p)
+        assert report.valid
+        assert report.rate_optimality.rate_is_minimal
         assert Fraction(p.s, p.f) == Fraction(1, q - 1)
-        assert len(set(broadcast_counts(p))) == 1
+        assert len(set(report.broadcast_counts)) == 1
 
     @pytest.mark.parametrize("q", range(1, 9))
     def test_odd_validates(self, q):
         p = construct_odd(q)
-        assert validate(p).valid
-        assert check_rate_optimal(p).rate_is_minimal
+        report = validate(p)
+        assert report.valid
+        assert report.rate_optimality.rate_is_minimal
         assert Fraction(p.s, p.f) == Fraction(2, 2 * q - 1)
 
     @pytest.mark.parametrize("k", range(2, 9))
     def test_jcm_validates(self, k):
         for t in range(1, k):
             p = construct_jcm(k, t)
-            assert validate(p).valid
-            assert check_rate_optimal(p).rate_is_minimal
+            report = validate(p)
+            assert report.valid
+            assert report.rate_optimality.rate_is_minimal
             assert Fraction(p.s, p.f) == Fraction(k - t, t)
 
 
@@ -234,16 +236,18 @@ class TestLift:
     def test_lift_parameters_and_validity(self):
         p = lift(construct_odd(2), 3)
         assert (p.k, p.lp, p.f, p.z, p.s) == (5, 3, 15, 9, 30)
-        assert validate(p).valid
-        assert check_rate_optimal(p).rate_is_minimal
+        report = validate(p)
+        assert report.valid
+        assert report.rate_optimality.rate_is_minimal
 
     @pytest.mark.parametrize("lp", [1, 2, 3])
     def test_lift_preserves_rate_and_validity(self, lp):
         for base in (construct_odd(1), construct_even(2), construct_grid(2)):
             p = lift(base, lp)
-            assert validate(p).valid
+            report = validate(p)
+            assert report.valid
             assert Fraction(p.s, p.lp * p.f) == Fraction(base.s, base.f)
-            assert check_rate_optimal(p).rate_is_minimal
+            assert report.rate_optimality.rate_is_minimal
 
     def test_lift_shifts_slots_per_band(self):
         base = construct_odd(1)

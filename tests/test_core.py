@@ -11,7 +11,6 @@ from dpda import (
     Coded,
     Dpda,
     FormatError,
-    SchemeParams,
     STAR,
     construct_even,
     dpda_from_json,
@@ -155,22 +154,6 @@ def test_json_mirror_rejects_malformed():
         dpda_from_json({"k": 1, "lp": 1, "f": 1, "z": 1})
     with pytest.raises(FormatError):
         dpda_from_json([1, 2, 3])
-
-
-def test_scheme_params_coupling():
-    sp = SchemeParams(k=4, n=4, m=2, l=3, lp=2, f=4, z=2, s=8)
-    assert sp.z * sp.n == sp.f * sp.m
-    with pytest.raises(ValueError, match="coupling"):
-        SchemeParams(k=4, n=4, m=1, l=3, lp=2, f=4, z=2, s=8)
-    with pytest.raises(ValueError, match="L'"):
-        SchemeParams(k=4, n=4, m=2, l=1, lp=2, f=4, z=2, s=8)
-    with pytest.raises(ValueError, match="M\\*K"):
-        SchemeParams(k=2, n=8, m=2, l=2, lp=1, f=8, z=2, s=8)
-
-
-def test_scheme_params_from_dpda():
-    p = parse_dpda(P4_TEXT)
-    sp = SchemeParams.from_dpda(p, n=4, l=3)
-    assert (sp.m, sp.n, sp.l) == (2, 4, 3)
-    with pytest.raises(ValueError, match="divisible"):
-        SchemeParams.from_dpda(p, n=3, l=3)
+    for grid in (5, [5], None):
+        with pytest.raises(FormatError):
+            dpda_from_json({"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": grid})

@@ -169,13 +169,6 @@ class TestGuard:
         res = exists_dpda(2, 13, 12, 2, cells_limit=26)
         assert res.exhausted and res.feasible
 
-    def test_cells_guard_env_override(self, monkeypatch):
-        monkeypatch.setenv("DPDA_CELLS_LIMIT", "26")
-        assert exists_dpda(2, 13, 12, 2).exhausted
-        monkeypatch.setenv("DPDA_CELLS_LIMIT", "10")
-        with pytest.raises(SearchSpaceError):
-            exists_dpda(4, 4, 2, 4)
-
 
 class TestCanonicalize:
     def test_column_swap_orbit(self):

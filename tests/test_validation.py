@@ -12,13 +12,6 @@ from dpda import (
     Coded,
     Dpda,
     STAR,
-    broadcast_counts,
-    check_c0,
-    check_c1,
-    check_c2,
-    check_c3,
-    check_c4,
-    check_rate_optimal,
     lift,
     parse_dpda,
     validate,
@@ -68,12 +61,12 @@ def test_reference_arrays_all_pass(text):
 
 
 def test_c0_true_on_single_band_arrays():
-    assert check_c0(parse_dpda(P4_TEXT)).passed
-    assert check_c0(parse_dpda(GRID_Q3_TEXT)).passed
+    assert validate(parse_dpda(P4_TEXT)).c0.passed
+    assert validate(parse_dpda(GRID_Q3_TEXT)).c0.passed
 
 
 def test_c0_true_on_three_band_stack():
-    assert check_c0(lift(parse_dpda(P4_TEXT), 3)).passed
+    assert validate(lift(parse_dpda(P4_TEXT), 3)).c0.passed
 
 
 def test_c0_flipped_star_in_second_band_gives_witness():
@@ -81,35 +74,35 @@ def test_c0_flipped_star_in_second_band_gives_witness():
     # (5, 0) is a star; slot 0's sender is user 0, so Coded(0, 0) is
     # structurally consistent
     bad = _with_entries(q, (5, 0, Coded(0, 0)))
-    check = check_c0(bad)
-    assert not check.passed
-    assert check.witness == (5, 0)
-    assert validate(bad).first_failure == "c0"
+    report = validate(bad)
+    assert not report.c0.passed
+    assert report.c0.witness == (5, 0)
+    assert report.first_failure == "c0"
 
 
 def test_c1_counts_stars_per_column():
-    assert check_c1(parse_dpda(P4_TEXT)).passed
+    assert validate(parse_dpda(P4_TEXT)).c1.passed
     wrong_z = Dpda(k=4, lp=1, f=4, z=3, s=4, grid=parse_dpda(P4_TEXT).grid)
-    check = check_c1(wrong_z)
+    check = validate(wrong_z).c1
     assert not check.passed
     assert check.witness == (0, 2)
 
 
 def test_c2_missing_slot():
-    assert check_c2(parse_dpda(Q_LIFTED_P4_TEXT)).passed
+    assert validate(parse_dpda(Q_LIFTED_P4_TEXT)).c2.passed
     short = Dpda(k=4, lp=1, f=4, z=2, s=5, grid=parse_dpda(P4_TEXT).grid)
-    check = check_c2(short)
+    check = validate(short).c2
     assert not check.passed
     assert check.witness == (4,)
 
 
 def test_c3_requires_star_in_sender_column():
     p4 = parse_dpda(P4_TEXT)
-    assert check_c3(p4).passed
+    assert validate(p4).c3.passed
     # reroute slot 1 (both occurrences, keeping the sender unique) through
     # user 0, whose column is not starred in row 0
     bad = _with_entries(p4, (0, 3, Coded(1, 0)), (2, 2, Coded(1, 0)))
-    check = check_c3(bad)
+    check = validate(bad).c3
     assert not check.passed
     assert check.witness == (0, 3, 1, 0)
 
@@ -117,17 +110,18 @@ def test_c3_requires_star_in_sender_column():
 def test_c3_vacuous_on_all_star():
     all_star = Dpda(k=3, lp=1, f=2, z=2, s=0,
                     grid=((STAR,) * 3, (STAR,) * 3))
-    assert check_c3(all_star).passed
-    assert validate(all_star).valid
+    report = validate(all_star)
+    assert report.c3.passed
+    assert report.valid
 
 
 def test_c4a_same_row_duplicate():
     p4 = parse_dpda(P4_TEXT)
     bad = _with_entries(p4, (0, 0, Coded(1, 1)))
-    check = check_c4(bad)
-    assert not check.passed
-    assert check.witness == (1, 0, 0, 0, 3)
-    assert validate(bad).first_failure == "c4a"
+    report = validate(bad)
+    assert not report.c4a.passed
+    assert report.c4a.witness == (1, 0, 0, 0, 3)
+    assert report.first_failure == "c4a"
 
 
 def test_c4b_missing_crossing_star():
@@ -137,8 +131,9 @@ def test_c4b_missing_crossing_star():
         (Coded(1, 2), Coded(0, 2), STAR),
     )
     bad = Dpda(k=3, lp=1, f=2, z=1, s=2, grid=grid)
-    assert not validate(bad).c4b.passed
-    assert validate(bad).c4b.witness == (0, 0, 0, 1, 1)
+    report = validate(bad)
+    assert not report.c4b.passed
+    assert report.c4b.witness == (0, 0, 0, 1, 1)
 
 
 def test_validate_diagnostics_counts():
@@ -219,7 +214,7 @@ def test_symmetry_preserves_invalidity_verdict():
 
 def test_rate_optimal_on_reference_arrays():
     for text in (P4_TEXT, GRID_Q3_TEXT, JCM_K4_T2_TEXT, MIN_F_K3_TEXT, P6_TEXT):
-        opt = check_rate_optimal(parse_dpda(text))
+        opt = validate(parse_dpda(text)).rate_optimality
         assert opt.rate_is_minimal
         assert opt.c2prime and opt.c5
 
@@ -232,18 +227,20 @@ def test_rate_optimal_false_when_slot_split():
     grid[1][1] = Coded(4, 2)
     split = Dpda(k=4, lp=1, f=4, z=2, s=5,
                  grid=tuple(tuple(r) for r in grid))
-    assert validate(split).valid
-    opt = check_rate_optimal(split)
+    report = validate(split)
+    assert report.valid
+    opt = report.rate_optimality
     assert not opt.c2prime
     assert opt.c5
     assert not opt.rate_is_minimal
-    assert broadcast_counts(split) == (1, 1, 2, 1)
+    assert report.broadcast_counts == (1, 1, 2, 1)
 
 
 def test_rate_optimal_rejects_invalid_arrays():
     short = Dpda(k=4, lp=1, f=4, z=2, s=5, grid=parse_dpda(P4_TEXT).grid)
-    with pytest.raises(ValueError, match="c2"):
-        check_rate_optimal(short)
+    report = validate(short)
+    assert report.first_failure == "c2"
+    assert report.rate_optimality is None
 
 
 def test_rate_optimal_false_on_non_integer_target():
@@ -254,25 +251,28 @@ def test_rate_optimal_false_on_non_integer_target():
         (Coded(1, 2), Coded(2, 2), STAR),
     )
     p = Dpda(k=3, lp=1, f=2, z=1, s=3, grid=grid)
-    assert validate(p).valid
-    opt = check_rate_optimal(p)
+    report = validate(p)
+    assert report.valid
+    opt = report.rate_optimality
     assert not opt.c2prime and not opt.c5 and not opt.rate_is_minimal
 
 
 def test_broadcast_counts_reference_values():
-    assert broadcast_counts(parse_dpda(P6_TEXT)) == (1, 1, 1, 1, 1, 1)
-    assert broadcast_counts(parse_dpda(P3_TEXT)) == (2, 2, 2)
-    assert broadcast_counts(parse_dpda(GRID_Q3_TEXT)) == (3, 3, 3, 3, 3, 3)
+    assert validate(parse_dpda(P6_TEXT)).broadcast_counts == (1, 1, 1, 1, 1, 1)
+    assert validate(parse_dpda(P3_TEXT)).broadcast_counts == (2, 2, 2)
+    assert validate(parse_dpda(GRID_Q3_TEXT)).broadcast_counts == (3, 3, 3, 3, 3, 3)
 
 
 def test_broadcast_counts_law_on_optimal_arrays():
     for p in valid_corpus():
-        if check_rate_optimal(p).rate_is_minimal:
-            for m_k in broadcast_counts(p):
+        report = validate(p)
+        if report.rate_optimality.rate_is_minimal:
+            for m_k in report.broadcast_counts:
                 assert m_k * p.k * p.z == p.lp * p.f * (p.f - p.z)
 
 
 def test_equal_broadcast_counts_follow_from_optimality():
     for p in valid_corpus():
-        if check_rate_optimal(p).rate_is_minimal:
-            assert len(set(broadcast_counts(p))) == 1
+        report = validate(p)
+        if report.rate_optimality.rate_is_minimal:
+            assert len(set(report.broadcast_counts)) == 1
