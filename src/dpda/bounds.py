@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Callable, NamedTuple
 
 from .core import Dpda
 from .validation import validate
@@ -41,7 +42,25 @@ __all__ = [
     "format_table",
 ]
 
-MEMORY_CASES = ("1/K", "2/K", "(K-2)/K", "(K-1)/K")
+
+class _Case(NamedTuple):
+    """A memory-ratio case Z/F = numerator(K)/K and its packet-number floor."""
+
+    min_k: int
+    numerator: Callable[[int], int]
+    f_floor: Callable[[int], int]
+    odd_k_note: str | None = None  # reported with the floor when K is odd
+
+
+_CASES = {
+    "1/K": _Case(2, lambda k: 1, lambda k: k),
+    "2/K": _Case(2, lambda k: 2, lambda k: -(-(k * k) // 4),
+                 "packet-number floor attainable only for an even user count"),
+    "(K-2)/K": _Case(3, lambda k: k - 2,
+                     lambda k: k * (k - 2) if k % 2 else k * (k - 2) // 2),
+    "(K-1)/K": _Case(2, lambda k: k - 1, lambda k: k * (k - 1)),
+}
+MEMORY_CASES = tuple(_CASES)
 
 
 def rate_lower_bound(f: int, z: int) -> Fraction:
@@ -61,43 +80,24 @@ def min_f_bound(k: int, case: str) -> int:
     :func:`bounds_for_case`, which flags it).  The (K-2)/K case requires
     K >= 3.
     """
-    if case == "1/K":
-        if k < 2:
-            raise ValueError("1/K case requires K >= 2")
-        return k
-    if case == "2/K":
-        if k < 2:
-            raise ValueError("2/K case requires K >= 2")
-        return -(-(k * k) // 4)
-    if case == "(K-2)/K":
-        if k < 3:
-            raise ValueError("(K-2)/K case requires K >= 3")
-        return k * (k - 2) if k % 2 else k * (k - 2) // 2
-    if case == "(K-1)/K":
-        if k < 2:
-            raise ValueError("(K-1)/K case requires K >= 2")
-        return k * (k - 1)
-    raise ValueError(f"no packet-number bound for memory ratio case {case!r}")
+    spec = _CASES.get(case)
+    if spec is None:
+        raise ValueError(f"no packet-number bound for memory ratio case {case!r}")
+    if k < spec.min_k:
+        raise ValueError(f"{case} case requires K >= {spec.min_k}")
+    return spec.f_floor(k)
 
 
 def applicable_cases(k: int, z: int, f: int) -> tuple[str, ...]:
-    """All covered memory-ratio cases matching Z/F for this K.
+    """All covered memory-ratio cases matching a positive Z/F for this K.
 
     At tiny K several cases can coincide numerically (e.g. 2/K equals
     (K-2)/K when K = 4); all matches are returned so callers can take the
     strongest bound.
     """
     ratio = Fraction(z, f)
-    matches = []
-    for case, target in (
-        ("1/K", Fraction(1, k)),
-        ("2/K", Fraction(2, k)),
-        ("(K-2)/K", Fraction(k - 2, k) if k >= 3 else None),
-        ("(K-1)/K", Fraction(k - 1, k)),
-    ):
-        if target is not None and ratio == target:
-            matches.append(case)
-    return tuple(matches)
+    return tuple(case for case, spec in _CASES.items()
+                 if 0 < ratio == Fraction(spec.numerator(k), k))
 
 
 @dataclass(frozen=True)
@@ -209,28 +209,21 @@ class BoundsReport:
         }
 
 
-def _case_ratio(k: int, case: str) -> Fraction:
-    return {
-        "1/K": Fraction(1, k),
-        "2/K": Fraction(2, k),
-        "(K-2)/K": Fraction(k - 2, k),
-        "(K-1)/K": Fraction(k - 1, k),
-    }[case]
+def _notes(k: int, case: str) -> tuple[str, ...]:
+    note = _CASES[case].odd_k_note
+    return (note,) if note and k % 2 else ()
 
 
 def bounds_for_case(k: int, case: str) -> BoundsReport:
     """Rate and packet-number bounds at one covered memory-ratio case."""
     f_bound = min_f_bound(k, case)  # range-checks K before the ratio divides by it
-    ratio = _case_ratio(k, case)
-    notes: tuple[str, ...] = ()
-    if case == "2/K" and k % 2:
-        notes = ("packet-number floor attainable only for an even user count",)
+    ratio = Fraction(_CASES[case].numerator(k), k)
     return BoundsReport(
         k=k,
         case=case,
         rate_bound=1 / ratio - 1,
         f_bound=f_bound,
-        notes=notes,
+        notes=_notes(k, case),
     )
 
 
@@ -252,8 +245,7 @@ def bounds_for_array(p: Dpda) -> BoundsReport:
     if cases:
         bounds = [(min_f_bound(p.k, c), c) for c in cases]
         f_bound, best_case = max(bounds)
-        if best_case == "2/K" and p.k % 2:
-            notes = ("packet-number floor attainable only for an even user count",)
+        notes = _notes(p.k, best_case)
     return BoundsReport(
         k=p.k,
         case=best_case,

@@ -1,9 +1,9 @@
 """Packet-level execution of the caching protocol encoded by a DPDA.
 
-Placement fills each user's cache with the packets marked by stars in its
-column; delivery sends one XOR signal per slot (slot s groups the entries
-``s^k`` and is broadcast by user k); decoding lets every user recover its
-requested blocks from the signals plus its own cache.
+Placement is the array's star pattern: user j caches packet h of every file
+and block when row h of column j is a star.  Delivery sends one XOR signal
+per slot (slot s groups the entries ``s^k``, broadcast by user k); decoding
+lets every user recover its requested blocks from the signals and its cache.
 
 File content is synthetic but deterministic: byte ``o`` of packet
 ``(file i, block l, packet h)`` is ``(i*31 + l*17 + h*7 + o) mod 256``,
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import Dpda, slot_cells, slot_senders
+from .core import Dpda, slot_cells
 
 __all__ = [
     "PacketId",
@@ -49,61 +49,59 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Library:
-    """Deterministic packetized corpus: n files, l blocks, f packets per block."""
+    """Deterministic packetized corpus: n files, l blocks, f packets per block.
+
+    A packet is fixed by its first byte b: it is ``_ramp[b:b + packet_size]``
+    of the ramp 0, 1, ..., 255, 0, 1, ...  Each is sliced on first request and
+    shared by every id starting with b, so at most min(256, N*L*F) are held.
+    """
 
     n: int
     l: int
     f: int
     packet_size: int
-    _content: dict[PacketId, bytes] = field(repr=False)
+    _ramp: bytes = field(repr=False)
+    _packets: dict[int, bytes] = field(default_factory=dict, repr=False)
 
     def packet(self, i: int, block: int, h: int) -> bytes:
-        try:
-            return self._content[(i, block, h)]
-        except KeyError:
-            raise ValueError(f"packet id {(i, block, h)} outside the library") from None
+        if not (0 <= i < self.n and 0 <= block < self.l and 0 <= h < self.f):
+            raise ValueError(f"packet id {(i, block, h)} outside the library")
+        first = (i * 31 + block * 17 + h * 7) % 256
+        pkt = self._packets.get(first)
+        if pkt is None:
+            pkt = self._packets[first] = self._ramp[first:first + self.packet_size]
+        return pkt
 
 
 def make_library(n: int, l: int, f: int, packet_size: int = 64) -> Library:
-    """Build the corpus; byte o of packet (i, l, h) is (i*31+l*17+h*7+o) mod 256."""
+    """Define the corpus; byte o of packet (i, l, h) is (i*31+l*17+h*7+o) mod 256."""
     if min(n, l, f, packet_size) < 1:
         raise ValueError("N, L, F and packet_size must all be >= 1")
-    content = {}
-    for i in range(n):
-        for block in range(l):
-            for h in range(f):
-                base = i * 31 + block * 17 + h * 7
-                content[(i, block, h)] = bytes((base + o) % 256 for o in range(packet_size))
-    return Library(n=n, l=l, f=f, packet_size=packet_size, _content=content)
+    ramp = bytes(range(256)) * (packet_size // 256 + 2)
+    return Library(n=n, l=l, f=f, packet_size=packet_size, _ramp=ramp)
 
 
 @dataclass(frozen=True, eq=False)
 class Caches:
-    """Per-user sets of cached packet ids."""
+    """Per-user star rows: user j caches packet (i, l, h) iff h is in ``users[j]``."""
 
-    users: tuple[frozenset[PacketId], ...]
+    users: tuple[frozenset[int], ...]
 
 
 def place(p: Dpda, lib: Library) -> Caches:
-    """Fill caches: user j stores packet (i, l, h) of every file and block
-    whenever row h of j's column is a star (first band)."""
+    """Fill caches: user j's star rows are the first-band rows h whose entry
+    in column j is a star."""
     if lib.f != p.f:
         raise ValueError(f"library has {lib.f} packets per block, array needs {p.f}")
-    users = []
-    for j in range(p.k):
-        starred = [h for h in range(p.f) if p.grid[h][j] is None]
-        users.append(frozenset(
-            (i, block, h)
-            for i in range(lib.n)
-            for block in range(lib.l)
-            for h in starred
-        ))
-    return Caches(users=tuple(users))
+    return Caches(users=tuple(
+        frozenset(h for h in range(p.f) if p.grid[h][j] is None) for j in range(p.k)
+    ))
 
 
 def user_cache_bytes(lib: Library, caches: Caches, k: int) -> dict[PacketId, bytes]:
-    """Materialize the actual cached content of user ``k``."""
-    return {pid: lib.packet(*pid) for pid in caches.users[k]}
+    """The cached content of user ``k``; values are the library's shared packets."""
+    return {(i, block, h): lib.packet(i, block, h) for i in range(lib.n)
+            for block in range(lib.l) for h in caches.users[k]}
 
 
 @dataclass(frozen=True)
@@ -140,10 +138,6 @@ class Signal:
     constituents: tuple[PacketId, ...]
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
-
-
 def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
     """Produce the S broadcast signals for a demand, in slot order.
 
@@ -154,25 +148,26 @@ def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
     """
     _check_demand(dem, p.k, lib.n, lib.l, p.lp)
     cells = slot_cells(p)
-    senders = slot_senders(p)
     signals = []
     for s in range(p.s):
         occ = cells.get(s)
         if not occ:
             raise SimulationError(f"slot {s} never occurs; cannot schedule its broadcast")
-        sender = senders[s]
-        payload = bytes(lib.packet_size)
+        sender = p.grid[occ[0][0]][occ[0][1]].sender
+        payload = 0
         constituents = []
         for i, j in occ:
-            pid = (dem.d[j], dem.b[j] + i // p.f, i % p.f)
-            if pid not in caches.users[sender]:
+            h = i % p.f
+            pid = (dem.d[j], dem.b[j] + i // p.f, h)
+            if h not in caches.users[sender]:
                 raise SimulationError(
                     f"sender {sender} lacks packet {pid} needed for slot {s} "
                     f"(entry at row {i}, column {j})"
                 )
             constituents.append(pid)
-            payload = _xor(payload, lib.packet(*pid))
-        signals.append(Signal(slot=s, sender=sender, payload=payload,
+            payload ^= int.from_bytes(lib.packet(*pid), "little")
+        signals.append(Signal(slot=s, sender=sender,
+                              payload=payload.to_bytes(lib.packet_size, "little"),
                               constituents=tuple(constituents)))
     return signals
 
@@ -201,7 +196,7 @@ def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal]
             payload = by_slot[e.slot].payload
         except KeyError:
             raise SimulationError(f"signal for slot {e.slot} missing") from None
-        x = payload
+        x = int.from_bytes(payload, "little")
         for i2, j2 in cells[e.slot]:
             if (i2, j2) == (i, k):
                 continue
@@ -216,8 +211,8 @@ def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal]
                 raise SimulationError(
                     f"user {k} cannot remove uncached packet {other} from slot {e.slot}"
                 )
-            x = _xor(x, cache_k[other])
-        recovered[want] = x
+            x ^= int.from_bytes(cache_k[other], "little")
+        recovered[want] = x.to_bytes(len(payload), "little")
     return recovered
 
 

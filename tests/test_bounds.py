@@ -131,6 +131,8 @@ def test_even_and_odd_ratios_exact():
 def test_applicable_cases_overlap_resolution():
     # K=3, Z/F = 2/3 matches both 2/K and (K-1)/K; the strongest floor wins
     assert set(applicable_cases(3, 4, 6)) == {"2/K", "(K-1)/K"}
+    # Z = 0 is no covered case, even where a case's ratio reads 0
+    assert applicable_cases(1, 0, 3) == applicable_cases(2, 0, 4) == ()
     report = bounds_for_array(parse_dpda(MIN_F_K3_TEXT))
     assert report.case == "(K-1)/K"
     assert report.f_bound == 6

@@ -12,8 +12,10 @@ from dpda.cli import main
 
 from golden import P4_TEXT, Q_LIFTED_P4_TEXT
 
-# Full expected stdout of `validate`, one file per array and flag set:
-# `p4.optimal.json.out` holds the output of `validate p4 --optimal --json`.
+# Full expected stdout of `validate` and `simulate`, one file per array and
+# flag set: `p4.optimal.json.out` holds the output of
+# `validate p4 --optimal --json`, `p4.simulate.json.out` that of
+# `simulate p4 ... --json`.
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 
 
@@ -111,6 +113,11 @@ GOLDEN_ARRAYS = {
     "p4": P4_TEXT,  # valid and rate-optimal
     "jcm_split": _jcm_split_text(),  # valid, rate-suboptimal
     "p4_s5": P4_TEXT.replace("S=4", "S=5"),  # fails c2
+    # slot 1 rerouted through user 0, whose cache misses its packets
+    "p4_rerouted": P4_TEXT.replace("1^1", "1^0"),
+    # a cell moved into slot 2, whose other cell's column caches neither
+    # packet's row (fails c4b)
+    "jcm_c4b": serialize_dpda(construct_jcm(4, 2)).replace("1^1 * * 9^1", "1^1 * * 2^2"),
 }
 
 
@@ -130,6 +137,19 @@ def test_validate_golden_stdout(tmp_path, capsys, name, flags, code):
     f.write_text(GOLDEN_ARRAYS[name])
     expected = (GOLDEN_CLI / f"{name}{''.join(flags).replace('--', '.')}.out").read_text()
     assert run(capsys, "validate", str(f), *flags) == (code, expected, "")
+
+
+@pytest.mark.parametrize("name, flags, code", [
+    ("p4", ("--files", "4", "--blocks", "2", "--trials", "5", "--seed", "3"), 0),
+    ("p4_s5", ("--files", "4", "--blocks", "2", "--trials", "2", "--seed", "3"), 1),
+    ("p4_rerouted", ("--files", "4", "--blocks", "1", "--demand", "0,1,2,3;0,0,0,0"), 1),
+    ("jcm_c4b", ("--files", "4", "--blocks", "1", "--demand", "0,1,2,3;0,0,0,0"), 1),
+])
+def test_simulate_golden_stdout(tmp_path, capsys, name, flags, code):
+    f = tmp_path / f"{name}.dpda"
+    f.write_text(GOLDEN_ARRAYS[name])
+    expected = (GOLDEN_CLI / f"{name}.simulate.json.out").read_text()
+    assert run(capsys, "simulate", str(f), *flags, "--json") == (code, expected, "")
 
 
 def test_validate_malformed_file_is_input_error(tmp_path, capsys):

@@ -53,8 +53,19 @@ class TestLibrary:
 
     def test_bad_packet_id(self):
         lib = make_library(1, 1, 1, 1)
-        with pytest.raises(ValueError, match="outside"):
-            lib.packet(1, 0, 0)
+        for pid in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, 0, 0), (0, -1, 0), (0, 0, -1)]:
+            with pytest.raises(ValueError, match="outside the library"):
+                lib.packet(*pid)
+
+    @pytest.mark.parametrize("size", [1, 255, 256, 257, 1000])
+    def test_packets_match_the_byte_rule(self, size):
+        # reference: the byte rule written out byte by byte; sizes above
+        # 256 reach the ramp's wrap-around
+        n, l, f = 3, 2, 5
+        lib = make_library(n, l, f, size)
+        for i, block, h in product(range(n), range(l), range(f)):
+            base = i * 31 + block * 17 + h * 7
+            assert lib.packet(i, block, h) == bytes((base + o) % 256 for o in range(size))
 
     def test_size_preconditions(self):
         with pytest.raises(ValueError):
@@ -68,21 +79,23 @@ class TestPlace:
         p = parse_dpda(P4_TEXT)
         lib = make_library(4, 3, 4, 8)
         caches = place(p, lib)
-        assert caches.users[0] == frozenset(
+        assert set(user_cache_bytes(lib, caches, 0)) == {
             (i, l, h) for i in range(4) for l in range(3) for h in (1, 3)
-        )
+        }
 
     def test_cache_budget(self):
         p = parse_dpda(P4_TEXT)
-        caches = place(p, make_library(4, 3, 4, 8))
-        for user in caches.users:
-            assert len(user) == p.z * 3 * 4  # Z*L*N
+        lib = make_library(4, 3, 4, 8)
+        caches = place(p, lib)
+        for k in range(p.k):
+            assert len(set(user_cache_bytes(lib, caches, k))) == p.z * 3 * 4  # Z*L*N
 
     def test_all_star_caches_everything(self):
         p = Dpda(k=2, lp=1, f=2, z=2, s=0, grid=((STAR, STAR), (STAR, STAR)))
         lib = make_library(2, 1, 2, 4)
         caches = place(p, lib)
-        assert all(len(u) == 2 * 1 * 2 for u in caches.users)
+        assert all(len(set(user_cache_bytes(lib, caches, k))) == 2 * 1 * 2
+                   for k in range(p.k))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="packets per block"):
