@@ -4,86 +4,55 @@ Construct the known rate- and packet-number-optimal families, check the
 defining conditions with witnessed reports, compute exact lower bounds,
 search exhaustively for minimum-slot arrays at tiny sizes, and execute the
 full placement/XOR-delivery/decode protocol on byte-level packets.
+
+Submodules load on first use: importing the package runs none of them, and
+``from dpda import X`` runs only the module that defines ``X``.
 """
 
-from .core import (
-    STAR,
-    Coded,
-    Dpda,
-    Entry,
-    FormatError,
-    dpda_from_json,
-    dpda_to_json,
-    parse_dpda,
-    permute_band_rows,
-    permute_columns,
-    relabel_slots,
-    serialize_dpda,
-    slot_cells,
-    slot_senders,
-)
-from .validation import (
-    ConditionCheck,
-    RateOptimality,
-    ValidationReport,
-    validate,
-)
-from .construct import (
-    construct_even,
-    construct_grid,
-    construct_jcm,
-    construct_odd,
-    lift,
-    subset_rank,
-    subset_unrank,
-)
-from .bounds import (
-    BoundsReport,
-    JcmComparison,
-    JcmParams,
-    bounds_for_array,
-    bounds_for_case,
-    compare_to_jcm,
-    jcm_params,
-    min_f_bound,
-    rate_lower_bound,
-)
-from .sim import (
-    Caches,
-    Demand,
-    Library,
-    Signal,
-    SimReport,
-    SimulationError,
-    decode,
-    deliver,
-    make_library,
-    place,
-    simulate,
-    user_cache_bytes,
-)
-from .search import (
-    SearchResult,
-    SearchSpaceError,
-    canonicalize,
-    exists_dpda,
-    search_min_s,
-)
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "STAR", "Coded", "Dpda", "Entry", "FormatError",
-    "parse_dpda", "serialize_dpda", "dpda_to_json", "dpda_from_json",
-    "slot_cells", "slot_senders",
-    "permute_band_rows", "permute_columns", "relabel_slots",
-    "ConditionCheck", "ValidationReport", "RateOptimality", "validate",
-    "subset_rank", "subset_unrank",
-    "construct_jcm", "construct_grid", "construct_even", "construct_odd", "lift",
-    "rate_lower_bound", "min_f_bound", "jcm_params", "JcmParams",
-    "compare_to_jcm", "JcmComparison", "BoundsReport",
-    "bounds_for_case", "bounds_for_array",
-    "Library", "Caches", "Demand", "Signal", "SimReport", "SimulationError",
-    "make_library", "place", "user_cache_bytes", "deliver", "decode", "simulate",
-    "SearchResult", "SearchSpaceError", "exists_dpda", "search_min_s", "canonicalize",
-]
+# Submodule -> the public names it gives the package, in ``__all__`` order.
+_EXPORTS = {
+    "core": ("STAR", "Coded", "Dpda", "Entry", "FormatError",
+             "parse_dpda", "serialize_dpda", "dpda_to_json", "dpda_from_json",
+             "slot_cells", "slot_senders",
+             "permute_band_rows", "permute_columns", "relabel_slots"),
+    "validation": ("ConditionCheck", "ValidationReport", "RateOptimality", "validate"),
+    "construct": ("subset_rank", "subset_unrank",
+                  "construct_jcm", "construct_grid", "construct_even", "construct_odd",
+                  "lift"),
+    "bounds": ("rate_lower_bound", "min_f_bound", "jcm_params", "JcmParams",
+               "compare_to_jcm", "JcmComparison", "BoundsReport",
+               "bounds_for_case", "bounds_for_array"),
+    "sim": ("Library", "Caches", "Demand", "Signal", "SimReport", "SimulationError",
+            "make_library", "place", "user_cache_bytes", "deliver", "decode", "simulate"),
+    "search": ("SearchResult", "SearchSpaceError", "exists_dpda", "search_min_s",
+               "canonicalize"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def _lazy(name: str):
+    """Put ``dpda.<name>`` in ``sys.modules`` now, so that code looking it up
+    there (or wrapping its functions) finds every submodule; its code runs on
+    the first attribute access (``importlib.util.LazyLoader``)."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({name: _lazy(name) for name in _EXPORTS})
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        return getattr(globals()[_HOME[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -93,11 +93,11 @@ def applicable_cases(k: int, z: int, f: int) -> tuple[str, ...]:
 
     At tiny K several cases can coincide numerically (e.g. 2/K equals
     (K-2)/K when K = 4); all matches are returned so callers can take the
-    strongest bound.
+    strongest bound.  Cases that need more users than K do not apply.
     """
     ratio = Fraction(z, f)
     return tuple(case for case, spec in _CASES.items()
-                 if 0 < ratio == Fraction(spec.numerator(k), k))
+                 if k >= spec.min_k and 0 < ratio == Fraction(spec.numerator(k), k))
 
 
 @dataclass(frozen=True)

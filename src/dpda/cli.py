@@ -4,11 +4,12 @@ One verb per capability: ``construct``, ``validate``, ``bounds``,
 ``simulate``, ``search``, ``compare``.  Human-readable text goes to stdout;
 ``--json`` switches to machine output.  Exit codes: 0 success / verdict
 true, 1 verdict false or failed run, 2 usage or input error, 3 internal
-assertion failure.  Identical invocations on identical inputs produce
-byte-identical output.
+error (a failed assertion or any other unexpected exception).  Identical
+invocations on identical inputs produce byte-identical output.
 
 No domain logic lives here; every subcommand is a thin adapter over the
-library modules.
+library modules.  Those load on first use (see :mod:`dpda`), so a run pays
+only for the modules its subcommand calls.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ import json
 import sys
 from pathlib import Path
 
-from . import bounds as bounds_mod
+from . import bounds, construct, search, sim, validation
 from .core import Dpda, FormatError, dpda_to_json, parse_dpda, serialize_dpda
-from .construct import construct_even, construct_grid, construct_jcm, construct_odd, lift
-from .search import SearchSpaceError, search_min_s
-from .sim import Demand, simulate
-from .validation import CONDITION_ORDER, validate
 
 __all__ = ["main"]
+
+# bounds.MEMORY_CASES, spelled out so that building the parser does not load
+# dpda.bounds for every subcommand; a test keeps the two equal.
+_MEMORY_CASES = ("1/K", "2/K", "(K-2)/K", "(K-1)/K")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -48,26 +49,27 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.family == "jcm":
         if args.k is None or args.t is None:
             raise ValueError("--family jcm requires --k and --t")
-        p = construct_jcm(args.k, args.t)
+        p = construct.construct_jcm(args.k, args.t)
     else:
         if args.q is None:
             raise ValueError(f"--family {args.family} requires --q")
-        builder = {"grid": construct_grid, "even": construct_even, "odd": construct_odd}
+        builder = {"grid": construct.construct_grid, "even": construct.construct_even,
+                   "odd": construct.construct_odd}
         p = builder[args.family](args.q)
     if args.lift is not None:
-        p = lift(p, args.lift)
+        p = construct.lift(p, args.lift)
     text = _json_dumps(dpda_to_json(p)) if args.json else serialize_dpda(p)
     _emit(text, args.out)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate(_load(args.path))
+    report = validation.validate(_load(args.path))
     ok = report.valid
     payload: dict = {"validation": report.to_json()}
     lines = [
         f"{name}: {'ok' if getattr(report, name).passed else 'FAIL ' + repr(getattr(report, name).witness)}"
-        for name in CONDITION_ORDER
+        for name in validation.CONDITION_ORDER
     ]
     if args.optimal:
         opt = report.rate_optimality
@@ -86,24 +88,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.from_path is not None:
-        report = bounds_mod.bounds_for_array(_load(args.from_path))
+        report = bounds.bounds_for_array(_load(args.from_path))
     else:
         if args.k is None or args.case is None:
             raise ValueError("provide --k and --case, or --from FILE")
-        report = bounds_mod.bounds_for_case(args.k, args.case)
+        report = bounds.bounds_for_case(args.k, args.case)
     if args.json:
         _emit(_json_dumps(report.to_json()), None)
         return 0
     j = report.to_json()
     rows = [[key, j[key]] for key in j if key != "notes" and j[key] is not None]
-    text = bounds_mod.format_table(["field", "value"], rows)
+    text = bounds.format_table(["field", "value"], rows)
     for note in report.notes:
         text += f"note: {note}\n"
     _emit(text, None)
     return 0
 
 
-def _parse_demand(literal: str, k: int) -> Demand:
+def _parse_demand(literal: str, k: int) -> sim.Demand:
     try:
         d_part, b_part = literal.split(";")
         d = tuple(int(x) for x in d_part.split(","))
@@ -112,7 +114,7 @@ def _parse_demand(literal: str, k: int) -> Demand:
         raise ValueError(f"demand literal must be 'd0,d1,...;b0,b1,...': {exc}") from exc
     if len(d) != k or len(b) != k:
         raise ValueError(f"demand names {len(d)} users, array has {k}")
-    return Demand(d=d, b=b)
+    return sim.Demand(d=d, b=b)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -120,11 +122,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if (args.demand is None) == (args.trials is None):
         raise ValueError("provide exactly one of --demand or --trials")
     if args.demand is not None:
-        report = simulate(p, args.files, args.blocks, args.packet_size,
-                          demand=_parse_demand(args.demand, p.k))
+        report = sim.simulate(p, args.files, args.blocks, args.packet_size,
+                              demand=_parse_demand(args.demand, p.k))
     else:
-        report = simulate(p, args.files, args.blocks, args.packet_size,
-                          trials=args.trials, seed=args.seed)
+        report = sim.simulate(p, args.files, args.blocks, args.packet_size,
+                              trials=args.trials, seed=args.seed)
     if args.json:
         _emit(_json_dumps(report.to_json()), None)
     else:
@@ -135,7 +137,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     s_max = args.max_s if args.max_s is not None else (args.f - args.z) * args.k
-    result = search_min_s(args.k, args.f, args.z, s_max, cells_limit=args.cells_limit)
+    try:
+        result = search.search_min_s(args.k, args.f, args.z, s_max,
+                                     cells_limit=args.cells_limit)
+    except search.SearchSpaceError as exc:
+        raise ValueError(str(exc)) from exc
     if args.json:
         _emit(_json_dumps(result.to_json()), None)
     else:
@@ -150,11 +156,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    comparison = bounds_mod.compare_to_jcm(_load(args.path))
+    comparison = bounds.compare_to_jcm(_load(args.path))
     if args.json:
         _emit(_json_dumps(comparison.to_json()), None)
     else:
-        text = bounds_mod.format_table(
+        text = bounds.format_table(
             ["k", "t", "f_ours", "f_jcm", "ratio", "rate"],
             [[comparison.k, comparison.t, comparison.f_ours, comparison.f_jcm,
               comparison.ratio, comparison.rate]],
@@ -190,7 +196,7 @@ def _parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bounds", help="rate/packet-number lower bounds")
     b.add_argument("--k", type=int)
-    b.add_argument("--case", choices=list(bounds_mod.MEMORY_CASES))
+    b.add_argument("--case", choices=list(_MEMORY_CASES))
     b.add_argument("--from", dest="from_path", help="score an array file instead")
     b.add_argument("--json", action="store_true")
     b.set_defaults(func=_cmd_bounds)
@@ -227,14 +233,14 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SearchSpaceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug, not a verdict: exit 1 would read as "false"
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return 3
 
 

@@ -170,6 +170,13 @@ def _partition_cells(star: list[list[bool]], f: int, k: int, z: int,
     return classes if extend(0) else None
 
 
+def _check_instance(k: int, f: int, z: int) -> None:
+    if k < 2:
+        raise ValueError(f"K must be >= 2, got {k}")
+    if not 1 <= z <= f:
+        raise ValueError(f"require 1 <= Z <= F, got Z={z}, F={f}")
+
+
 def exists_dpda(k: int, f: int, z: int, s: int, *, cells_limit: int | None = None,
                 prune_symmetry: bool = True) -> SearchResult:
     """Exhaustively decide whether a (K, 1, F, Z, S) array exists.
@@ -178,10 +185,7 @@ def exists_dpda(k: int, f: int, z: int, s: int, *, cells_limit: int | None = Non
     each class's smallest feasible sender chosen).  The enumeration order is
     deterministic, so the returned witness is too.
     """
-    if k < 2:
-        raise ValueError(f"K must be >= 2, got {k}")
-    if not 1 <= z <= f:
-        raise ValueError(f"require 1 <= Z <= F, got Z={z}, F={f}")
+    _check_instance(k, f, z)
     if s < 0:
         raise ValueError(f"S must be nonnegative, got {s}")
     limit = DEFAULT_CELLS_LIMIT if cells_limit is None else cells_limit
@@ -224,6 +228,9 @@ def search_min_s(k: int, f: int, z: int, s_max: int, *,
     by exhaustion.  A found minimum below the exact rate floor
     S*Z >= F*(F-Z) would falsify this implementation and raises.
     """
+    _check_instance(k, f, z)
+    if s_max < 0:
+        raise ValueError(f"s_max must be nonnegative, got {s_max}")
     nodes = 0
     for s in range(s_max + 1):
         res = exists_dpda(k, f, z, s, cells_limit=cells_limit,

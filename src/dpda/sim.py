@@ -13,6 +13,12 @@ byte-for-byte without sharing a random generator.
 Decoders re-derive each signal's constituent packet ids from the array and
 the demand; the audit ``constituents`` field on :class:`Signal` exists for
 inspection only and is never read during decoding.
+
+Which cells each slot mixes, who sends it, and which side packets each user
+strips from it are fixed by the array alone.  :func:`simulate` derives these
+slot and decode plans once per run, so a trial only forms the demand's packet
+ids, XORs them and checks the result; :func:`deliver` and :func:`decode` plan
+for their one call and run the same code.
 """
 
 from __future__ import annotations
@@ -138,28 +144,54 @@ class Signal:
     constituents: tuple[PacketId, ...]
 
 
-def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
-    """Produce the S broadcast signals for a demand, in slot order.
+# Demand-free plans: derived from the array once per run, shared by every trial.
+_Cell = tuple[int, int, int, int]  # (row, column, band, in-band row h)
+_SlotPlan = tuple[tuple[int, tuple[_Cell, ...]] | None, ...]  # per slot: (sender, cells)
+_Row = tuple[int, int, int | None, tuple[tuple[int, int, int], ...]]  # see _user_plan
 
-    Signal s XORs, over every cell (i, j) carrying slot s, the packet
-    (d_j, b_j + i//F, i mod F).  Every constituent must already sit in the
-    sender's cache; a miss means the array is not a valid DPDA and raises
-    :class:`SimulationError`.
-    """
-    _check_demand(dem, p.k, lib.n, lib.l, p.lp)
-    cells = slot_cells(p)
-    signals = []
+
+def _slot_plan(p: Dpda, cells: Mapping[int, list[tuple[int, int]]]) -> _SlotPlan:
+    """Per slot: its sender and its cells, or None when the slot never occurs."""
+    plan = []
     for s in range(p.s):
         occ = cells.get(s)
-        if not occ:
+        if occ:
+            sender = p.grid[occ[0][0]][occ[0][1]].sender
+            plan.append((sender, tuple((i, j, *divmod(i, p.f)) for i, j in occ)))
+        else:
+            plan.append(None)
+    return tuple(plan)
+
+
+def _user_plan(p: Dpda, cells: Mapping[int, list[tuple[int, int]]], k: int) -> tuple[_Row, ...]:
+    """Per row i of column ``k``: (band, h, slot or None for a star, and the
+    other cells (column, band, h) of that slot)."""
+    rows = []
+    for i, row in enumerate(p.grid):
+        band, h = divmod(i, p.f)
+        e = row[k]
+        if e is None:
+            rows.append((band, h, None, ()))
+        else:
+            rows.append((band, h, e.slot, tuple((j2, *divmod(i2, p.f))
+                                                for i2, j2 in cells[e.slot]
+                                                if (i2, j2) != (i, k))))
+    return tuple(rows)
+
+
+def _deliver(slots: _SlotPlan, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
+    d, b = dem.d, dem.b
+    signals = []
+    for s, plan in enumerate(slots):
+        if plan is None:
             raise SimulationError(f"slot {s} never occurs; cannot schedule its broadcast")
-        sender = p.grid[occ[0][0]][occ[0][1]].sender
+        sender, occ = plan
+        cached = caches.users[sender]
         payload = 0
         constituents = []
-        for i, j in occ:
-            h = i % p.f
-            pid = (dem.d[j], dem.b[j] + i // p.f, h)
-            if h not in caches.users[sender]:
+        for i, j, band, h in occ:
+            pid = (d[j], b[j] + band, h)
+            if h not in cached:
                 raise SimulationError(
                     f"sender {sender} lacks packet {pid} needed for slot {s} "
                     f"(entry at row {i}, column {j})"
@@ -172,6 +204,54 @@ def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
     return signals
 
 
+def _decode(rows: tuple[_Row, ...], cache_k: Mapping[PacketId, bytes],
+            by_slot: Mapping[int, bytes], dem: Demand, k: int) -> dict[PacketId, bytes]:
+    d, b = dem.d, dem.b
+    dk, bk = d[k], b[k]
+    recovered: dict[PacketId, bytes] = {}
+    for band, h, slot, others in rows:
+        want: PacketId = (dk, bk + band, h)
+        if slot is None:
+            try:
+                recovered[want] = cache_k[want]
+            except KeyError:
+                raise SimulationError(f"user {k} should have cached {want} but has not") from None
+            continue
+        try:
+            payload = by_slot[slot]
+        except KeyError:
+            raise SimulationError(f"signal for slot {slot} missing") from None
+        x = int.from_bytes(payload, "little")
+        for j2, band2, h2 in others:
+            other: PacketId = (d[j2], b[j2] + band2, h2)
+            if other == want:
+                # a side packet identical to the wanted one cancels inside
+                # the XOR; valid arrays cannot produce this
+                raise SimulationError(
+                    f"slot {slot} mixes packet {want} twice; array is not decodable"
+                )
+            try:
+                x ^= int.from_bytes(cache_k[other], "little")
+            except KeyError:
+                raise SimulationError(
+                    f"user {k} cannot remove uncached packet {other} from slot {slot}"
+                ) from None
+        recovered[want] = x.to_bytes(len(payload), "little")
+    return recovered
+
+
+def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
+    """Produce the S broadcast signals for a demand, in slot order.
+
+    Signal s XORs, over every cell (i, j) carrying slot s, the packet
+    (d_j, b_j + i//F, i mod F).  Every constituent must already sit in the
+    sender's cache; a miss means the array is not a valid DPDA and raises
+    :class:`SimulationError`.
+    """
+    _check_demand(dem, p.k, lib.n, lib.l, p.lp)
+    return _deliver(_slot_plan(p, slot_cells(p)), caches, lib, dem)
+
+
 def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal],
            dem: Demand, k: int) -> dict[PacketId, bytes]:
     """Recover user ``k``'s requested packets (d_k, b_k + l, h) for l in
@@ -181,39 +261,8 @@ def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal]
     signal payloads; constituent ids are re-derived from the array, never
     read from the signals' audit lists.
     """
-    by_slot = {sig.slot: sig for sig in signals}
-    cells = slot_cells(p)
-    recovered: dict[PacketId, bytes] = {}
-    for i in range(p.lp * p.f):
-        want: PacketId = (dem.d[k], dem.b[k] + i // p.f, i % p.f)
-        e = p.grid[i][k]
-        if e is None:
-            if want not in cache_k:
-                raise SimulationError(f"user {k} should have cached {want} but has not")
-            recovered[want] = cache_k[want]
-            continue
-        try:
-            payload = by_slot[e.slot].payload
-        except KeyError:
-            raise SimulationError(f"signal for slot {e.slot} missing") from None
-        x = int.from_bytes(payload, "little")
-        for i2, j2 in cells[e.slot]:
-            if (i2, j2) == (i, k):
-                continue
-            other: PacketId = (dem.d[j2], dem.b[j2] + i2 // p.f, i2 % p.f)
-            if other == want:
-                # a side packet identical to the wanted one cancels inside
-                # the XOR; valid arrays cannot produce this
-                raise SimulationError(
-                    f"slot {e.slot} mixes packet {want} twice; array is not decodable"
-                )
-            if other not in cache_k:
-                raise SimulationError(
-                    f"user {k} cannot remove uncached packet {other} from slot {e.slot}"
-                )
-            x ^= int.from_bytes(cache_k[other], "little")
-        recovered[want] = x.to_bytes(len(payload), "little")
-    return recovered
+    by_slot = {sig.slot: sig.payload for sig in signals}
+    return _decode(_user_plan(p, slot_cells(p), k), cache_k, by_slot, dem, k)
 
 
 @dataclass(frozen=True)
@@ -246,7 +295,9 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
     Exactly one of ``demand`` (a single run) or ``trials`` (that many
     uniformly sampled demands, deterministic from ``seed``) must be given.
     The cache size in files, Z*N/F, is reported exactly as a fraction; it
-    need not be an integer.
+    need not be an integer.  Every packet of every user is compared with the
+    library in every trial; the expected packets of each (file, start block)
+    are gathered once per run.
     """
     if l < p.lp:
         raise ValueError(f"need L >= L', got L={l}, L'={p.lp}")
@@ -270,27 +321,37 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
             for _ in range(trials)
         ]
         count = trials
+    cells = slot_cells(p)
+    slots = _slot_plan(p, cells)
+    plans = [_user_plan(p, cells, k) for k in range(p.k)]
+    expected: dict[tuple[int, int], dict[PacketId, bytes]] = {}  # by (file, start block)
     failures: list[dict] = []
     sent: set[int] = set()
     for run, dem in enumerate(demands):
         try:
-            signals = deliver(p, caches, lib, dem)
+            _check_demand(dem, p.k, n, l, p.lp)
+            signals = _deliver(slots, caches, lib, dem)
         except (SimulationError, ValueError) as exc:
             failures.append({"trial": run, "demand": [list(dem.d), list(dem.b)],
                              "error": str(exc)})
             continue
         sent.add(len(signals))
-        for k in range(p.k):
+        by_slot = {sig.slot: sig.payload for sig in signals}
+        for k, rows in enumerate(plans):
             try:
-                got = decode(p, cache_bytes[k], signals, dem, k)
+                got = _decode(rows, cache_bytes[k], by_slot, dem, k)
             except SimulationError as exc:
                 failures.append({"trial": run, "user": k, "error": str(exc)})
                 continue
-            for i in range(p.lp * p.f):
-                pid: PacketId = (dem.d[k], dem.b[k] + i // p.f, i % p.f)
-                if got.get(pid) != lib.packet(*pid):
-                    failures.append({"trial": run, "user": k,
-                                     "packet": list(pid), "error": "byte mismatch"})
+            dk, bk = dem.d[k], dem.b[k]
+            expect = expected.get((dk, bk))
+            if expect is None:
+                expect = expected[dk, bk] = {(dk, bk + band, h): lib.packet(dk, bk + band, h)
+                                             for band, h, _slot, _others in rows}
+            if got != expect:  # name every packet that differs, in row order
+                failures.extend({"trial": run, "user": k, "packet": list(pid),
+                                 "error": "byte mismatch"}
+                                for pid, packet in expect.items() if got.get(pid) != packet)
     if len(sent) > 1:
         raise AssertionError(f"per-demand transmissions differ: {sorted(sent)}")
     packets_sent = sent.pop() if sent else 0

@@ -133,6 +133,9 @@ def test_applicable_cases_overlap_resolution():
     assert set(applicable_cases(3, 4, 6)) == {"2/K", "(K-1)/K"}
     # Z = 0 is no covered case, even where a case's ratio reads 0
     assert applicable_cases(1, 0, 3) == applicable_cases(2, 0, 4) == ()
+    # a case that needs more users than K does not apply: Z/F = 1 reads 1/K at K = 1
+    assert applicable_cases(1, 1, 1) == ()
+    assert applicable_cases(2, 1, 2) == ("1/K", "(K-1)/K")
     report = bounds_for_array(parse_dpda(MIN_F_K3_TEXT))
     assert report.case == "(K-1)/K"
     assert report.f_bound == 6

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from dpda import construct_grid, construct_jcm, serialize_dpda
+import dpda
+from dpda import cli, construct_grid, construct_jcm, serialize_dpda
+from dpda.bounds import MEMORY_CASES
 from dpda.cli import main
 
 from golden import P4_TEXT, Q_LIFTED_P4_TEXT
@@ -17,6 +22,7 @@ from golden import P4_TEXT, Q_LIFTED_P4_TEXT
 # `validate p4 --optimal --json`, `p4.simulate.json.out` that of
 # `simulate p4 ... --json`.
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _jcm_split_text() -> str:
@@ -180,6 +186,19 @@ def test_bounds_case_rejects_zero_users(capsys, case):
     assert out == "" and err.startswith("error: ")
 
 
+def test_bounds_from_single_user_array(tmp_path, capsys):
+    f = tmp_path / "k1.dpda"
+    f.write_text("DPDA K=1 L'=1 F=1 Z=1 S=0\n*\n")
+    code, out, err = run(capsys, "bounds", "--from", str(f), "--json")
+    assert (code, err) == (0, "")
+    j = json.loads(out)
+    assert j["case"] is None and j["f_bound"] == "not covered"
+
+
+def test_bounds_case_choices_are_the_library_cases():
+    assert cli._MEMORY_CASES == MEMORY_CASES
+
+
 def test_bounds_from_file(tmp_path, capsys):
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
@@ -240,6 +259,14 @@ def test_search_infeasible_exit_code(capsys):
     assert "no array" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--z", "3"), "error: require 1 <= Z <= F, got Z=3, F=2\n"),
+    (("--z", "1", "--max-s", "-1"), "error: s_max must be nonnegative, got -1\n"),
+])
+def test_search_malformed_input_is_usage_error(capsys, flags, message):
+    assert run(capsys, "search", "--k", "2", "--f", "2", *flags) == (2, "", message)
+
+
 def test_search_guard_exit_code(capsys):
     code, _, err = run(capsys, "search", "--k", "6", "--f", "9", "--z", "3")
     assert code == 2
@@ -253,6 +280,45 @@ def test_compare(tmp_path, capsys):
     assert code == 0
     j = json.loads(out)
     assert (j["f_ours"], j["f_jcm"], j["ratio"]) == (9, 30, "3/10")
+
+
+@pytest.mark.parametrize("exc", [TypeError("bad\noperand"), RecursionError(), MemoryError()])
+def test_unexpected_exception_is_internal_error(monkeypatch, tmp_path, capsys, exc):
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_compare", handler)
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    code, out, err = run(capsys, "compare", str(f))
+    assert (code, out) == (3, "")
+    assert err == f"internal error: {exc!r}\n"
+
+
+def test_subcommand_runs_only_its_modules(tmp_path):
+    # A library module that a subcommand does not call is never executed:
+    # it stays an unloaded stub in sys.modules (see dpda/__init__.py).
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    script = (
+        "import sys, types\n"
+        "from dpda.cli import main\n"
+        f"code = main(['simulate', {str(f)!r}, '--files', '4', '--blocks', '2',"
+        " '--trials', '3', '--json'])\n"
+        "print(code, sorted(n for n, m in sys.modules.items()"
+        " if n.startswith('dpda') and type(m) is types.ModuleType))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 ['dpda', 'dpda.cli', 'dpda.core', 'dpda.sim']"
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from dpda import *", namespace)
+    assert [name for name in dpda.__all__ if name not in namespace] == []
+    assert namespace["simulate"] is dpda.sim.simulate
 
 
 def test_usage_error_exit_code():

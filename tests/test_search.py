@@ -93,6 +93,17 @@ class TestMinS:
         res = search_min_s(3, 6, 4, 6)
         assert res.minimal_s == 3
 
+    @pytest.mark.parametrize("args, message", [
+        ((2, 2, 3, 4), "require 1 <= Z <= F"),
+        ((2, 2, 0, 4), "require 1 <= Z <= F"),
+        ((1, 2, 1, 4), "K must be >= 2"),
+        ((2, 2, 1, -1), "s_max must be nonnegative"),
+        ((2, 2, 3, -2), "require 1 <= Z <= F"),
+    ])
+    def test_malformed_instance_is_an_error_not_a_verdict(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            search_min_s(*args)
+
     def test_infeasible_up_to_limit(self):
         res = search_min_s(3, 3, 1, 5)
         assert not res.feasible

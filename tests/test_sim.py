@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import dpda.sim
 from dpda import (
     Coded,
     Demand,
@@ -27,6 +29,8 @@ from dpda import (
 )
 from dpda.sim import Signal
 
+import sim_reference as reference
+from fuzz import random_well_formed, valid_corpus
 from golden import P3_TEXT, P4_TEXT, P6_TEXT, Q_LIFTED_P4_TEXT
 
 
@@ -277,6 +281,23 @@ class TestSimulate:
         assert rep.success
         assert rep.packets_sent == 8
 
+    def test_wrong_bytes_are_named_per_packet(self, monkeypatch):
+        # recovery is checked byte for byte: corrupt what user 1 recovers
+        # for its second band and every one of those packets is reported
+        decode_core = dpda.sim._decode
+
+        def corrupting(rows, cache_k, by_slot, dem, k):
+            got = decode_core(rows, cache_k, by_slot, dem, k)
+            return {pid: (b"?" + v[1:] if k == 1 and pid[1] == dem.b[k] + 1 else v)
+                    for pid, v in got.items()}
+
+        monkeypatch.setattr(dpda.sim, "_decode", corrupting)
+        p = lift(construct_even(2), 2)
+        dem = Demand(d=(0, 1, 2, 0), b=(0, 1, 0, 1))
+        rep = simulate(p, 3, 3, packet_size=8, demand=dem)
+        assert rep.failures == tuple({"trial": 0, "user": 1, "packet": [1, 2, h],
+                                      "error": "byte mismatch"} for h in range(4))
+
     def test_argument_validation(self):
         p = parse_dpda(P4_TEXT)
         with pytest.raises(ValueError, match="L >= L'"):
@@ -287,3 +308,114 @@ class TestSimulate:
             simulate(p, 4, 3, demand=Demand(d=(0,) * 4, b=(0,) * 4), trials=2)
         with pytest.raises(ValueError, match="trials"):
             simulate(p, 4, 3, trials=0)
+
+
+# ------------------------------------------------- against the reference loops
+
+
+def _broken(p: Dpda, condition: str, rng: random.Random) -> Dpda | None:
+    """A copy of ``p`` with ``condition`` broken, or None if ``p`` offers no
+    place to break it.  Slot ids stay in range with one sender per slot."""
+    grid = [list(row) for row in p.grid]
+    s = p.s
+    coded = [(r, c) for r, row in enumerate(grid) for c, e in enumerate(row) if e is not None]
+    if condition == "c0":
+        # flip one lower-band cell: a star takes a coded entry of its row,
+        # a coded entry becomes a star
+        lower = [(r, c) for r, c in product(range(p.f, p.lp * p.f), range(p.k))
+                 if grid[r][c] is not None or any(grid[r])]
+        if not lower:
+            return None
+        r, c = rng.choice(lower)
+        grid[r][c] = next(e for e in grid[r] if e is not None) if grid[r][c] is None else STAR
+    elif condition == "c2":
+        s += 1  # the new top slot id never occurs
+    elif condition == "c3":
+        # hand one slot to the column of one of its own cells
+        r, c = rng.choice(coded)
+        slot = grid[r][c].slot
+        for r2, c2 in coded:
+            if grid[r2][c2].slot == slot:
+                grid[r2][c2] = Coded(slot, c)
+    elif condition == "c4a":
+        # copy one coded entry over another in the same row
+        rows = [r for r, row in enumerate(grid) if sum(e is not None for e in row) >= 2]
+        if not rows:
+            return None
+        r = rng.choice(rows)
+        c1, c2 = rng.sample([c for c, e in enumerate(grid[r]) if e is not None], 2)
+        grid[r][c2] = grid[r][c1]
+    else:  # c4b: move one coded cell into another slot
+        r, c = rng.choice(coded)
+        r2, c2 = rng.choice(coded)
+        grid[r][c] = grid[r2][c2]
+    return Dpda(k=p.k, lp=p.lp, f=p.f, z=p.z, s=s, grid=tuple(tuple(row) for row in grid))
+
+
+def _reference_corpus() -> dict[str, list[Dpda]]:
+    """Small valid arrays and their lifts, copies of them with each condition
+    broken, and arbitrary well-formed arrays."""
+    rng = random.Random(2024)
+    bases = [p for p in valid_corpus() if p.f * p.lp * p.k <= 96]
+    valid = bases + [lift(p, 2) for p in bases if p.lp == 1]
+    corpus = {"valid": valid}
+    for condition in ("c0", "c2", "c3", "c4a", "c4b"):
+        corpus[condition] = [q for p in valid for _ in range(2)
+                             if (q := _broken(p, condition, rng)) is not None]
+    corpus["well_formed"] = [random_well_formed(random.Random(seed)) for seed in range(60)]
+    return corpus
+
+
+REFERENCE_CORPUS = _reference_corpus()
+FAILURE_KINDS = ("never occurs", "lacks packet", "should have cached",
+                 "cannot remove uncached", "twice")
+
+
+def _outcome(fn, *args, **kwargs):
+    """A call's result, or the type and message of what it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (SimulationError, ValueError, IndexError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+class TestAgainstReference:
+    def test_corpus_reaches_every_failure(self):
+        errors = [f["error"] for arrays in REFERENCE_CORPUS.values() for p in arrays
+                  for f in simulate(p, 3, p.lp + 1, packet_size=8, trials=4, seed=1).failures]
+        assert all(any(kind in e for e in errors) for kind in FAILURE_KINDS)
+
+    @pytest.mark.parametrize("group", list(REFERENCE_CORPUS))
+    def test_simulate_reports_match(self, group):
+        rng = random.Random(group)
+        for p in REFERENCE_CORPUS[group]:
+            for n, extra, size in ((3, 1, 8), (2, 0, 300)):
+                l = p.lp + extra
+                kwargs = dict(packet_size=size, trials=12, seed=rng.randrange(100))
+                assert simulate(p, n, l, **kwargs) == reference.simulate(p, n, l, **kwargs), p
+                # in range, then possibly out of range (a failed trial, not a raise)
+                for d_max, b_max in ((n, l - p.lp + 1), (n + 1, l - p.lp + 2)):
+                    dem = Demand(d=tuple(rng.randrange(d_max) for _ in range(p.k)),
+                                 b=tuple(rng.randrange(b_max) for _ in range(p.k)))
+                    assert simulate(p, n, l, packet_size=size, demand=dem) == \
+                        reference.simulate(p, n, l, packet_size=size, demand=dem), (p, dem)
+
+    @pytest.mark.parametrize("group", list(REFERENCE_CORPUS))
+    def test_deliver_and_decode_match(self, group):
+        rng = random.Random(group)
+        for p in REFERENCE_CORPUS[group]:
+            lib = make_library(3, p.lp + 1, p.f, 8)
+            caches = place(p, lib)
+            dem = Demand(d=tuple(rng.randrange(3) for _ in range(p.k)),
+                         b=tuple(rng.randrange(2) for _ in range(p.k)))
+            signals = _outcome(deliver, p, caches, lib, dem)
+            assert signals == _outcome(reference.deliver, p, caches, lib, dem), (p, dem)
+            if not isinstance(signals, list):
+                signals = []
+            for k in range(p.k):
+                cache_k = user_cache_bytes(lib, caches, k)
+                # all signals, the first only, and a cache short of one packet
+                for sigs, cache in ((signals, cache_k), (signals[:1], cache_k),
+                                    (signals, dict(list(cache_k.items())[1:]))):
+                    assert _outcome(decode, p, cache, sigs, dem, k) == \
+                        _outcome(reference.decode, p, cache, sigs, dem, k), (p, dem, k)
