@@ -66,7 +66,8 @@ class Coded:
 Entry = Coded | None
 STAR: Entry = None  # star entries are represented as None
 
-_CODED_TOKEN = re.compile(r"^(\d+)\^(\d+)$")
+_DIGITS = re.compile(r"[0-9]+")
+_CODED_TOKEN = re.compile(r"([0-9]+)\^([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -131,13 +132,21 @@ def _entry_token(e: Entry) -> str:
     return "*" if e is None else f"{e.slot}^{e.sender}"
 
 
+def _parse_int(digits: str, where: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"{where}: {len(digits)}-digit integer is too long") from exc
+
+
 def _parse_token(tok: str, r: int, c: int) -> Entry:
     if tok == "*":
         return STAR
-    m = _CODED_TOKEN.match(tok)
+    m = _CODED_TOKEN.fullmatch(tok)
     if m is None:
         raise FormatError(f"row {r}, column {c}: bad token {tok!r}")
-    return Coded(slot=int(m.group(1)), sender=int(m.group(2)))
+    where = f"row {r}, column {c}"
+    return Coded(slot=_parse_int(m.group(1), where), sender=_parse_int(m.group(2), where))
 
 
 def parse_dpda(text: str | bytes) -> Dpda:
@@ -157,9 +166,9 @@ def parse_dpda(text: str | bytes) -> Dpda:
     fields = {}
     for part, key in zip(header[1:], ("K", "L'", "F", "Z", "S")):
         prefix = key + "="
-        if not part.startswith(prefix) or not part[len(prefix):].isdigit():
+        if not part.startswith(prefix) or not _DIGITS.fullmatch(part, len(prefix)):
             raise FormatError(f"malformed header field {part!r} (expected {prefix}<int>)")
-        fields[key] = int(part[len(prefix):])
+        fields[key] = _parse_int(part[len(prefix):], f"header field {key}")
     k, lp, f, z, s = fields["K"], fields["L'"], fields["F"], fields["Z"], fields["S"]
     body = lines[1:]
     if lp < 1 or f < 1:
@@ -195,19 +204,26 @@ def dpda_to_json(p: Dpda) -> dict:
 
 
 def dpda_from_json(obj: str | Mapping) -> Dpda:
-    """Parse the JSON mirror produced by :func:`dpda_to_json`."""
+    """Parse the JSON mirror produced by :func:`dpda_to_json`.
+
+    ``k, lp, f, z, s`` must be JSON integers; malformed input raises
+    :class:`FormatError`.
+    """
     if isinstance(obj, (str, bytes)):
         try:
             obj = json.loads(obj)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed, or an integer too long to convert
             raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, Mapping):
         raise FormatError("JSON mirror must be an object")
     try:
-        k, lp, f, z, s = (int(obj[key]) for key in ("k", "lp", "f", "z", "s"))
+        values = [obj[key] for key in ("k", "lp", "f", "z", "s")]
         rows = obj["grid"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"JSON mirror missing or non-integer field: {exc}") from exc
+    except KeyError as exc:
+        raise FormatError(f"JSON mirror missing field: {exc}") from exc
+    if any(type(v) is not int for v in values):
+        raise FormatError(f"JSON mirror k, lp, f, z, s must be integers, got {values!r}")
+    k, lp, f, z, s = values
     try:
         grid = tuple(
             tuple(_parse_token(str(t), r, c) for c, t in enumerate(row))

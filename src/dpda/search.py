@@ -1,11 +1,11 @@
 """Exhaustive search for minimum-slot arrays at desk scale.
 
 ``exists_dpda`` decides whether a (K, 1, F, Z, S) array exists, returning a
-witness when it does; ``search_min_s`` scans S upward to certify the exact
-minimum.  The search is complete: star patterns (column star sets, exactly
-Z per column) are enumerated first, then the coded cells are partitioned
-into exactly S slot classes subject to the pair conditions and the
-existence of a sender column.
+witness when it does; ``search_min_s`` enumerates the star patterns once and
+scans S upward over them to certify the exact minimum.  The search is
+complete: star patterns (column star sets, exactly Z per column) are
+enumerated first, then the coded cells are partitioned into exactly S slot
+classes subject to the pair conditions and the existence of a sender column.
 
 Pruning never changes answers, only node counts:
 
@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from math import factorial
+from math import comb, factorial
+from typing import Iterable, Iterator
 
 from .core import STAR, Coded, Dpda, Entry, serialize_dpda
 
@@ -44,6 +45,7 @@ __all__ = [
 
 DEFAULT_CELLS_LIMIT = 24
 _CANON_CELLS_LIMIT = 36
+_Rows = tuple[tuple[bool, ...], ...]  # star pattern: a star flag per cell, row-major
 
 
 class SearchSpaceError(RuntimeError):
@@ -55,7 +57,10 @@ class SearchResult:
     """Outcome of an exhaustive run.
 
     ``minimal_s`` is set by :func:`search_min_s` only; an ``exists_dpda``
-    witness carries its slot count in ``witness.s``.  ``exhausted`` is True
+    witness carries its slot count in ``witness.s``.  ``nodes_explored``
+    sums, over each S tried, the 1-based position of the witness's star
+    pattern among all ``C(F,Z)^K`` in enumeration order (all of them when S
+    has no witness) and the cell-partition nodes.  ``exhausted`` is True
     when the whole space was covered (guard violations raise instead).
     """
 
@@ -75,7 +80,7 @@ class SearchResult:
         }
 
 
-def _pattern_canonical(rows: tuple[tuple[bool, ...], ...], f: int, k: int) -> bool:
+def _pattern_canonical(rows: _Rows, f: int, k: int) -> bool:
     """True iff this star pattern is the canonical member of its orbit under
     row and column permutations.
 
@@ -106,7 +111,7 @@ class _Class:
         self.senders = senders
 
 
-def _partition_cells(star: list[list[bool]], f: int, k: int, z: int,
+def _partition_cells(star: _Rows, f: int, k: int, z: int,
                      s_target: int, counter: list[int]) -> list[_Class] | None:
     """Partition the non-star cells into exactly ``s_target`` slot classes.
 
@@ -170,39 +175,35 @@ def _partition_cells(star: list[list[bool]], f: int, k: int, z: int,
     return classes if extend(0) else None
 
 
-def _check_instance(k: int, f: int, z: int) -> None:
+def _check_instance(k: int, f: int, z: int, s: int, s_name: str,
+                    cells_limit: int | None) -> None:
     if k < 2:
         raise ValueError(f"K must be >= 2, got {k}")
     if not 1 <= z <= f:
         raise ValueError(f"require 1 <= Z <= F, got Z={z}, F={f}")
-
-
-def exists_dpda(k: int, f: int, z: int, s: int, *, cells_limit: int | None = None,
-                prune_symmetry: bool = True) -> SearchResult:
-    """Exhaustively decide whether a (K, 1, F, Z, S) array exists.
-
-    Feasible results carry a witness (slots numbered in discovery order,
-    each class's smallest feasible sender chosen).  The enumeration order is
-    deterministic, so the returned witness is too.
-    """
-    _check_instance(k, f, z)
     if s < 0:
-        raise ValueError(f"S must be nonnegative, got {s}")
+        raise ValueError(f"{s_name} must be nonnegative, got {s}")
     limit = DEFAULT_CELLS_LIMIT if cells_limit is None else cells_limit
     if f * k > limit:
         raise SearchSpaceError(
             f"instance has {f * k} cells, above the exhaustive-search guard of "
             f"{limit}; raise cells_limit to insist"
         )
+
+
+def _canonical_patterns(k: int, f: int, z: int) -> Iterator[tuple[int, _Rows]]:
+    """Canonical star patterns, each with its 1-based position in ``product`` order."""
+    for pos, col_stars in enumerate(product(combinations(range(f), z), repeat=k), 1):
+        rows = tuple(tuple(r in cs for cs in col_stars) for r in range(f))
+        if _pattern_canonical(rows, f, k):
+            yield pos, rows
+
+
+def _first_witness(k: int, f: int, z: int, s: int,
+                   patterns: Iterable[tuple[int, _Rows]]) -> SearchResult:
+    """The first (K, 1, F, Z, S) array over ``patterns``, if any."""
     counter = [0]
-    for col_stars in product(combinations(range(f), z), repeat=k):
-        rows = tuple(
-            tuple(r in col_stars[c] for c in range(k)) for r in range(f)
-        )
-        counter[0] += 1
-        if prune_symmetry and not _pattern_canonical(rows, f, k):
-            continue
-        star = [list(row) for row in rows]
+    for pos, star in patterns:
         classes = _partition_cells(star, f, k, z, s, counter)
         if classes is None:
             continue
@@ -215,26 +216,35 @@ def exists_dpda(k: int, f: int, z: int, s: int, *, cells_limit: int | None = Non
                 grid[r][c] = Coded(slot, sender)
         witness = Dpda(k=k, lp=1, f=f, z=z, s=s,
                        grid=tuple(tuple(row) for row in grid))
-        return SearchResult(True, None, witness, counter[0], True)
-    return SearchResult(False, None, None, counter[0], True)
+        return SearchResult(True, None, witness, pos + counter[0], True)
+    return SearchResult(False, None, None, comb(f, z) ** k + counter[0], True)
+
+
+def exists_dpda(k: int, f: int, z: int, s: int, *,
+                cells_limit: int | None = None) -> SearchResult:
+    """Exhaustively decide whether a (K, 1, F, Z, S) array exists.
+
+    Feasible results carry a witness (slots numbered in discovery order,
+    each class's smallest feasible sender chosen).  The enumeration order is
+    deterministic, so the returned witness is too.
+    """
+    _check_instance(k, f, z, s, "S", cells_limit)
+    return _first_witness(k, f, z, s, _canonical_patterns(k, f, z))
 
 
 def search_min_s(k: int, f: int, z: int, s_max: int, *,
-                 cells_limit: int | None = None,
-                 prune_symmetry: bool = True) -> SearchResult:
+                 cells_limit: int | None = None) -> SearchResult:
     """Smallest S <= s_max admitting a (K, 1, F, Z, S) array, with witness.
 
-    Scans S upward from zero so every smaller value is certified infeasible
-    by exhaustion.  A found minimum below the exact rate floor
-    S*Z >= F*(F-Z) would falsify this implementation and raises.
+    Scans S upward from zero over the canonical star patterns, enumerated
+    once, so every smaller value is certified infeasible by exhaustion.  A
+    minimum below the exact rate floor S*Z >= F*(F-Z) is unsound and raises.
     """
-    _check_instance(k, f, z)
-    if s_max < 0:
-        raise ValueError(f"s_max must be nonnegative, got {s_max}")
+    _check_instance(k, f, z, s_max, "s_max", cells_limit)
+    patterns = list(_canonical_patterns(k, f, z))
     nodes = 0
     for s in range(s_max + 1):
-        res = exists_dpda(k, f, z, s, cells_limit=cells_limit,
-                          prune_symmetry=prune_symmetry)
+        res = _first_witness(k, f, z, s, patterns)
         nodes += res.nodes_explored
         if res.feasible:
             if s * z < f * (f - z):
@@ -246,23 +256,14 @@ def search_min_s(k: int, f: int, z: int, s_max: int, *,
     return SearchResult(False, None, None, nodes, True)
 
 
-def _entry_key(e: Entry, slot_map: dict[int, int], fresh: list[int]) -> tuple[int, int, int]:
-    if e is None:
-        return (0, 0, 0)
-    label = slot_map.get(e.slot)
-    if label is None:
-        label = fresh[0]
-        slot_map[e.slot] = label
-        fresh[0] += 1
-    return (1, label, e.sender)
-
-
-def _row_key(row: tuple[Entry, ...], slot_map: dict[int, int],
-             next_label: int) -> tuple[tuple[tuple[int, int, int], ...], dict[int, int], int]:
+def _row_key(row: tuple[Entry, ...], slot_map: dict[int, int]
+             ) -> tuple[tuple[tuple[int, int, int], ...], dict[int, int]]:
+    """Keys of ``row``'s entries, and a copy of ``slot_map`` that labels its new slots."""
     trial_map = dict(slot_map)
-    fresh = [next_label]
-    key = tuple(_entry_key(e, trial_map, fresh) for e in row)
-    return key, trial_map, fresh[0]
+    key = tuple((0, 0, 0) if e is None
+                else (1, trial_map.setdefault(e.slot, len(trial_map)), e.sender)
+                for e in row)
+    return key, trial_map
 
 
 def canonicalize(p: Dpda, *, cells_limit: int = _CANON_CELLS_LIMIT) -> Dpda:
@@ -283,8 +284,7 @@ def canonicalize(p: Dpda, *, cells_limit: int = _CANON_CELLS_LIMIT) -> Dpda:
     best: list[tuple] | None = None
 
     def descend(rows: list[tuple[Entry, ...]], used: list[bool],
-                slot_map: dict[int, int], next_label: int,
-                acc: list[tuple]) -> None:
+                slot_map: dict[int, int], acc: list[tuple]) -> None:
         nonlocal best
         depth = len(acc)
         if depth == len(rows):
@@ -295,8 +295,8 @@ def canonicalize(p: Dpda, *, cells_limit: int = _CANON_CELLS_LIMIT) -> Dpda:
         for idx, row in enumerate(rows):
             if used[idx]:
                 continue
-            key, trial_map, label = _row_key(row, slot_map, next_label)
-            candidates.append((key, idx, trial_map, label))
+            key, trial_map = _row_key(row, slot_map)
+            candidates.append((key, idx, trial_map))
         # only rows achieving the minimal key can start the lex-min
         # completion; equal keys may bind slot labels differently, so ties
         # all branch
@@ -305,11 +305,11 @@ def canonicalize(p: Dpda, *, cells_limit: int = _CANON_CELLS_LIMIT) -> Dpda:
         if best is not None and acc > best[:depth + 1]:
             acc.pop()
             return
-        for key, idx, trial_map, label in candidates:
+        for key, idx, trial_map in candidates:
             if key != low:
                 continue
             used[idx] = True
-            descend(rows, used, trial_map, label, acc)
+            descend(rows, used, trial_map, acc)
             used[idx] = False
         acc.pop()
 
@@ -324,7 +324,7 @@ def canonicalize(p: Dpda, *, cells_limit: int = _CANON_CELLS_LIMIT) -> Dpda:
             )
             for r in range(p.f)
         ]
-        descend(rows, [False] * p.f, {}, 0, [])
+        descend(rows, [False] * p.f, {}, [])
 
     assert best is not None
     grid = tuple(

@@ -16,11 +16,13 @@ from dpda.bounds import MEMORY_CASES
 from dpda.cli import main
 
 from golden import P4_TEXT, Q_LIFTED_P4_TEXT
+from search_reference import instances
 
 # Full expected stdout of `validate` and `simulate`, one file per array and
 # flag set: `p4.optimal.json.out` holds the output of
 # `validate p4 --optimal --json`, `p4.simulate.json.out` that of
-# `simulate p4 ... --json`.
+# `simulate p4 ... --json`.  `search.json.out` and `search.out` hold one
+# transcript block per instance: the argv, stdout, and the exit code.
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -265,6 +267,20 @@ def test_search_infeasible_exit_code(capsys):
 ])
 def test_search_malformed_input_is_usage_error(capsys, flags, message):
     assert run(capsys, "search", "--k", "2", "--f", "2", *flags) == (2, "", message)
+
+
+@pytest.mark.parametrize("name, cases, flags", [
+    ("search.json", instances(16), ("--json",)),  # 69 instances
+    ("search", [(4, 4, 2), (2, 5, 2)], ()),  # feasible, and infeasible
+])
+def test_search_golden_stdout(capsys, name, cases, flags):
+    blocks = []
+    for k, f, z in cases:
+        argv = ("search", "--k", str(k), "--f", str(f), "--z", str(z), *flags)
+        code, out, err = run(capsys, *argv)
+        assert err == "", argv
+        blocks.append(f"$ {' '.join(argv)}\n{out}[exit {code}]\n")
+    assert "".join(blocks) == (GOLDEN_CLI / f"{name}.out").read_text()
 
 
 def test_search_guard_exit_code(capsys):

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpda import (
     Coded,
@@ -82,6 +84,11 @@ def test_conflicting_senders_rejected():
         "DPDA K=2 L'=1 F=2 Z=1 S=0\n* *\n",  # one row short
         "DPDA K=2 L'=1 F=1 Z=1 S=0\n* * *\n",  # extra column
         "DPDA K=1 L'=1 F=1 Z=1 S=1\nbogus\n",
+        "DPDA K=\u00b2 L'=1 F=1 Z=1 S=0\n*\n",  # superscript two passes isdigit()
+        "DPDA K=1 L'=1 F=1 Z=1 S=4\n\u0663^0\n",  # Arabic-Indic three
+        # beyond int()'s digit limit
+        pytest.param("DPDA K=" + "1" * 5000 + " L'=1 F=1 Z=1 S=0\n*\n", id="long-header-value"),
+        pytest.param("DPDA K=1 L'=1 F=1 Z=1 S=4\n" + "1" * 5000 + "^0\n", id="long-slot"),
     ],
 )
 def test_malformed_inputs_rejected(text):
@@ -157,3 +164,48 @@ def test_json_mirror_rejects_malformed():
     for grid in (5, [5], None):
         with pytest.raises(FormatError):
             dpda_from_json({"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": grid})
+    with pytest.raises(FormatError):  # json.loads accepts Infinity
+        dpda_from_json('{"k": Infinity, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]}')
+    with pytest.raises(FormatError):
+        dpda_from_json({"k": 1.5, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]})
+
+
+# near-miss headers and tokens reach the field and token checks, which
+# arbitrary text rarely does
+_numbers = st.integers(0, 4).map(str) | st.text("019\u00b2\u0663-x", max_size=3)
+_tokens = (st.sampled_from(["*", "0^0", "1^1", "0^1"])
+           | st.builds("{}^{}".format, _numbers, _numbers) | st.text(max_size=3))
+_texts = st.text() | st.builds(
+    lambda nums, rows: "DPDA " + " ".join(map("{}={}".format, ("K", "L'", "F", "Z", "S"), nums))
+    + "".join("\n" + " ".join(row) for row in rows),
+    st.lists(_numbers, min_size=5, max_size=5),
+    st.lists(st.lists(_tokens, max_size=3), max_size=3),
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _tokens,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=8,
+)
+_mirrors = st.fixed_dictionaries({}, optional={
+    key: st.integers(0, 3) | st.sampled_from([1.5, float("inf"), True, "\u0663"]) | _json_values
+    for key in ("k", "lp", "f", "z", "s", "grid")
+})
+
+
+@settings(deadline=None, max_examples=300)
+@given(_texts)
+def test_parse_raises_only_format_error(text):
+    try:
+        parse_dpda(text)
+    except FormatError:
+        pass
+
+
+@settings(deadline=None, max_examples=300)
+@given(_mirrors)
+def test_json_mirror_raises_only_format_error(obj):
+    for mirror in (obj, json.dumps(obj)):
+        try:
+            dpda_from_json(mirror)
+        except FormatError:
+            pass

@@ -24,6 +24,7 @@ from dpda import (
     validate,
 )
 
+import search_reference
 from fuzz import random_symmetry_action, valid_corpus
 from golden import P4_TEXT
 
@@ -160,12 +161,16 @@ class TestMinS:
                 assert exists_dpda(k, f, z, s).feasible == naive_exists(k, f, z, s), \
                     (k, f, z, s)
 
-    def test_pruning_changes_node_counts_only(self):
-        for k, f, z in [(2, 2, 1), (3, 3, 1), (3, 3, 2), (4, 2, 1)]:
-            pruned = search_min_s(k, f, z, (f - z) * k, prune_symmetry=True)
-            full = search_min_s(k, f, z, (f - z) * k, prune_symmetry=False)
-            assert pruned.feasible == full.feasible
-            assert pruned.minimal_s == full.minimal_s
+    def test_agrees_with_unpruned_reference(self):
+        # symmetry pruning and the single pattern pass change node counts
+        # only; the reference partitions every pattern afresh for each S
+        cases = search_reference.instances(12)
+        assert len(cases) == 38
+        for k, f, z in cases:
+            pruned = search_min_s(k, f, z, (f - z) * k)
+            full = search_reference.search_min_s(k, f, z, (f - z) * k)
+            assert (pruned.feasible, pruned.minimal_s, pruned.exhausted) == \
+                (full.feasible, full.minimal_s, full.exhausted), (k, f, z)
             if pruned.feasible:
                 assert validate(pruned.witness).valid
                 assert validate(full.witness).valid
