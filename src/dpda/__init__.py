@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": ("STAR", "Coded", "Dpda", "Entry", "FormatError",
              "parse_dpda", "serialize_dpda", "dpda_to_json", "dpda_from_json",
-             "slot_cells", "slot_senders",
-             "permute_band_rows", "permute_columns", "relabel_slots"),
+             "slot_cells", "permute_band_rows", "permute_columns", "relabel_slots"),
     "validation": ("ConditionCheck", "ValidationReport", "RateOptimality", "validate"),
     "construct": ("subset_rank", "subset_unrank",
                   "construct_jcm", "construct_grid", "construct_even", "construct_odd",

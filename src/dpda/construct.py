@@ -15,9 +15,10 @@ Families (all rate-optimal, L' = 1):
 ``lift`` stacks slot-shifted copies of an L'=1 array to serve L'-block
 requests at unchanged rate.
 
-Symbolic slot labels (subset pairs, super combinations) are mapped to
-numeric ids through the lexicographic subset ranking ``subset_rank``; the
-chosen bijections are fixed so outputs are bit-reproducible.
+Symbolic slot labels (subsets, super combinations) are numbered by
+lexicographic subset rank (what ``subset_rank`` computes), read from one
+``combinations`` table per builder call; the chosen bijections are fixed so
+outputs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -108,26 +109,21 @@ def construct_jcm(k: int, t: int) -> Dpda:
     Rows are indexed by (T, j) with T a t-subset of users and j in [0, t),
     laid out j-major with T in lexicographic order.  The entry in row (T, j)
     and column c not in T belongs to the slot of the (t+1)-subset
-    U = T + {c}; the sender is the j-th element of U skipping c, and the
-    slot id is (t+1) * subset_rank(k, U) + (position of the sender in U).
+    U = T + {c}; the sender is T[j] (the j-th element of U skipping c), and
+    the slot id is (t+1) * rank(U) + (position of T[j] in U).
     """
     if not 1 <= t < k:
         raise ValueError(f"t must satisfy 1 <= t < K, got t={t}, K={k}")
     tsubsets = list(combinations(range(k), t))
+    u_rank = {u: i for i, u in enumerate(combinations(range(k), t + 1))}
     grid: list[tuple[Entry, ...]] = []
     for j in range(t):
         for tset in tsubsets:
-            members = set(tset)
-            row: list[Entry] = []
+            sender, row = tset[j], [STAR] * k
             for c in range(k):
-                if c in members:
-                    row.append(STAR)
-                    continue
-                u = tuple(sorted(tset + (c,)))
-                f_rank = subset_rank(u, tset)
-                sender = u[j] if j <= t - f_rank - 1 else u[j + 1]
-                slot = (t + 1) * subset_rank(k, u) + u.index(sender)
-                row.append(Coded(slot, sender))
+                if c not in tset:
+                    u = tuple(sorted(tset + (c,)))
+                    row[c] = Coded((t + 1) * u_rank[u] + u.index(sender), sender)
             grid.append(tuple(row))
     return Dpda(
         k=k,
@@ -146,11 +142,12 @@ def construct_grid(q: int) -> Dpda:
     digits (k1, k0) of k in [0, 2q) with k1 in {0, 1}.  A cell is a star
     when digit i_{k1} equals k0.  A coded cell at (i, k) is labelled by the
     super combination ((b, x), {y, z}) and numbered
-    b*q*C(q,2) + x*C(q,2) + subset_rank(q, {y, z}).
+    b*q*C(q,2) + x*C(q,2) + rank({y, z}), the pair's lexicographic rank.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     pair_count = comb(q, 2)
+    pair_rank = {pair: i for i, pair in enumerate(combinations(range(q), 2))}
     grid: list[tuple[Entry, ...]] = []
     for i in range(q * q):
         i1, i0 = divmod(i, q)
@@ -165,7 +162,7 @@ def construct_grid(q: int) -> Dpda:
                 b, x, pair, sender = 0, i1, (min(i0, k0), max(i0, k0)), q + i1
             else:
                 b, x, pair, sender = 1, i0, (min(i1, k0), max(i1, k0)), i0
-            slot = b * q * pair_count + x * pair_count + subset_rank(q, pair)
+            slot = b * q * pair_count + x * pair_count + pair_rank[pair]
             row.append(Coded(slot, sender))
         grid.append(tuple(row))
     return Dpda(k=2 * q, lp=1, f=q * q, z=q, s=q**3 - q**2, grid=tuple(grid))

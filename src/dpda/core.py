@@ -44,7 +44,6 @@ __all__ = [
     "dpda_to_json",
     "dpda_from_json",
     "slot_cells",
-    "slot_senders",
     "permute_band_rows",
     "permute_columns",
     "relabel_slots",
@@ -95,12 +94,12 @@ class Dpda:
         object.__setattr__(self, "grid", grid)
         if len(grid) != self.lp * self.f:
             raise FormatError(
-                f"expected {self.lp * self.f} rows (L'*F), got {len(grid)}"
+                f"expected {_count(self.lp * self.f)} rows (L'*F), got {len(grid)}"
             )
         senders: dict[int, tuple[int, int, int]] = {}
         for r, row in enumerate(grid):
             if len(row) != self.k:
-                raise FormatError(f"row {r}: expected {self.k} columns, got {len(row)}")
+                raise FormatError(f"row {r}: expected {_count(self.k)} columns, got {len(row)}")
             for c, e in enumerate(row):
                 if e is None:
                     continue
@@ -132,6 +131,14 @@ def _entry_token(e: Entry) -> str:
     return "*" if e is None else f"{e.slot}^{e.sender}"
 
 
+def _count(n: int) -> str:
+    """``n`` in decimal, or a power-of-two floor past str()'s digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 def _parse_int(digits: str, where: str) -> int:
     try:
         return int(digits)
@@ -156,7 +163,10 @@ def parse_dpda(text: str | bytes) -> Dpda:
     :class:`FormatError` with row/column coordinates on malformed input.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"input is not UTF-8: {exc}") from exc
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise FormatError("empty input")
@@ -174,7 +184,7 @@ def parse_dpda(text: str | bytes) -> Dpda:
     if lp < 1 or f < 1:
         raise FormatError("header requires L' >= 1 and F >= 1")
     if len(body) != lp * f:
-        raise FormatError(f"expected {lp * f} body rows (L'*F), got {len(body)}")
+        raise FormatError(f"expected {_count(lp * f)} body rows (L'*F), got {len(body)}")
     grid = []
     for r, line in enumerate(body):
         toks = line.split()
@@ -212,7 +222,7 @@ def dpda_from_json(obj: str | Mapping) -> Dpda:
     if isinstance(obj, (str, bytes)):
         try:
             obj = json.loads(obj)
-        except ValueError as exc:  # malformed, or an integer too long to convert
+        except (ValueError, RecursionError) as exc:  # malformed, too long or too deep
             raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, Mapping):
         raise FormatError("JSON mirror must be an object")
@@ -231,6 +241,8 @@ def dpda_from_json(obj: str | Mapping) -> Dpda:
         )
     except TypeError as exc:
         raise FormatError(f"JSON mirror grid must be a list of rows: {exc}") from exc
+    except RecursionError as exc:  # str() of a token nested too deep
+        raise FormatError(f"JSON mirror grid token nests too deep: {exc}") from exc
     return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=grid)
 
 
@@ -242,16 +254,6 @@ def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
             if e is not None:
                 cells.setdefault(e.slot, []).append((r, c))
     return cells
-
-
-def slot_senders(p: Dpda) -> dict[int, int]:
-    """Map each slot id occurring in ``p`` to its (unique) sender."""
-    senders: dict[int, int] = {}
-    for row in p.grid:
-        for e in row:
-            if e is not None:
-                senders[e.slot] = e.sender
-    return senders
 
 
 def permute_band_rows(p: Dpda, order: Sequence[int]) -> Dpda:

@@ -14,9 +14,9 @@ A structurally well-formed array is a DPDA when it satisfies:
 Two housekeeping checks the delivery protocol relies on are verified
 explicitly: one sender per slot, and slot ids contiguous from 0.
 
-:func:`validate` is the module's one entry point.  It indexes the array once
-(slot -> cells) and derives from that index every verdict, witness and
-counting diagnostic, plus the rate-optimality verdicts of a valid array.
+:func:`validate` is the one entry point.  It indexes the array once (slot ->
+cells, and a per-row star bitmask) and derives from it every verdict, witness
+and counting diagnostic, plus the rate-optimality verdicts of a valid array.
 All arithmetic is exact; a non-integer target makes a verdict false, never
 rounded.
 """
@@ -63,20 +63,21 @@ class ConditionCheck:
 _OK = ConditionCheck(True)
 
 
-def _c0(p: Dpda) -> ConditionCheck:
-    for c in range(p.k):
-        for h in range(p.f):
-            cells = [p.grid[band * p.f + h][c] for band in range(p.lp)]
-            if any(e is None for e in cells):
-                for band, e in enumerate(cells):
-                    if e is not None:
-                        return ConditionCheck(False, (band * p.f + h, c))
-    return _OK
+def _c0(p: Dpda, masks: tuple[int, ...]) -> ConditionCheck:
+    diff = [0] * p.f  # bit c of diff[h]: column c differs from band 0 at h
+    for r in range(p.f, len(masks)):
+        diff[r % p.f] |= masks[r] ^ masks[r % p.f]
+    if not any(diff):
+        return _OK
+    c = min((d & -d).bit_length() for d in diff if d) - 1
+    h = next(h for h, d in enumerate(diff) if d >> c & 1)
+    r = next(r for r in range(h, len(masks), p.f) if not masks[r] >> c & 1)
+    return ConditionCheck(False, (r, c))
 
 
-def _c1(p: Dpda) -> ConditionCheck:
+def _c1(p: Dpda, masks: tuple[int, ...]) -> ConditionCheck:
     for c in range(p.k):
-        stars = sum(1 for h in range(p.f) if p.grid[h][c] is None)
+        stars = sum(masks[h] >> c & 1 for h in range(p.f))
         if stars != p.z:
             return ConditionCheck(False, (c, stars))
     return _OK
@@ -162,8 +163,8 @@ class ValidationReport:
 
     Each witness is the first violation found:
 
-    * ``c0`` - (row, column) of the first non-star cell whose in-band
-      position is starred in another band of the same column;
+    * ``c0`` - (row, column) of a non-star cell whose in-band row is starred
+      in another band: lowest column first, then in-band row, then band;
     * ``c1`` - (column, observed star count);
     * ``c2`` - (missing slot,);
     * ``c3`` - (row, column, slot, sender) of the first coded entry whose
@@ -275,10 +276,11 @@ def validate(p: Dpda) -> ValidationReport:
     bug and raises ``AssertionError``.
     """
     cells = slot_cells(p)
+    masks = tuple(sum(1 << c for c, e in enumerate(row) if e is None) for row in p.grid)
     c4a, c4b = _c4(p, cells)
     checks = {
-        "c0": _c0(p),
-        "c1": _c1(p),
+        "c0": _c0(p, masks),
+        "c1": _c1(p, masks),
         "c2": _c2(p, cells),
         "c3": _c3(p),
         "c4a": c4a,
@@ -287,10 +289,8 @@ def validate(p: Dpda) -> ValidationReport:
         "slot_contiguity": _slot_contiguity(cells),
     }
     occurrences = tuple(len(cells.get(s, ())) for s in range(p.s))
-    row_ints = tuple(sum(1 for e in row if e is not None) for row in p.grid)
-    col_stars = tuple(
-        sum(1 for row in p.grid if row[c] is None) for c in range(p.k)
-    )
+    row_ints = tuple(p.k - m.bit_count() for m in masks)
+    col_stars = tuple(sum(1 for m in masks if m >> c & 1) for c in range(p.k))
     m = [0] * p.k
     for r, c in (occ[0] for occ in cells.values()):
         m[p.grid[r][c].sender] += 1

@@ -1,4 +1,4 @@
-"""Seeded random generators shared by property and acceptance tests."""
+"""Seeded random generators and array helpers shared by the test modules."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from dpda import (
     permute_band_rows,
     permute_columns,
     relabel_slots,
+    slot_cells,
 )
 
 
@@ -74,3 +75,8 @@ def valid_corpus() -> list[Dpda]:
         lift(p4, 2),
         lift(construct_odd(1), 3),
     ]
+
+
+def slot_senders(p: Dpda) -> dict[int, int]:
+    """Map each slot id occurring in ``p`` to its sender, read at its first cell."""
+    return {s: p.grid[r][c].sender for s, [(r, c), *_] in slot_cells(p).items()}

@@ -34,12 +34,11 @@ from dpda import (
     serialize_dpda,
     simulate,
     slot_cells,
-    slot_senders,
     user_cache_bytes,
     validate,
 )
 
-from fuzz import random_symmetry_action, random_well_formed
+from fuzz import random_symmetry_action, random_well_formed, slot_senders
 from golden import (
     GRID_Q3_TEXT,
     JCM_K4_T2_TEXT,

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -17,12 +19,12 @@ from dpda import (
     parse_dpda,
     serialize_dpda,
     slot_cells,
-    slot_senders,
     subset_rank,
     subset_unrank,
     validate,
 )
 
+from fuzz import slot_senders
 from golden import (
     GRID_Q3_TEXT,
     JCM_K4_T2_TEXT,
@@ -92,6 +94,23 @@ class TestGoldenArrays:
 
     def test_lifted_p4_reference(self):
         assert serialize_dpda(lift(construct_even(2), 2)) == Q_LIFTED_P4_TEXT
+
+    @pytest.mark.parametrize("family", ["jcm", "grid", "even", "odd"])
+    def test_serialized_digests(self, family):
+        # sha256 of the text form for jcm 1 <= t < K <= 10 and (12, 3),
+        # grid q 2-16, even q 2-20 and odd q 1-10; pins every slot id
+        builder = {"jcm": construct_jcm, "grid": construct_grid,
+                   "even": construct_even, "odd": construct_odd}[family]
+        path = Path(__file__).parent / "golden_cli" / "construct.sha256"
+        expected = {name: digest for digest, name in
+                    (line.split("  ") for line in path.read_text().splitlines())
+                    if name.split()[0] == family}
+        actual = {}
+        for name in expected:
+            text = serialize_dpda(builder(*map(int, name.split()[1:])))
+            actual[name] = hashlib.sha256(text.encode()).hexdigest()
+        assert len(expected) == {"jcm": 46, "grid": 15, "even": 19, "odd": 10}[family]
+        assert actual == expected
 
 
 class TestParameterLaws:

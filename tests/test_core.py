@@ -89,6 +89,10 @@ def test_conflicting_senders_rejected():
         # beyond int()'s digit limit
         pytest.param("DPDA K=" + "1" * 5000 + " L'=1 F=1 Z=1 S=0\n*\n", id="long-header-value"),
         pytest.param("DPDA K=1 L'=1 F=1 Z=1 S=4\n" + "1" * 5000 + "^0\n", id="long-slot"),
+        # L'*F has more digits than str() writes
+        pytest.param("DPDA K=1 L'=" + "1" * 2200 + " F=" + "1" * 2200 + " Z=1 S=0\n*\n",
+                     id="long-row-count"),
+        pytest.param(b"\xff", id="invalid-utf8"),
     ],
 )
 def test_malformed_inputs_rejected(text):
@@ -101,6 +105,11 @@ def test_grid_dimension_invariants_enforced():
         Dpda(k=2, lp=1, f=2, z=1, s=0, grid=((STAR, STAR),))
     with pytest.raises(FormatError, match="columns"):
         Dpda(k=2, lp=1, f=1, z=1, s=0, grid=((STAR,),))
+    huge = int("1" * 2200)  # L'*F and K past str()'s digit limit
+    with pytest.raises(FormatError, match="rows"):
+        Dpda(k=1, lp=huge, f=huge, z=1, s=0, grid=((STAR,),))
+    with pytest.raises(FormatError, match="columns"):
+        Dpda(k=huge * huge, lp=1, f=1, z=1, s=0, grid=((STAR,),))
 
 
 def test_json_mirror_round_trip():
@@ -168,6 +177,13 @@ def test_json_mirror_rejects_malformed():
         dpda_from_json('{"k": Infinity, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]}')
     with pytest.raises(FormatError):
         dpda_from_json({"k": 1.5, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]})
+    with pytest.raises(FormatError):  # json.loads recurses once per level
+        dpda_from_json("[" * 100_000 + "]" * 100_000)
+    token: list = []
+    for _ in range(100_000):  # str() recurses once per level
+        token = [token]
+    with pytest.raises(FormatError):
+        dpda_from_json({"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [[token]]})
 
 
 # near-miss headers and tokens reach the field and token checks, which
@@ -175,7 +191,7 @@ def test_json_mirror_rejects_malformed():
 _numbers = st.integers(0, 4).map(str) | st.text("019\u00b2\u0663-x", max_size=3)
 _tokens = (st.sampled_from(["*", "0^0", "1^1", "0^1"])
            | st.builds("{}^{}".format, _numbers, _numbers) | st.text(max_size=3))
-_texts = st.text() | st.builds(
+_texts = st.text() | st.binary() | st.builds(
     lambda nums, rows: "DPDA " + " ".join(map("{}={}".format, ("K", "L'", "F", "Z", "S"), nums))
     + "".join("\n" + " ".join(row) for row in rows),
     st.lists(_numbers, min_size=5, max_size=5),
@@ -192,6 +208,17 @@ _mirrors = st.fixed_dictionaries({}, optional={
 })
 
 
+def _nested_json(key: str, depth: int, dicts: bool) -> str:
+    """JSON text nested ``depth`` levels deep, bare or as the value of ``key``."""
+    text = '{"a": ' * depth + "0" + "}" * depth if dicts else "[" * depth + "]" * depth
+    return f'{{"{key}": {text}}}' if key else text
+
+
+# nesting deeper than json.loads can recurse, bare or under a mirror key
+_deep_json = st.builds(_nested_json, st.sampled_from(["", "k", "grid"]),
+                       st.integers(1, 100_000), st.booleans())
+
+
 @settings(deadline=None, max_examples=300)
 @given(_texts)
 def test_parse_raises_only_format_error(text):
@@ -202,9 +229,9 @@ def test_parse_raises_only_format_error(text):
 
 
 @settings(deadline=None, max_examples=300)
-@given(_mirrors)
-def test_json_mirror_raises_only_format_error(obj):
-    for mirror in (obj, json.dumps(obj)):
+@given(_mirrors.map(lambda obj: (obj, json.dumps(obj))) | _deep_json.map(lambda text: (text,)))
+def test_json_mirror_raises_only_format_error(mirrors):
+    for mirror in mirrors:
         try:
             dpda_from_json(mirror)
         except FormatError:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dpda import (
     Coded,
     Dpda,
+    FormatError,
     STAR,
     lift,
     parse_dpda,
@@ -18,7 +19,8 @@ from dpda import (
 )
 from dpda.validation import CONDITION_ORDER
 
-from fuzz import random_symmetry_action, valid_corpus
+import validation_reference
+from fuzz import random_symmetry_action, random_well_formed, valid_corpus
 from strategies import valid_dpdas
 from golden import (
     GRID_Q3_TEXT,
@@ -276,3 +278,36 @@ def test_equal_broadcast_counts_follow_from_optimality():
         report = validate(p)
         if report.rate_optimality.rate_is_minimal:
             assert len(set(report.broadcast_counts)) == 1
+
+
+def _star_cell_flips(p: Dpda):
+    """Every copy of ``p`` with one coded cell made a star, or one star made
+    coded as slot 0, among those ``Dpda`` accepts."""
+    for r, row in enumerate(p.grid):
+        for c, e in enumerate(row):
+            if e is not None:
+                yield _with_entries(p, (r, c, STAR))
+                continue
+            for sender in range(p.k if p.s else 0):
+                try:
+                    flipped = _with_entries(p, (r, c, Coded(0, sender)))
+                except FormatError:  # slot 0 already has another sender
+                    continue
+                yield flipped
+
+
+def test_star_fields_match_reference_scans():
+    bases = valid_corpus()
+    bases += [lift(p, lp) for p in bases if p.lp == 1 for lp in (2, 3)]
+    arrays = bases + [q for p in bases for q in _star_cell_flips(p)]
+    rng = random.Random(20261018)
+    arrays += [random_well_formed(rng) for _ in range(2000)]
+    failing_c0 = 0
+    for p in arrays:
+        report = validate(p)
+        expected = validation_reference.star_fields(p)
+        assert {name: getattr(report, name) for name in expected} == expected, p
+        failing_c0 += not report.c0.passed
+    # the flips and random arrays reach the C0 witness path, not only the
+    # vacuous L' = 1 case
+    assert failing_c0 > 100
