@@ -121,12 +121,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     p = _load(args.path)
     if (args.demand is None) == (args.trials is None):
         raise ValueError("provide exactly one of --demand or --trials")
-    if args.demand is not None:
-        report = sim.simulate(p, args.files, args.blocks, args.packet_size,
-                              demand=_parse_demand(args.demand, p.k))
-    else:
-        report = sim.simulate(p, args.files, args.blocks, args.packet_size,
-                              trials=args.trials, seed=args.seed)
+    demand = None if args.demand is None else _parse_demand(args.demand, p.k)
+    report = sim.simulate(p, args.files, args.blocks, args.packet_size,
+                          demand=demand, trials=args.trials, seed=args.seed)
     if args.json:
         _emit(_json_dumps(report.to_json()), None)
     else:

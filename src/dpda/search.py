@@ -9,8 +9,9 @@ classes subject to the pair conditions and the existence of a sender column.
 
 Pruning never changes answers, only node counts:
 
-* symmetry - only star patterns in canonical position under row and column
-  permutation are extended (every pattern orbit contains exactly one);
+* symmetry - only canonical star patterns are extended, one per orbit under
+  row and column permutation; their lines (rows when K <= F, else columns)
+  are sorted, so only sorted line sequences are generated;
 * slot relabeling is quotiented away structurally (classes are numbered in
   first-cell order);
 * capacity - a slot class can never exceed min(F, K-1, Z) cells, since its
@@ -28,9 +29,9 @@ entries, then by slot label and sender) is lexicographically least.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
-from math import comb, factorial
-from typing import Iterable, Iterator
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
+from typing import Iterable
 
 from .core import STAR, Coded, Dpda, Entry, serialize_dpda
 
@@ -59,7 +60,7 @@ class SearchResult:
     ``minimal_s`` is set by :func:`search_min_s` only; an ``exists_dpda``
     witness carries its slot count in ``witness.s``.  ``nodes_explored``
     sums, over each S tried, the 1-based position of the witness's star
-    pattern among all ``C(F,Z)^K`` in enumeration order (all of them when S
+    pattern among all ``C(F,Z)^K`` in ``product`` order (all of them when S
     has no witness) and the cell-partition nodes.  ``exhausted`` is True
     when the whole space was covered (guard violations raise instead).
     """
@@ -80,25 +81,13 @@ class SearchResult:
         }
 
 
-def _pattern_canonical(rows: _Rows, f: int, k: int) -> bool:
-    """True iff this star pattern is the canonical member of its orbit under
-    row and column permutations.
-
-    The canonical form permutes whichever dimension has the smaller
-    factorial and sorts the other, which is invariant on the orbit.
-    """
-    if factorial(k) <= factorial(f):
-        best = min(
-            tuple(sorted(tuple(row[c] for c in perm) for row in rows))
-            for perm in permutations(range(k))
-        )
-        return rows == best
-    cols = tuple(tuple(rows[r][c] for r in range(f)) for c in range(k))
-    best = min(
-        tuple(sorted(tuple(col[r] for r in perm) for col in cols))
-        for perm in permutations(range(f))
+def _pattern_canonical(lines: _Rows) -> bool:
+    """True iff no permutation of the cells within every line, followed by
+    sorting the lines, gives a smaller tuple: the orbit's canonical member."""
+    return all(
+        lines <= tuple(sorted(tuple(line[i] for i in perm) for line in lines))
+        for perm in permutations(range(len(lines[0])))
     )
-    return cols == best
 
 
 class _Class:
@@ -191,12 +180,22 @@ def _check_instance(k: int, f: int, z: int, s: int, s_name: str,
         )
 
 
-def _canonical_patterns(k: int, f: int, z: int) -> Iterator[tuple[int, _Rows]]:
-    """Canonical star patterns, each with its 1-based position in ``product`` order."""
-    for pos, col_stars in enumerate(product(combinations(range(f), z), repeat=k), 1):
-        rows = tuple(tuple(r in cs for cs in col_stars) for r in range(f))
-        if _pattern_canonical(rows, f, k):
-            yield pos, rows
+def _canonical_patterns(k: int, f: int, z: int) -> list[tuple[int, _Rows]]:
+    """Canonical star patterns with their 1-based positions in ``product``
+    order, sorted by position; only sorted line sequences (rows when K <= F,
+    else columns) are generated."""
+    rank = {tuple(r in cs for r in range(f)): i
+            for i, cs in enumerate(combinations(range(f), z))}
+    by_rows = k <= f
+    types = product((False, True), repeat=k) if by_rows else sorted(rank)
+    found = []
+    for lines in combinations_with_replacement(types, f if by_rows else k):
+        cols = tuple(zip(*lines)) if by_rows else lines
+        if all(col in rank for col in cols) and _pattern_canonical(lines):
+            pos = 1 + sum(rank[col] * len(rank) ** (k - 1 - c)
+                          for c, col in enumerate(cols))
+            found.append((pos, tuple(zip(*cols))))
+    return sorted(found)
 
 
 def _first_witness(k: int, f: int, z: int, s: int,
@@ -241,7 +240,7 @@ def search_min_s(k: int, f: int, z: int, s_max: int, *,
     minimum below the exact rate floor S*Z >= F*(F-Z) is unsound and raises.
     """
     _check_instance(k, f, z, s_max, "s_max", cells_limit)
-    patterns = list(_canonical_patterns(k, f, z))
+    patterns = _canonical_patterns(k, f, z)
     nodes = 0
     for s in range(s_max + 1):
         res = _first_witness(k, f, z, s, patterns)

@@ -21,8 +21,9 @@ from search_reference import instances
 # Full expected stdout of `validate` and `simulate`, one file per array and
 # flag set: `p4.optimal.json.out` holds the output of
 # `validate p4 --optimal --json`, `p4.simulate.json.out` that of
-# `simulate p4 ... --json`.  `search.json.out` and `search.out` hold one
-# transcript block per instance: the argv, stdout, and the exit code.
+# `simulate p4 ... --json`.  `search.json.out`, `search24.json.out` and
+# `search.out` hold one transcript block per instance: the argv, stdout, and
+# the exit code.
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -272,6 +273,8 @@ def test_search_malformed_input_is_usage_error(capsys, flags, message):
 @pytest.mark.parametrize("name, cases, flags", [
     ("search.json", instances(16), ("--json",)),  # 69 instances
     ("search", [(4, 4, 2), (2, 5, 2)], ()),  # feasible, and infeasible
+    ("search24.json", [c for c in instances(24) if c not in instances(16)],
+     ("--json",)),  # the 99 instances with 17 <= K*F <= 24
 ])
 def test_search_golden_stdout(capsys, name, cases, flags):
     blocks = []

@@ -176,6 +176,18 @@ class TestMinS:
                 assert validate(full.witness).valid
 
 
+def test_canonical_patterns_match_generate_and_test_reference():
+    # sorted-line generation keeps exactly the patterns, positions and order
+    # of the pass that tests every C(F,Z)^K pattern
+    from dpda.search import _canonical_patterns
+
+    cases = search_reference.instances(16)
+    assert len(cases) == 69
+    for k, f, z in cases:
+        assert _canonical_patterns(k, f, z) == \
+            list(search_reference.canonical_patterns(k, f, z)), (k, f, z)
+
+
 class TestGuard:
     def test_cells_guard_refuses_large_instances(self):
         with pytest.raises(SearchSpaceError, match="guard"):
