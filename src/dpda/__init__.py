@@ -6,7 +6,9 @@ search exhaustively for minimum-slot arrays at tiny sizes, and execute the
 full placement/XOR-delivery/decode protocol on byte-level packets.
 
 Submodules load on first use: importing the package runs none of them, and
-``from dpda import X`` runs only the module that defines ``X``.
+``from dpda import X`` runs only the module that defines ``X``.  The records
+are plain frozen classes on one small base in :mod:`dpda.core` that
+generates no code, and ``json`` loads only where JSON is read or written.
 """
 
 import importlib.util

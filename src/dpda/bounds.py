@@ -19,12 +19,11 @@ no floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, NamedTuple
 
-from .core import Dpda
+from .core import Dpda, _Record
 from .validation import validate
 
 __all__ = [
@@ -100,8 +99,7 @@ def applicable_cases(k: int, z: int, f: int) -> tuple[str, ...]:
                  if k >= spec.min_k and 0 < ratio == Fraction(spec.numerator(k), k))
 
 
-@dataclass(frozen=True)
-class JcmParams:
+class JcmParams(_Record):
     """Baseline scheme parameters at (K, t): F, Z, S and the rate (K-t)/t."""
 
     f: int
@@ -126,8 +124,7 @@ def jcm_params(k: int, t: int) -> JcmParams:
     )
 
 
-@dataclass(frozen=True)
-class JcmComparison:
+class JcmComparison(_Record):
     """Packet-number comparison of an array against the baseline at equal
     (K, memory ratio)."""
 
@@ -176,8 +173,7 @@ def compare_to_jcm(p: Dpda) -> JcmComparison:
     )
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Record):
     """Bounds at a (K, memory ratio) point, optionally scored for an array.
 
     ``case`` is the strongest covered memory-ratio case, or None when the

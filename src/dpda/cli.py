@@ -15,7 +15,6 @@ only for the modules its subcommand calls.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -42,6 +41,8 @@ def _load(path: str) -> Dpda:
 
 
 def _json_dumps(obj: dict) -> str:
+    import json  # only --json output needs it
+
     return json.dumps(obj, indent=2) + "\n"
 
 

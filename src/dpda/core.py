@@ -8,7 +8,10 @@ the broadcast schedule of a device-to-device coded caching scheme.
 
 Stars are represented as :data:`STAR` (``None``); coded entries as
 :class:`Coded`.  Every value here is immutable, so instances may be freely
-shared between threads.
+shared between threads.  The package's records, here and in the other
+modules, share one private frozen base, ``_Record``: it derives each class's
+construction, equality, hash and repr from its field annotations without
+generating code or importing more of the standard library.
 
 Canonical text format (byte-stable)::
 
@@ -28,9 +31,7 @@ ranges, one sender per slot).  The semantic conditions C0-C4 live in
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -54,12 +55,78 @@ class FormatError(ValueError):
     """Malformed DPDA text or JSON; messages carry row/column coordinates."""
 
 
-@dataclass(frozen=True, slots=True)
-class Coded:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass declares its fields as class annotations, in constructor
+    order; a class attribute of the same name is that field's default.  The
+    base gives it construction by position or keyword, ``==`` and ``hash``
+    over the field values (assign ``object.__eq__`` and ``object.__hash__``
+    for identity instead), a ``Name(field=value, ...)`` repr that leaves out
+    fields named with a leading underscore, and ``AttributeError`` on any
+    assignment or deletion.  A subclass built in a hot loop defines its own
+    ``__init__`` that sets each field with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls.__match_args__ = cls._fields
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or values.keys() != set(fields)
+                or not kwargs.keys().isdisjoint(fields[:len(args)])):
+            raise TypeError(f"{type(self).__qualname__}() takes ({', '.join(fields)}), got "
+                            f"{len(args)} positional and {sorted(kwargs)} by keyword")
+        for field in fields:
+            _set(self, field, values[field])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{field}={getattr(self, field)!r}"
+                          for field in self._fields if not field.startswith("_"))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Coded(_Record):
     """Coded entry: a broadcast slot id and the user index that sends it."""
 
+    __slots__ = ("slot", "sender")
     slot: int
     sender: int
+
+    def __init__(self, slot: int, sender: int) -> None:
+        _set(self, "slot", slot)
+        _set(self, "sender", sender)
 
 
 Entry = Coded | None
@@ -69,8 +136,7 @@ _DIGITS = re.compile(r"[0-9]+")
 _CODED_TOKEN = re.compile(r"([0-9]+)\^([0-9]+)")
 
 
-@dataclass(frozen=True)
-class Dpda:
+class Dpda(_Record):
     """A (K, L', F, Z, S) placement delivery array.
 
     ``grid`` is a row-major (lp*f) x k matrix of entries.  Construction
@@ -85,33 +151,29 @@ class Dpda:
     s: int
     grid: tuple[tuple[Entry, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.lp < 1 or self.f < 1:
+    def __init__(self, k: int, lp: int, f: int, z: int, s: int,
+                 grid: Sequence[Sequence[Entry]]) -> None:
+        if k < 1 or lp < 1 or f < 1:
             raise FormatError("K, L' and F must all be >= 1")
-        if self.z < 0 or self.s < 0:
+        if z < 0 or s < 0:
             raise FormatError("Z and S must be nonnegative")
-        grid = tuple(tuple(row) for row in self.grid)
-        object.__setattr__(self, "grid", grid)
-        if len(grid) != self.lp * self.f:
-            raise FormatError(
-                f"expected {_count(self.lp * self.f)} rows (L'*F), got {len(grid)}"
-            )
+        grid = tuple(tuple(row) for row in grid)
+        if len(grid) != lp * f:
+            raise FormatError(f"expected {_count(lp * f)} rows (L'*F), got {len(grid)}")
         senders: dict[int, tuple[int, int, int]] = {}
         for r, row in enumerate(grid):
-            if len(row) != self.k:
-                raise FormatError(f"row {r}: expected {_count(self.k)} columns, got {len(row)}")
+            if len(row) != k:
+                raise FormatError(f"row {r}: expected {_count(k)} columns, got {len(row)}")
             for c, e in enumerate(row):
                 if e is None:
                     continue
                 if not isinstance(e, Coded):
                     raise FormatError(f"row {r}, column {c}: not a star or coded entry")
-                if not 0 <= e.slot < self.s:
+                if not 0 <= e.slot < s:
+                    raise FormatError(f"row {r}, column {c}: slot {e.slot} out of range [0,{s})")
+                if not 0 <= e.sender < k:
                     raise FormatError(
-                        f"row {r}, column {c}: slot {e.slot} out of range [0,{self.s})"
-                    )
-                if not 0 <= e.sender < self.k:
-                    raise FormatError(
-                        f"row {r}, column {c}: sender {e.sender} out of range [0,{self.k})"
+                        f"row {r}, column {c}: sender {e.sender} out of range [0,{k})"
                     )
                 seen = senders.get(e.slot)
                 if seen is None:
@@ -121,6 +183,8 @@ class Dpda:
                         f"row {r}, column {c}: slot {e.slot} has sender {e.sender}, "
                         f"but row {seen[1]}, column {seen[2]} assigned sender {seen[0]}"
                     )
+        for field, value in zip(self._fields, (k, lp, f, z, s, grid)):
+            _set(self, field, value)
 
     @property
     def rows(self) -> int:
@@ -221,6 +285,8 @@ def dpda_from_json(obj: str | Mapping) -> Dpda:
     """
     if isinstance(obj, (str, bytes)):
         try:
+            import json  # only the JSON mirror needs it
+
             obj = json.loads(obj)
         except (ValueError, RecursionError) as exc:  # malformed, too long or too deep
             raise FormatError(f"invalid JSON: {exc}") from exc

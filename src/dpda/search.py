@@ -11,7 +11,8 @@ Pruning never changes answers, only node counts:
 
 * symmetry - only canonical star patterns are extended, one per orbit under
   row and column permutation; their lines (rows when K <= F, else columns)
-  are sorted, so only sorted line sequences are generated;
+  are sorted, so only sorted line sequences are generated, and a row
+  sequence is cut once a column sum can no longer end at Z;
 * slot relabeling is quotiented away structurally (classes are numbered in
   first-cell order);
 * capacity - a slot class can never exceed min(F, K-1, Z) cells, since its
@@ -28,12 +29,11 @@ entries, then by slot label and sender) is lexicographically least.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .core import STAR, Coded, Dpda, Entry, serialize_dpda
+from .core import STAR, Coded, Dpda, Entry, _Record, serialize_dpda
 
 __all__ = [
     "DEFAULT_CELLS_LIMIT",
@@ -53,8 +53,7 @@ class SearchSpaceError(RuntimeError):
     """The instance exceeds the configured exhaustive-search guard."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Record):
     """Outcome of an exhaustive run.
 
     ``minimal_s`` is set by :func:`search_min_s` only; an ``exists_dpda``
@@ -180,18 +179,44 @@ def _check_instance(k: int, f: int, z: int, s: int, s_name: str,
         )
 
 
+def _sorted_rows(k: int, f: int, z: int) -> Iterator[_Rows]:
+    """Every sorted sequence of F rows of K star flags with Z stars in each
+    column.  Rows are chosen one at a time, and a branch is cut as soon as a
+    column holds more than Z stars or can no longer reach Z."""
+    types = list(product((False, True), repeat=k))  # column c is bit k-1-c of the index
+    bits = [1 << (k - 1 - c) for c in range(k)]
+    rows: list[tuple[bool, ...]] = []
+
+    def extend(start: int, sums: tuple[int, ...]) -> Iterator[_Rows]:
+        left = f - len(rows) - 1  # rows still to choose after this one
+        full = sum(bit for bit, n in zip(bits, sums) if n == z)
+        need = sum(bit for bit, n in zip(bits, sums) if n + left < z)
+        for i in range(start, len(types)):
+            if i & full or i & need != need:
+                continue
+            rows.append(types[i])
+            if left:
+                yield from extend(i, tuple(n + star for n, star in zip(sums, types[i])))
+            else:
+                yield tuple(rows)
+            rows.pop()
+
+    return extend(0, (0,) * k)
+
+
 def _canonical_patterns(k: int, f: int, z: int) -> list[tuple[int, _Rows]]:
     """Canonical star patterns with their 1-based positions in ``product``
     order, sorted by position; only sorted line sequences (rows when K <= F,
-    else columns) are generated."""
+    else columns) with Z stars per column are generated."""
     rank = {tuple(r in cs for r in range(f)): i
             for i, cs in enumerate(combinations(range(f), z))}
     by_rows = k <= f
-    types = product((False, True), repeat=k) if by_rows else sorted(rank)
+    candidates = (_sorted_rows(k, f, z) if by_rows
+                  else combinations_with_replacement(sorted(rank), k))
     found = []
-    for lines in combinations_with_replacement(types, f if by_rows else k):
+    for lines in candidates:
         cols = tuple(zip(*lines)) if by_rows else lines
-        if all(col in rank for col in cols) and _pattern_canonical(lines):
+        if _pattern_canonical(lines):
             pos = 1 + sum(rank[col] * len(rank) ** (k - 1 - c)
                           for c, col in enumerate(cols))
             found.append((pos, tuple(zip(*cols))))

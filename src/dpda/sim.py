@@ -24,11 +24,10 @@ for their one call and run the same code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .core import Dpda, slot_cells
+from .core import Dpda, _Record, _set, slot_cells
 
 __all__ = [
     "PacketId",
@@ -53,8 +52,7 @@ class SimulationError(RuntimeError):
     """Protocol execution hit a state only an invalid array can produce."""
 
 
-@dataclass(frozen=True, eq=False)
-class Library:
+class Library(_Record):
     """Deterministic packetized corpus: n files, l blocks, f packets per block.
 
     A packet is fixed by its first byte b: it is ``_ramp[b:b + packet_size]``
@@ -66,8 +64,15 @@ class Library:
     l: int
     f: int
     packet_size: int
-    _ramp: bytes = field(repr=False)
-    _packets: dict[int, bytes] = field(default_factory=dict, repr=False)
+    _ramp: bytes
+    _packets: dict[int, bytes]
+
+    __eq__ = object.__eq__  # identity: each library owns its packet memo
+    __hash__ = object.__hash__
+
+    def __init__(self, n: int, l: int, f: int, packet_size: int, _ramp: bytes,
+                 _packets: dict[int, bytes] | None = None) -> None:
+        super().__init__(n, l, f, packet_size, _ramp, {} if _packets is None else _packets)
 
     def packet(self, i: int, block: int, h: int) -> bytes:
         if not (0 <= i < self.n and 0 <= block < self.l and 0 <= h < self.f):
@@ -87,11 +92,13 @@ def make_library(n: int, l: int, f: int, packet_size: int = 64) -> Library:
     return Library(n=n, l=l, f=f, packet_size=packet_size, _ramp=ramp)
 
 
-@dataclass(frozen=True, eq=False)
-class Caches:
+class Caches(_Record):
     """Per-user star rows: user j caches packet (i, l, h) iff h is in ``users[j]``."""
 
     users: tuple[frozenset[int], ...]
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
 
 def place(p: Dpda, lib: Library) -> Caches:
@@ -110,18 +117,18 @@ def user_cache_bytes(lib: Library, caches: Caches, k: int) -> dict[PacketId, byt
             for block in range(lib.l) for h in caches.users[k]}
 
 
-@dataclass(frozen=True)
-class Demand:
+class Demand(_Record):
     """Per-user requests: file indices ``d`` and start blocks ``b``."""
 
     d: tuple[int, ...]
     b: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "d", tuple(self.d))
-        object.__setattr__(self, "b", tuple(self.b))
-        if len(self.d) != len(self.b):
+    def __init__(self, d: Sequence[int], b: Sequence[int]) -> None:
+        d, b = tuple(d), tuple(b)
+        if len(d) != len(b):
             raise ValueError("d and b must have equal length")
+        _set(self, "d", d)
+        _set(self, "b", b)
 
 
 def _check_demand(dem: Demand, k: int, n: int, l: int, lp: int) -> None:
@@ -134,14 +141,20 @@ def _check_demand(dem: Demand, k: int, n: int, l: int, lp: int) -> None:
             raise ValueError(f"user {j}: start block {bj} out of range [0,{l - lp}]")
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(_Record):
     """One broadcast: XOR payload for a slot, plus an audit-only constituent list."""
 
     slot: int
     sender: int
     payload: bytes
     constituents: tuple[PacketId, ...]
+
+    def __init__(self, slot: int, sender: int, payload: bytes,
+                 constituents: tuple[PacketId, ...]) -> None:
+        _set(self, "slot", slot)
+        _set(self, "sender", sender)
+        _set(self, "payload", payload)
+        _set(self, "constituents", constituents)
 
 
 # Demand-free plans: derived from the array once per run, shared by every trial.
@@ -265,8 +278,7 @@ def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal]
     return _decode(_user_plan(p, slot_cells(p), k), cache_k, by_slot, dem, k)
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(_Record):
     """Outcome of one or many protocol runs on a fixed array and library."""
 
     success: bool

@@ -23,9 +23,7 @@ rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Dpda, slot_cells
+from .core import Dpda, _Record, slot_cells
 
 __all__ = [
     "CONDITION_ORDER",
@@ -49,8 +47,7 @@ CONDITION_ORDER = (
 _SlotCells = dict[int, list[tuple[int, int]]]
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(_Record):
     """Verdict for one condition; ``witness`` is the first violation found."""
 
     passed: bool
@@ -133,8 +130,7 @@ def _slot_contiguity(cells: _SlotCells) -> ConditionCheck:
     return _OK
 
 
-@dataclass(frozen=True)
-class RateOptimality:
+class RateOptimality(_Record):
     """Verdicts for the two conditions characterising the minimal rate F/Z - 1.
 
     ``c2prime`` holds iff every slot occurs exactly K*Z/F times, ``c5`` iff
@@ -157,8 +153,7 @@ class RateOptimality:
         }
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Per-condition verdicts plus the counting diagnostics of an array.
 
     Each witness is the first violation found:

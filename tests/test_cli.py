@@ -333,6 +333,34 @@ def test_subcommand_runs_only_its_modules(tmp_path):
     assert proc.stdout.splitlines()[-1] == "0 ['dpda', 'dpda.cli', 'dpda.core', 'dpda.sim']"
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "even", "--q", "2"],
+    ["validate", "{path}", "--optimal"],
+    ["bounds", "--from", "{path}"],
+    ["compare", "{path}"],
+    ["simulate", "{path}", "--files", "4", "--blocks", "2", "--trials", "3"],
+    ["search", "--k", "3", "--f", "3", "--z", "1", "--json"],
+], ids=lambda argv: argv[0])
+def test_subcommand_skips_heavy_stdlib_imports(tmp_path, argv):
+    # The records need no `dataclasses` (which pulls in inspect, ast and dis),
+    # and `json` loads only for JSON input or output.
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    heavy = {"dataclasses", "inspect", "ast", "dis"}
+    if "--json" not in argv:
+        heavy.add("json")
+    script = (
+        "import sys\n"
+        "from dpda.cli import main\n"
+        f"code = main({[a.format(path=f) for a in argv]!r})\n"
+        f"print(code, sorted(set(sys.modules).intersection({sorted(heavy)!r})))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from dpda import *", namespace)
