@@ -8,24 +8,27 @@ lets every user recover its requested blocks from the signals and its cache.
 File content is synthetic but deterministic: byte ``o`` of packet
 ``(file i, block l, packet h)`` is ``(i*31 + l*17 + h*7 + o) mod 256``,
 so independent runs (and independent implementations of this rule) agree
-byte-for-byte without sharing a random generator.
+byte-for-byte without sharing a random generator.  A packet is fixed by
+its first byte, so at most 256 distinct packets exist.
 
-Decoders re-derive each signal's constituent packet ids from the array and
-the demand; the audit ``constituents`` field on :class:`Signal` exists for
-inspection only and is never read during decoding.
-
-Which cells each slot mixes, who sends it, and which side packets each user
-strips from it are fixed by the array alone.  :func:`simulate` derives these
-slot and decode plans once per run, so a trial only forms the demand's packet
-ids, XORs them and checks the result; :func:`deliver` and :func:`decode` plan
-for their one call and run the same code.
+A cache is never stored: it is the user's star rows plus the byte rule.
+Which cells each slot mixes, who sends it, whether the sender caches them,
+which side packets each user strips and whether it caches them depend on the
+array alone, so :func:`simulate` plans them once per run.  A trial touches
+only the demanded packets: it looks up the K requests' packet integers,
+XORs them per slot, strips each user's side packets and compares every
+recovered integer with the expected one.  A packet is a little-endian
+integer of width ``packet_size``, so two integers are equal exactly when
+their bytes are.  :func:`deliver` and :func:`decode` plan for their one call
+and run the same core; decoders never read a signal's audit-only
+``constituents``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import Dpda, _Record, _set, slot_cells
 
@@ -74,10 +77,14 @@ class Library(_Record):
                  _packets: dict[int, bytes] | None = None) -> None:
         super().__init__(n, l, f, packet_size, _ramp, {} if _packets is None else _packets)
 
-    def packet(self, i: int, block: int, h: int) -> bytes:
+    def _first(self, i: int, block: int, h: int) -> int:
+        """The first byte of packet (i, block, h), which fixes the packet."""
         if not (0 <= i < self.n and 0 <= block < self.l and 0 <= h < self.f):
             raise ValueError(f"packet id {(i, block, h)} outside the library")
-        first = (i * 31 + block * 17 + h * 7) % 256
+        return (i * 31 + block * 17 + h * 7) % 256
+
+    def packet(self, i: int, block: int, h: int) -> bytes:
+        first = self._first(i, block, h)
         pkt = self._packets.get(first)
         if pkt is None:
             pkt = self._packets[first] = self._ramp[first:first + self.packet_size]
@@ -157,100 +164,140 @@ class Signal(_Record):
         _set(self, "constituents", constituents)
 
 
-# Demand-free plans: derived from the array once per run, shared by every trial.
-_Cell = tuple[int, int, int, int]  # (row, column, band, in-band row h)
-_SlotPlan = tuple[tuple[int, tuple[_Cell, ...]] | None, ...]  # per slot: (sender, cells)
-_Row = tuple[int, int, int | None, tuple[tuple[int, int, int], ...]]  # see _user_plan
+# Demand-free plans, derived from the array once per run and shared by every
+# trial.  A cell (i, j) is row i of column j; for a demand it carries packet
+# (d_j, b_j + i // F, i % F), formed by _pid only when an error names it.
+_Cell = tuple[int, int]
+_Slot = tuple[int, tuple[_Cell, ...], _Cell | None]
+_Side = tuple[int, int, bool, int | None]
+_Row = tuple[int | None, bool, tuple[_Side, ...]]
 
 
-def _slot_plan(p: Dpda, cells: Mapping[int, list[tuple[int, int]]]) -> _SlotPlan:
-    """Per slot: its sender and its cells, or None when the slot never occurs."""
-    plan = []
+def _pid(dem: Demand, f: int, i: int, j: int) -> PacketId:
+    return dem.d[j], dem.b[j] + i // f, i % f
+
+
+def _slot_plan(p: Dpda, cells: Mapping[int, list[_Cell]],
+               caches: Caches) -> tuple[_Slot | None, ...]:
+    """Per slot: its sender, its cells, and the first cell whose packet the
+    sender does not cache (or None); None when the slot never occurs."""
+    plan: list[_Slot | None] = []
     for s in range(p.s):
         occ = cells.get(s)
-        if occ:
-            sender = p.grid[occ[0][0]][occ[0][1]].sender
-            plan.append((sender, tuple((i, j, *divmod(i, p.f)) for i, j in occ)))
-        else:
+        if not occ:
             plan.append(None)
+            continue
+        sender = p.grid[occ[0][0]][occ[0][1]].sender
+        held = caches.users[sender]
+        lacking = next(((i, j) for i, j in occ if i % p.f not in held), None)
+        plan.append((sender, tuple(occ), lacking))
     return tuple(plan)
 
 
-def _user_plan(p: Dpda, cells: Mapping[int, list[tuple[int, int]]], k: int) -> tuple[_Row, ...]:
-    """Per row i of column ``k``: (band, h, slot or None for a star, and the
-    other cells (column, band, h) of that slot)."""
+def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int,
+               held: Callable[[int, int], bool]) -> tuple[_Row, ...]:
+    """Per row i of column ``k``: its slot (None for a star), whether user k
+    holds the row's own packet, and the slot's other cells as (column, row,
+    held, shift).  ``held(i, j)`` says whether user k holds cell (i, j)'s
+    packet.  Only a cell in the same in-band row can carry the wanted packet
+    itself, exactly when its start block is b_k + shift; other cells have
+    shift None."""
+    f = p.f
     rows = []
     for i, row in enumerate(p.grid):
-        band, h = divmod(i, p.f)
         e = row[k]
-        if e is None:
-            rows.append((band, h, None, ()))
-        else:
-            rows.append((band, h, e.slot, tuple((j2, *divmod(i2, p.f))
-                                                for i2, j2 in cells[e.slot]
-                                                if (i2, j2) != (i, k))))
+        sides: tuple[_Side, ...] = ()
+        if e is not None:
+            sides = tuple((j2, i2, held(i2, j2), i // f - i2 // f if i2 % f == i % f else None)
+                          for i2, j2 in cells[e.slot] if (i2, j2) != (i, k))
+        rows.append((None if e is None else e.slot, held(i, k), sides))
     return tuple(rows)
 
 
-def _deliver(slots: _SlotPlan, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
-    d, b = dem.d, dem.b
-    signals = []
+def _packet_table(lib: Library, lp: int, f: int) -> Callable[[int, int], list[int]]:
+    """A run-local memo from a request (file, start block) to the L'F packet
+    integers it asks for, in row order.
+
+    A request's packets are fixed by the first byte of its first one, which
+    keys the memo, so at most 256 rows are kept.  Each integer is derived
+    once per distinct packet and shared by every row, so at most
+    min(256, N*L*F) are held however many files and trials there are.
+    """
+    size, ramp = lib.packet_size, lib._ramp
+    ints: dict[int, int] = {}
+    rows: dict[int, list[int]] = {}
+
+    def request(i: int, start: int) -> list[int]:
+        key = lib._first(i, start, 0)
+        row = rows.get(key)
+        if row is None:
+            firsts = [lib._first(i, start + band, h) for band in range(lp) for h in range(f)]
+            for first in firsts:
+                if first not in ints:
+                    ints[first] = int.from_bytes(ramp[first:first + size], "little")
+            row = rows[key] = [ints[first] for first in firsts]
+        return row
+
+    return request
+
+
+def _deliver(slots: tuple[_Slot | None, ...], known: Sequence[Sequence[int]],
+             dem: Demand, f: int) -> list[int]:
+    """The payload integer of every slot, in slot order; ``known[j][i]`` is
+    the packet integer of cell (i, j)."""
+    payloads = []
     for s, plan in enumerate(slots):
         if plan is None:
             raise SimulationError(f"slot {s} never occurs; cannot schedule its broadcast")
-        sender, occ = plan
-        cached = caches.users[sender]
-        payload = 0
-        constituents = []
-        for i, j, band, h in occ:
-            pid = (d[j], b[j] + band, h)
-            if h not in cached:
-                raise SimulationError(
-                    f"sender {sender} lacks packet {pid} needed for slot {s} "
-                    f"(entry at row {i}, column {j})"
-                )
-            constituents.append(pid)
-            payload ^= int.from_bytes(lib.packet(*pid), "little")
-        signals.append(Signal(slot=s, sender=sender,
-                              payload=payload.to_bytes(lib.packet_size, "little"),
-                              constituents=tuple(constituents)))
-    return signals
+        sender, occ, lacking = plan
+        if lacking is not None:
+            i, j = lacking
+            raise SimulationError(
+                f"sender {sender} lacks packet {_pid(dem, f, i, j)} needed for slot {s} "
+                f"(entry at row {i}, column {j})"
+            )
+        x = 0
+        for i, j in occ:
+            x ^= known[j][i]
+        payloads.append(x)
+    return payloads
 
 
-def _decode(rows: tuple[_Row, ...], cache_k: Mapping[PacketId, bytes],
-            by_slot: Mapping[int, bytes], dem: Demand, k: int) -> dict[PacketId, bytes]:
+def _decode(rows: tuple[_Row, ...], known: Sequence[Sequence[int | None]],
+            payloads: Mapping[int, int] | Sequence[int], dem: Demand, k: int,
+            f: int) -> list[int]:
+    """User ``k``'s recovered packet integers, in row order: a star row's
+    from ``known``, a coded row's from its slot's payload with the side
+    packets XORed out."""
     d, b = dem.d, dem.b
     dk, bk = d[k], b[k]
-    recovered: dict[PacketId, bytes] = {}
-    for band, h, slot, others in rows:
-        want: PacketId = (dk, bk + band, h)
+    got = []
+    for i, (slot, held, sides) in enumerate(rows):
         if slot is None:
-            try:
-                recovered[want] = cache_k[want]
-            except KeyError:
-                raise SimulationError(f"user {k} should have cached {want} but has not") from None
+            if not held:
+                raise SimulationError(
+                    f"user {k} should have cached {_pid(dem, f, i, k)} but has not")
+            got.append(known[k][i])
             continue
         try:
-            payload = by_slot[slot]
-        except KeyError:
+            x = payloads[slot]
+        except LookupError:
             raise SimulationError(f"signal for slot {slot} missing") from None
-        x = int.from_bytes(payload, "little")
-        for j2, band2, h2 in others:
-            other: PacketId = (d[j2], b[j2] + band2, h2)
-            if other == want:
+        for j2, i2, held2, shift in sides:
+            if shift is not None and d[j2] == dk and b[j2] == bk + shift:
                 # a side packet identical to the wanted one cancels inside
                 # the XOR; valid arrays cannot produce this
                 raise SimulationError(
-                    f"slot {slot} mixes packet {want} twice; array is not decodable"
+                    f"slot {slot} mixes packet {_pid(dem, f, i, k)} twice; array is not decodable"
                 )
-            try:
-                x ^= int.from_bytes(cache_k[other], "little")
-            except KeyError:
+            if not held2:
                 raise SimulationError(
-                    f"user {k} cannot remove uncached packet {other} from slot {slot}"
-                ) from None
-        recovered[want] = x.to_bytes(len(payload), "little")
-    return recovered
+                    f"user {k} cannot remove uncached packet {_pid(dem, f, i2, j2)} "
+                    f"from slot {slot}"
+                )
+            x ^= known[j2][i2]
+        got.append(x)
+    return got
 
 
 def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
@@ -262,7 +309,14 @@ def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
     :class:`SimulationError`.
     """
     _check_demand(dem, p.k, lib.n, lib.l, p.lp)
-    return _deliver(_slot_plan(p, slot_cells(p)), caches, lib, dem)
+    slots = _slot_plan(p, slot_cells(p), caches)
+    request = _packet_table(lib, p.lp, p.f)
+    known = [request(dj, bj) for dj, bj in zip(dem.d, dem.b)]
+    payloads = _deliver(slots, known, dem, p.f)
+    return [Signal(slot=s, sender=plan[0],
+                   payload=x.to_bytes(lib.packet_size, "little"),
+                   constituents=tuple(_pid(dem, p.f, i, j) for i, j in plan[1]))
+            for s, (plan, x) in enumerate(zip(slots, payloads))]
 
 
 def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal],
@@ -274,8 +328,17 @@ def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal]
     signal payloads; constituent ids are re-derived from the array, never
     read from the signals' audit lists.
     """
+    f = p.f
+    cached = [[cache_k.get(_pid(dem, f, i, j)) for i in range(p.rows)] for j in range(p.k)]
+    known = [[None if v is None else int.from_bytes(v, "little") for v in col]
+             for col in cached]
+    rows = _user_plan(p, slot_cells(p), k, lambda i, j: cached[j][i] is not None)
     by_slot = {sig.slot: sig.payload for sig in signals}
-    return _decode(_user_plan(p, slot_cells(p), k), cache_k, by_slot, dem, k)
+    got = _decode(rows, known, {s: int.from_bytes(v, "little") for s, v in by_slot.items()},
+                  dem, k, f)
+    return {_pid(dem, f, i, k): cached[k][i] if slot is None
+            else x.to_bytes(len(by_slot[slot]), "little")
+            for i, ((slot, _held, _sides), x) in enumerate(zip(rows, got))}
 
 
 class SimReport(_Record):
@@ -305,11 +368,10 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
     """Run place -> deliver -> decode and verify byte-exact recovery.
 
     Exactly one of ``demand`` (a single run) or ``trials`` (that many
-    uniformly sampled demands, deterministic from ``seed``) must be given.
-    The cache size in files, Z*N/F, is reported exactly as a fraction; it
-    need not be an integer.  Every packet of every user is compared with the
-    library in every trial; the expected packets of each (file, start block)
-    are gathered once per run.
+    uniformly sampled demands, deterministic from ``seed``, each drawn when
+    its trial starts) must be given.  The cache size in files, Z*N/F, is
+    reported exactly as a fraction; it need not be an integer.  Every packet
+    of every user is compared with the library in every trial.
     """
     if l < p.lp:
         raise ValueError(f"need L >= L', got L={l}, L'={p.lp}")
@@ -317,56 +379,43 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
         raise ValueError("provide exactly one of demand= or trials=")
     lib = make_library(n, l, p.f, packet_size)
     caches = place(p, lib)
-    cache_bytes = [user_cache_bytes(lib, caches, k) for k in range(p.k)]
-    if demand is not None:
-        demands: Iterable[Demand] = [demand]
-        count = 1
-    else:
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        rng = random.Random(seed)
-        demands = [
-            Demand(
-                d=tuple(rng.randrange(n) for _ in range(p.k)),
-                b=tuple(rng.randrange(l - p.lp + 1) for _ in range(p.k)),
-            )
-            for _ in range(trials)
-        ]
-        count = trials
+    count = 1 if trials is None else trials
+    if count < 1:
+        raise ValueError("trials must be >= 1")
+    rng = random.Random(seed)
+    k_users, f, starts = p.k, p.f, l - p.lp + 1
     cells = slot_cells(p)
-    slots = _slot_plan(p, cells)
-    plans = [_user_plan(p, cells, k) for k in range(p.k)]
-    expected: dict[tuple[int, int], dict[PacketId, bytes]] = {}  # by (file, start block)
+    slots = _slot_plan(p, cells, caches)
+    plans = [_user_plan(p, cells, k, lambda i, j, star_rows=star_rows: i % f in star_rows)
+             for k, star_rows in enumerate(caches.users)]
+    request = _packet_table(lib, p.lp, f)
     failures: list[dict] = []
-    sent: set[int] = set()
-    for run, dem in enumerate(demands):
+    delivered = False
+    for run in range(count):
+        dem = demand if demand is not None else Demand(
+            d=tuple(rng.randrange(n) for _ in range(k_users)),
+            b=tuple(rng.randrange(starts) for _ in range(k_users)))
         try:
-            _check_demand(dem, p.k, n, l, p.lp)
-            signals = _deliver(slots, caches, lib, dem)
+            _check_demand(dem, k_users, n, l, p.lp)
+            known = [request(dj, bj) for dj, bj in zip(dem.d, dem.b)]
+            payloads = _deliver(slots, known, dem, f)
         except (SimulationError, ValueError) as exc:
             failures.append({"trial": run, "demand": [list(dem.d), list(dem.b)],
                              "error": str(exc)})
             continue
-        sent.add(len(signals))
-        by_slot = {sig.slot: sig.payload for sig in signals}
+        delivered = True
         for k, rows in enumerate(plans):
             try:
-                got = _decode(rows, cache_bytes[k], by_slot, dem, k)
+                got = _decode(rows, known, payloads, dem, k, f)
             except SimulationError as exc:
                 failures.append({"trial": run, "user": k, "error": str(exc)})
                 continue
-            dk, bk = dem.d[k], dem.b[k]
-            expect = expected.get((dk, bk))
-            if expect is None:
-                expect = expected[dk, bk] = {(dk, bk + band, h): lib.packet(dk, bk + band, h)
-                                             for band, h, _slot, _others in rows}
+            expect = known[k]
             if got != expect:  # name every packet that differs, in row order
-                failures.extend({"trial": run, "user": k, "packet": list(pid),
+                failures.extend({"trial": run, "user": k, "packet": list(_pid(dem, f, i, k)),
                                  "error": "byte mismatch"}
-                                for pid, packet in expect.items() if got.get(pid) != packet)
-    if len(sent) > 1:
-        raise AssertionError(f"per-demand transmissions differ: {sorted(sent)}")
-    packets_sent = sent.pop() if sent else 0
+                                for i, (x, y) in enumerate(zip(got, expect)) if x != y)
+    packets_sent = p.s if delivered else 0
     return SimReport(
         success=not failures,
         packets_sent=packets_sent,

@@ -1,10 +1,13 @@
 """Reference protocol loops for differential tests of :mod:`dpda.sim`.
 
 These are the simulator's earlier per-call loops: ``deliver`` and every
-``decode`` index the array themselves (``slot_cells``) on each call, and
-``simulate`` compares each recovered packet with the library one by one.
-``dpda.sim`` now derives its slot and decode plans once per run; its
-reports must equal these, failures and messages included.
+``decode`` index the array themselves (``slot_cells``) on each call,
+``simulate`` stores every user's cache as a dict of packet bytes
+(``user_cache_bytes``) and compares each recovered packet with the library
+one by one.  ``dpda.sim`` plans the slots and each user's decoding once per
+run, from star-row membership and the byte rule, and a trial there touches
+only the demanded packets, as integers; its reports, signals and decodes
+must equal these, failures and messages included.
 """
 
 from __future__ import annotations

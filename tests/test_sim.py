@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -286,10 +287,9 @@ class TestSimulate:
         # for its second band and every one of those packets is reported
         decode_core = dpda.sim._decode
 
-        def corrupting(rows, cache_k, by_slot, dem, k):
-            got = decode_core(rows, cache_k, by_slot, dem, k)
-            return {pid: (b"?" + v[1:] if k == 1 and pid[1] == dem.b[k] + 1 else v)
-                    for pid, v in got.items()}
+        def corrupting(rows, known, payloads, dem, k, f):
+            got = decode_core(rows, known, payloads, dem, k, f)
+            return [x ^ 1 if k == 1 and i // f == 1 else x for i, x in enumerate(got)]
 
         monkeypatch.setattr(dpda.sim, "_decode", corrupting)
         p = lift(construct_even(2), 2)
@@ -297,6 +297,41 @@ class TestSimulate:
         rep = simulate(p, 3, 3, packet_size=8, demand=dem)
         assert rep.failures == tuple({"trial": 0, "user": 1, "packet": [1, 2, h],
                                       "error": "byte mismatch"} for h in range(4))
+
+    def test_flipped_payload_bit_is_named_per_packet(self, monkeypatch):
+        # flip one bit of one slot's payload: exactly the packets that users
+        # decode from that slot come out wrong, and each is reported
+        deliver_core = dpda.sim._deliver
+        slot = 5
+
+        def flipping(slots, known, dem, f):
+            payloads = deliver_core(slots, known, dem, f)
+            payloads[slot] ^= 1 << 13
+            return payloads
+
+        monkeypatch.setattr(dpda.sim, "_deliver", flipping)
+        p = lift(construct_even(2), 2)
+        dem = Demand(d=(0, 1, 2, 0), b=(0, 1, 0, 1))
+        rep = simulate(p, 3, 3, packet_size=8, demand=dem)
+        expected = tuple({"trial": 0, "user": k, "error": "byte mismatch",
+                          "packet": [dem.d[k], dem.b[k] + i // p.f, i % p.f]}
+                         for k in range(p.k) for i, row in enumerate(p.grid)
+                         if row[k] is not None and row[k].slot == slot)
+        assert len(expected) == 2
+        assert rep.failures == expected
+
+    def test_memory_does_not_grow_with_library_size(self):
+        # a trial touches only the demanded packets, so 200,000 files cost
+        # no more memory than a handful
+        p = construct_grid(3)
+        tracemalloc.start()
+        try:
+            rep = simulate(p, 200_000, 2, 64, trials=5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.success
+        assert peak < 2_000_000, peak
 
     def test_argument_validation(self):
         p = parse_dpda(P4_TEXT)
@@ -357,7 +392,8 @@ def _reference_corpus() -> dict[str, list[Dpda]]:
     broken, and arbitrary well-formed arrays."""
     rng = random.Random(2024)
     bases = [p for p in valid_corpus() if p.f * p.lp * p.k <= 96]
-    valid = bases + [lift(p, 2) for p in bases if p.lp == 1]
+    valid = (bases + [lift(p, 2) for p in bases if p.lp == 1]
+             + [lift(p, 3) for p in bases if p.lp == 1 and p.f * p.k <= 16])
     corpus = {"valid": valid}
     for condition in ("c0", "c2", "c3", "c4a", "c4b"):
         corpus[condition] = [q for p in valid for _ in range(2)
@@ -369,6 +405,10 @@ def _reference_corpus() -> dict[str, list[Dpda]]:
 REFERENCE_CORPUS = _reference_corpus()
 FAILURE_KINDS = ("never occurs", "lacks packet", "should have cached",
                  "cannot remove uncached", "twice")
+# (files, spare start blocks, packet size), rotated over each group's arrays:
+# one-byte packets, packets either side of the ramp's 256-byte period, and
+# long ones, so that payload integers reach every width edge
+EDGES = ((2, 2, 1), (3, 1, 255), (2, 2, 257), (2, 0, 4096))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -388,8 +428,8 @@ class TestAgainstReference:
     @pytest.mark.parametrize("group", list(REFERENCE_CORPUS))
     def test_simulate_reports_match(self, group):
         rng = random.Random(group)
-        for p in REFERENCE_CORPUS[group]:
-            for n, extra, size in ((3, 1, 8), (2, 0, 300)):
+        for index, p in enumerate(REFERENCE_CORPUS[group]):
+            for n, extra, size in ((3, 1, 8), (2, 0, 300), EDGES[index % len(EDGES)]):
                 l = p.lp + extra
                 kwargs = dict(packet_size=size, trials=12, seed=rng.randrange(100))
                 assert simulate(p, n, l, **kwargs) == reference.simulate(p, n, l, **kwargs), p
@@ -403,8 +443,8 @@ class TestAgainstReference:
     @pytest.mark.parametrize("group", list(REFERENCE_CORPUS))
     def test_deliver_and_decode_match(self, group):
         rng = random.Random(group)
-        for p in REFERENCE_CORPUS[group]:
-            lib = make_library(3, p.lp + 1, p.f, 8)
+        for index, p in enumerate(REFERENCE_CORPUS[group]):
+            lib = make_library(3, p.lp + 1, p.f, EDGES[index % len(EDGES)][2])
             caches = place(p, lib)
             dem = Demand(d=tuple(rng.randrange(3) for _ in range(p.k)),
                          b=tuple(rng.randrange(2) for _ in range(p.k)))
