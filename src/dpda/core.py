@@ -32,6 +32,7 @@ ranges, one sender per slot).  The semantic conditions C0-C4 live in
 from __future__ import annotations
 
 import re
+from itertools import filterfalse
 from typing import Mapping, Sequence
 
 __all__ = [
@@ -210,14 +211,23 @@ def _parse_int(digits: str, where: str) -> int:
         raise FormatError(f"{where}: {len(digits)}-digit integer is too long") from exc
 
 
-def _parse_token(tok: str, r: int, c: int) -> Entry:
-    if tok == "*":
-        return STAR
+def _parse_token(tok: str, r: int, c: int) -> Coded:
     m = _CODED_TOKEN.fullmatch(tok)
     if m is None:
         raise FormatError(f"row {r}, column {c}: bad token {tok!r}")
-    where = f"row {r}, column {c}"
-    return Coded(slot=_parse_int(m.group(1), where), sender=_parse_int(m.group(2), where))
+    try:
+        return Coded(int(m[1]), int(m[2]))
+    except ValueError:  # more digits than int() converts: parse again to name the field
+        where = f"row {r}, column {c}"
+        return Coded(_parse_int(m[1], where), _parse_int(m[2], where))
+
+
+def _parse_row(toks: Sequence[str], r: int, memo: dict[str, Entry]) -> tuple[Entry, ...]:
+    """Row ``r``'s entries; ``memo`` maps each token seen so far to its one entry,
+    and gains the row's new tokens, parsed in column order."""
+    for tok in filterfalse(memo.__contains__, toks):
+        memo[tok] = _parse_token(tok, r, toks.index(tok))
+    return tuple(map(memo.__getitem__, toks))
 
 
 def parse_dpda(text: str | bytes) -> Dpda:
@@ -249,12 +259,13 @@ def parse_dpda(text: str | bytes) -> Dpda:
         raise FormatError("header requires L' >= 1 and F >= 1")
     if len(body) != lp * f:
         raise FormatError(f"expected {_count(lp * f)} body rows (L'*F), got {len(body)}")
+    memo: dict[str, Entry] = {"*": STAR}
     grid = []
     for r, line in enumerate(body):
         toks = line.split()
         if len(toks) != k:
             raise FormatError(f"row {r}: expected {k} tokens, got {len(toks)}")
-        grid.append(tuple(_parse_token(t, r, c) for c, t in enumerate(toks)))
+        grid.append(_parse_row(toks, r, memo))
     return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=tuple(grid))
 
 
@@ -300,11 +311,9 @@ def dpda_from_json(obj: str | Mapping) -> Dpda:
     if any(type(v) is not int for v in values):
         raise FormatError(f"JSON mirror k, lp, f, z, s must be integers, got {values!r}")
     k, lp, f, z, s = values
+    memo: dict[str, Entry] = {"*": STAR}
     try:
-        grid = tuple(
-            tuple(_parse_token(str(t), r, c) for c, t in enumerate(row))
-            for r, row in enumerate(rows)
-        )
+        grid = tuple(_parse_row([*map(str, row)], r, memo) for r, row in enumerate(rows))
     except TypeError as exc:
         raise FormatError(f"JSON mirror grid must be a list of rows: {exc}") from exc
     except RecursionError as exc:  # str() of a token nested too deep

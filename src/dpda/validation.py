@@ -15,13 +15,17 @@ Two housekeeping checks the delivery protocol relies on are verified
 explicitly: one sender per slot, and slot ids contiguous from 0.
 
 :func:`validate` is the one entry point.  It indexes the array once (slot ->
-cells, and a per-row star bitmask) and derives from it every verdict, witness
-and counting diagnostic, plus the rate-optimality verdicts of a valid array.
+cells; one pass over the rows for the star bitmasks, C3 and the unique
+sender; the transposed grid for C1 and the column star counts) and derives
+from it every verdict, witness and counting diagnostic, plus the
+rate-optimality verdicts of a valid array.
 All arithmetic is exact; a non-integer target makes a verdict false, never
 rounded.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .core import Dpda, _Record, slot_cells
 
@@ -72,11 +76,10 @@ def _c0(p: Dpda, masks: tuple[int, ...]) -> ConditionCheck:
     return ConditionCheck(False, (r, c))
 
 
-def _c1(p: Dpda, masks: tuple[int, ...]) -> ConditionCheck:
-    for c in range(p.k):
-        stars = sum(masks[h] >> c & 1 for h in range(p.f))
-        if stars != p.z:
-            return ConditionCheck(False, (c, stars))
+def _c1(p: Dpda, stars: tuple[int, ...]) -> ConditionCheck:
+    for c, n in enumerate(stars):
+        if n != p.z:
+            return ConditionCheck(False, (c, n))
     return _OK
 
 
@@ -87,40 +90,38 @@ def _c2(p: Dpda, cells: _SlotCells) -> ConditionCheck:
     return _OK
 
 
-def _c3(p: Dpda) -> ConditionCheck:
+def _row_pass(p: Dpda) -> tuple[tuple[int, ...], ConditionCheck, ConditionCheck]:
+    """One pass over the cells: each row's star mask, C3 and the unique-sender check."""
+    masks, senders, c3, unique = [], {}, _OK, _OK
     for r, row in enumerate(p.grid):
+        mask = 0
         for c, e in enumerate(row):
-            if e is not None and row[e.sender] is not None:
-                return ConditionCheck(False, (r, c, e.slot, e.sender))
-    return _OK
+            if e is None:
+                mask |= 1 << c
+                continue
+            if row[e.sender] is not None and c3.passed:
+                c3 = ConditionCheck(False, (r, c, e.slot, e.sender))
+            if senders.setdefault(e.slot, e.sender) != e.sender and unique.passed:
+                unique = ConditionCheck(False, (r, c, e.slot))
+        masks.append(mask)
+    return tuple(masks), c3, unique
 
 
 def _c4(p: Dpda, cells: _SlotCells) -> tuple[ConditionCheck, ConditionCheck]:
     """One pair scan deciding both halves of the pair condition."""
     c4a = c4b = _OK
     for s, occ in sorted(cells.items()):
-        for i in range(len(occ)):
-            r1, c1 = occ[i]
-            for r2, c2 in occ[i + 1:]:
-                if r1 == r2 or c1 == c2:
-                    if c4a.passed:
-                        c4a = ConditionCheck(False, (s, r1, c1, r2, c2))
-                    continue
-                if p.grid[r1][c2] is not None or p.grid[r2][c1] is not None:
-                    if c4b.passed:
-                        c4b = ConditionCheck(False, (s, r1, c1, r2, c2))
+        for (r1, c1), (r2, c2) in combinations(occ, 2):
+            if r1 == r2 or c1 == c2:
+                if c4a.passed:
+                    c4a = ConditionCheck(False, (s, r1, c1, r2, c2))
+                continue
+            if p.grid[r1][c2] is not None or p.grid[r2][c1] is not None:
+                if c4b.passed:
+                    c4b = ConditionCheck(False, (s, r1, c1, r2, c2))
         if not (c4a.passed or c4b.passed):
             break
     return c4a, c4b
-
-
-def _unique_sender(p: Dpda) -> ConditionCheck:
-    seen: dict[int, int] = {}
-    for r, row in enumerate(p.grid):
-        for c, e in enumerate(row):
-            if e is not None and seen.setdefault(e.slot, e.sender) != e.sender:
-                return ConditionCheck(False, (r, c, e.slot))
-    return _OK
 
 
 def _slot_contiguity(cells: _SlotCells) -> ConditionCheck:
@@ -271,21 +272,23 @@ def validate(p: Dpda) -> ValidationReport:
     bug and raises ``AssertionError``.
     """
     cells = slot_cells(p)
-    masks = tuple(sum(1 << c for c, e in enumerate(row) if e is None) for row in p.grid)
+    masks, c3, unique = _row_pass(p)
+    cols = tuple(zip(*p.grid))  # a Coded entry is always truthy, a star never
+    col_stars = tuple(len(col) - sum(map(bool, col)) for col in cols)
+    band0 = col_stars if p.lp == 1 else tuple(p.f - sum(map(bool, c[:p.f])) for c in cols)
     c4a, c4b = _c4(p, cells)
     checks = {
         "c0": _c0(p, masks),
-        "c1": _c1(p, masks),
+        "c1": _c1(p, band0),
         "c2": _c2(p, cells),
-        "c3": _c3(p),
+        "c3": c3,
         "c4a": c4a,
         "c4b": c4b,
-        "unique_sender": _unique_sender(p),
+        "unique_sender": unique,
         "slot_contiguity": _slot_contiguity(cells),
     }
     occurrences = tuple(len(cells.get(s, ())) for s in range(p.s))
     row_ints = tuple(p.k - m.bit_count() for m in masks)
-    col_stars = tuple(sum(1 for m in masks if m >> c & 1) for c in range(p.k))
     m = [0] * p.k
     for r, c in (occ[0] for occ in cells.values()):
         m[p.grid[r][c].sender] += 1

@@ -1,4 +1,9 @@
-"""Seeded random generators and array helpers shared by the test modules."""
+"""Seeded random generators and array helpers shared by the test modules.
+
+:func:`differential_corpus` is the array set on which the differential tests
+compare the library's parser and validator with their reference oracles
+(``core_reference``, ``validation_reference``).
+"""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ import random
 from dpda import (
     Coded,
     Dpda,
+    FormatError,
     STAR,
     construct_even,
     construct_grid,
@@ -80,3 +86,59 @@ def valid_corpus() -> list[Dpda]:
 def slot_senders(p: Dpda) -> dict[int, int]:
     """Map each slot id occurring in ``p`` to its sender, read at its first cell."""
     return {s: p.grid[r][c].sender for s, [(r, c), *_] in slot_cells(p).items()}
+
+
+def with_entries(p: Dpda, *edits: tuple[int, int, object]) -> Dpda:
+    """``p`` with each (row, column, entry) edit applied, checked by ``Dpda``."""
+    grid = [list(row) for row in p.grid]
+    for r, c, entry in edits:
+        grid[r][c] = entry
+    return Dpda(k=p.k, lp=p.lp, f=p.f, z=p.z, s=p.s,
+                grid=tuple(tuple(row) for row in grid))
+
+
+def star_cell_flips(p: Dpda):
+    """Every copy of ``p`` with one coded cell made a star, or one star made
+    coded as slot 0, among those ``Dpda`` accepts."""
+    for r, row in enumerate(p.grid):
+        for c, e in enumerate(row):
+            if e is not None:
+                yield with_entries(p, (r, c, STAR))
+                continue
+            for sender in range(p.k if p.s else 0):
+                try:
+                    flipped = with_entries(p, (r, c, Coded(0, sender)))
+                except FormatError:  # slot 0 already has another sender
+                    continue
+                yield flipped
+
+
+def two_sender_copies(p: Dpda):
+    """Every copy of ``p`` with one coded cell handed to the next user, which
+    gives its slot two senders when the slot has other cells; built past
+    ``Dpda``'s structural checks, which would refuse those."""
+    for r, row in enumerate(p.grid):
+        for c, e in enumerate(row):
+            if e is not None and p.k > 1:
+                grid = [list(cells) for cells in p.grid]
+                grid[r][c] = Coded(e.slot, (e.sender + 1) % p.k)
+                q = object.__new__(Dpda)
+                for field, value in zip(Dpda._fields, (p.k, p.lp, p.f, p.z, p.s,
+                                                       tuple(map(tuple, grid)))):
+                    object.__setattr__(q, field, value)
+                yield q
+
+
+def lifted_corpus() -> list[Dpda]:
+    """The valid corpus and the L' = 2 and 3 lifts of its one-band arrays."""
+    bases = valid_corpus()
+    return bases + [lift(p, lp) for p in bases if p.lp == 1 for lp in (2, 3)]
+
+
+def differential_corpus() -> list[Dpda]:
+    """The lifted corpus, every accepted single-cell flip of it, and 2,000
+    seeded random well-formed arrays."""
+    bases = lifted_corpus()
+    rng = random.Random(20261018)
+    return (bases + [q for p in bases for q in star_cell_flips(p)]
+            + [random_well_formed(rng) for _ in range(2000)])

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import dpda
-from dpda import cli, construct_grid, construct_jcm, serialize_dpda
+from dpda import cli, construct_grid, construct_jcm, lift, parse_dpda, serialize_dpda, validate
 from dpda.bounds import MEMORY_CASES
 from dpda.cli import main
 
@@ -21,9 +21,9 @@ from search_reference import instances
 # Full expected stdout of `validate` and `simulate`, one file per array and
 # flag set: `p4.optimal.json.out` holds the output of
 # `validate p4 --optimal --json`, `p4.simulate.json.out` that of
-# `simulate p4 ... --json`.  `search.json.out`, `search24.json.out` and
-# `search.out` hold one transcript block per instance: the argv, stdout, and
-# the exit code.
+# `simulate p4 ... --json`.  `search.json.out`, `search24.json.out`,
+# `search.out`, `bounds_compare.out` and `grid_mutated.json.out` hold one
+# transcript block per run: the argv, stdout, and the exit code.
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -127,7 +127,64 @@ GOLDEN_ARRAYS = {
     # a cell moved into slot 2, whose other cell's column caches neither
     # packet's row (fails c4b)
     "jcm_c4b": serialize_dpda(construct_jcm(4, 2)).replace("1^1 * * 9^1", "1^1 * * 2^2"),
+    "grid_lifted": serialize_dpda(lift(construct_grid(3), 2)),  # valid, two bands
 }
+
+
+# One copy of grid_lifted per condition, changed so that the condition
+# fails first: a band-1 star overwritten by a token of its row
+# (c0), Z + 1 (c1), S + 1 (c2), slot 0 handed to the column of its own cell
+# (0, 1) (c3), slot 0 copied over slot 1 in row 0 (c4a), and slot 0 moved into
+# cell (2, 4), whose crossing cells with (0, 1) and (1, 0) are coded (c4b).
+GRID_MUTATIONS = {
+    "c0": [("* 18^3 19^3 * 27^0 28^0", "18^3 18^3 19^3 * 27^0 28^0")],
+    "c1": [("Z=3", "Z=4")],
+    "c2": [("S=36", "S=37")],
+    "c3": [("* 0^3 1^3 * 9^0 10^0", "* 0^1 1^3 * 9^0 10^0"),
+           ("0^3 * 2^3 * 12^1 13^1", "0^1 * 2^3 * 12^1 13^1")],
+    "c4a": [("* 0^3 1^3 * 9^0 10^0", "* 0^3 0^3 * 9^0 10^0")],
+    "c4b": [("1^3 2^3 * * 15^2 16^2", "1^3 2^3 * * 0^3 16^2")],
+}
+
+
+def _transcript(capsys, tmp_path, texts: dict[str, str], *argvs: tuple[str, ...]) -> str:
+    """One block per argv run on each array: argv, stdout and exit code.
+
+    Each array is written to ``<name>.dpda``; ``FILE`` in an argv stands for
+    that file, and the block names it by file name alone.
+    """
+    blocks = []
+    for name, text in texts.items():
+        f = tmp_path / f"{name}.dpda"
+        f.write_text(text)
+        for argv in argvs:
+            code, out, err = run(capsys, *(str(f) if a == "FILE" else a for a in argv))
+            assert err == "", (name, argv)
+            shown = " ".join(f.name if a == "FILE" else a for a in argv)
+            blocks.append(f"$ {shown}\n{out}[exit {code}]\n")
+    return "".join(blocks)
+
+
+def test_bounds_and_compare_golden_stdout(tmp_path, capsys):
+    texts = {name: GOLDEN_ARRAYS[name] for name in ("p4", "jcm_split", "grid_lifted")}
+    assert _transcript(
+        capsys, tmp_path, texts,
+        ("bounds", "--from", "FILE"), ("bounds", "--from", "FILE", "--json"),
+        ("compare", "FILE"), ("compare", "FILE", "--json"),
+    ) == (GOLDEN_CLI / "bounds_compare.out").read_text()
+
+
+def test_validate_mutated_family_golden_stdout(tmp_path, capsys):
+    texts = {}
+    for condition, edits in GRID_MUTATIONS.items():
+        text = GOLDEN_ARRAYS["grid_lifted"]
+        for old, new in edits:
+            assert text.count(old) == 1, old
+            text = text.replace(old, new)
+        assert validate(parse_dpda(text)).first_failure == condition
+        texts[f"grid_{condition}"] = text
+    assert _transcript(capsys, tmp_path, texts, ("validate", "FILE", "--json")) == (
+        GOLDEN_CLI / "grid_mutated.json.out").read_text()
 
 
 @pytest.mark.parametrize("name, flags, code", [

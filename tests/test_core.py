@@ -21,8 +21,18 @@ from dpda import (
     serialize_dpda,
 )
 
+import core_reference
+from fuzz import differential_corpus, lifted_corpus
 from golden import P4_TEXT, P6_TEXT, SINGLE_STAR_TEXT
 from strategies import well_formed_dpdas
+
+
+def _outcome(parse, arg):
+    """What ``parse`` returns, or the type and message of what it raises."""
+    try:
+        return parse(arg)
+    except Exception as exc:  # compared with whatever the reference raises
+        return type(exc), str(exc)
 
 
 def test_parse_p4():
@@ -96,8 +106,10 @@ def test_conflicting_senders_rejected():
     ],
 )
 def test_malformed_inputs_rejected(text):
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError) as raised:
         parse_dpda(text)
+    # with the message of the per-cell reference parser
+    assert _outcome(core_reference.parse_dpda, text) == (FormatError, str(raised.value))
 
 
 def test_grid_dimension_invariants_enforced():
@@ -164,26 +176,24 @@ def test_transform_argument_validation():
 
 
 def test_json_mirror_rejects_malformed():
-    with pytest.raises(FormatError):
-        dpda_from_json("not json")
-    with pytest.raises(FormatError):
-        dpda_from_json({"k": 1, "lp": 1, "f": 1, "z": 1})
-    with pytest.raises(FormatError):
-        dpda_from_json([1, 2, 3])
-    for grid in (5, [5], None):
-        with pytest.raises(FormatError):
-            dpda_from_json({"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": grid})
-    with pytest.raises(FormatError):  # json.loads accepts Infinity
-        dpda_from_json('{"k": Infinity, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]}')
-    with pytest.raises(FormatError):
-        dpda_from_json({"k": 1.5, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]})
-    with pytest.raises(FormatError):  # json.loads recurses once per level
-        dpda_from_json("[" * 100_000 + "]" * 100_000)
     token: list = []
     for _ in range(100_000):  # str() recurses once per level
         token = [token]
-    with pytest.raises(FormatError):
-        dpda_from_json({"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [[token]]})
+    for mirror in [
+        "not json",
+        {"k": 1, "lp": 1, "f": 1, "z": 1},
+        [1, 2, 3],
+        *({"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": grid} for grid in (5, [5], None)),
+        # json.loads accepts Infinity
+        '{"k": Infinity, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]}',
+        {"k": 1.5, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]},
+        "[" * 100_000 + "]" * 100_000,  # json.loads recurses once per level
+        {"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [[token]]},
+    ]:
+        with pytest.raises(FormatError) as raised:
+            dpda_from_json(mirror)
+        # with the message of the per-cell reference reader
+        assert _outcome(core_reference.dpda_from_json, mirror) == (FormatError, str(raised.value))
 
 
 # near-miss headers and tokens reach the field and token checks, which
@@ -236,3 +246,46 @@ def test_json_mirror_raises_only_format_error(mirrors):
             dpda_from_json(mirror)
         except FormatError:
             pass
+
+
+# Tokens that reach every error path of the token parser and of Dpda's
+# structural check once they replace a cell.
+_ODD_TOKENS = ("", "x", "1^", "^1", "1^1^1", "-1^0", "\u0663^0", "7^0", "0^7",
+               "9" * 5000 + "^0", "0^" + "9" * 5000)
+
+
+def _corrupted(text: str, rng: random.Random) -> str:
+    """``text`` with two seeded body cells replaced, each by an odd token, a
+    zero-padded copy of a token, or the other's replacement; "" drops one."""
+    lines = text.splitlines()
+    new = None
+    for _ in range(2):
+        r = rng.randrange(1, len(lines))
+        toks = lines[r].split()
+        c = rng.randrange(len(toks))
+        new = rng.choice([*_ODD_TOKENS, "0" + toks[c], new or "x"])
+        toks[c] = new
+        lines[r] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def test_parsers_match_reference_and_share_entries():
+    rng = random.Random(20261018)
+    cases = [(serialize_dpda(p), dpda_to_json(p)) for p in differential_corpus()]
+    for p in lifted_corpus():
+        for _ in range(20):
+            text = _corrupted(serialize_dpda(p), rng)
+            cases.append((text, {**dpda_to_json(p),
+                                 "grid": [line.split() for line in text.splitlines()[1:]]}))
+    errors = 0
+    for text, mirror in cases:
+        got = _outcome(parse_dpda, text)
+        assert got == _outcome(core_reference.parse_dpda, text), text
+        assert _outcome(dpda_from_json, mirror) == _outcome(core_reference.dpda_from_json, mirror)
+        if isinstance(got, tuple):
+            errors += 1
+            continue
+        # one entry object per distinct coded token, shared by all its cells
+        tokens = {tok for line in text.splitlines()[1:] for tok in line.split()} - {"*"}
+        assert len({id(e) for row in got.grid for e in row if e is not None}) == len(tokens)
+    assert errors > 300  # the corrupted texts reach the error paths

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dpda import (
     Coded,
     Dpda,
-    FormatError,
     STAR,
     lift,
     parse_dpda,
@@ -20,7 +19,13 @@ from dpda import (
 from dpda.validation import CONDITION_ORDER
 
 import validation_reference
-from fuzz import random_symmetry_action, random_well_formed, valid_corpus
+from fuzz import (
+    differential_corpus,
+    random_symmetry_action,
+    two_sender_copies,
+    valid_corpus,
+    with_entries,
+)
 from strategies import valid_dpdas
 from golden import (
     GRID_Q3_TEXT,
@@ -47,14 +52,6 @@ ALL_REFERENCE_TEXTS = [
 ]
 
 
-def _with_entries(p: Dpda, *edits: tuple[int, int, object]) -> Dpda:
-    grid = [list(row) for row in p.grid]
-    for r, c, entry in edits:
-        grid[r][c] = entry
-    return Dpda(k=p.k, lp=p.lp, f=p.f, z=p.z, s=p.s,
-                grid=tuple(tuple(row) for row in grid))
-
-
 @pytest.mark.parametrize("text", ALL_REFERENCE_TEXTS)
 def test_reference_arrays_all_pass(text):
     report = validate(parse_dpda(text))
@@ -75,7 +72,7 @@ def test_c0_flipped_star_in_second_band_gives_witness():
     q = lift(parse_dpda(P4_TEXT), 2)
     # (5, 0) is a star; slot 0's sender is user 0, so Coded(0, 0) is
     # structurally consistent
-    bad = _with_entries(q, (5, 0, Coded(0, 0)))
+    bad = with_entries(q, (5, 0, Coded(0, 0)))
     report = validate(bad)
     assert not report.c0.passed
     assert report.c0.witness == (5, 0)
@@ -103,7 +100,7 @@ def test_c3_requires_star_in_sender_column():
     assert validate(p4).c3.passed
     # reroute slot 1 (both occurrences, keeping the sender unique) through
     # user 0, whose column is not starred in row 0
-    bad = _with_entries(p4, (0, 3, Coded(1, 0)), (2, 2, Coded(1, 0)))
+    bad = with_entries(p4, (0, 3, Coded(1, 0)), (2, 2, Coded(1, 0)))
     check = validate(bad).c3
     assert not check.passed
     assert check.witness == (0, 3, 1, 0)
@@ -119,7 +116,7 @@ def test_c3_vacuous_on_all_star():
 
 def test_c4a_same_row_duplicate():
     p4 = parse_dpda(P4_TEXT)
-    bad = _with_entries(p4, (0, 0, Coded(1, 1)))
+    bad = with_entries(p4, (0, 0, Coded(1, 1)))
     report = validate(bad)
     assert not report.c4a.passed
     assert report.c4a.witness == (1, 0, 0, 0, 3)
@@ -209,7 +206,7 @@ def test_symmetry_invariance_property(p, seed):
 def test_symmetry_preserves_invalidity_verdict():
     rng = random.Random(5)
     p4 = parse_dpda(P4_TEXT)
-    bad = _with_entries(p4, (0, 3, Coded(1, 0)), (2, 2, Coded(1, 0)))
+    bad = with_entries(p4, (0, 3, Coded(1, 0)), (2, 2, Coded(1, 0)))
     for _ in range(50):
         assert not validate(random_symmetry_action(bad, rng)).valid
 
@@ -280,34 +277,16 @@ def test_equal_broadcast_counts_follow_from_optimality():
             assert len(set(report.broadcast_counts)) == 1
 
 
-def _star_cell_flips(p: Dpda):
-    """Every copy of ``p`` with one coded cell made a star, or one star made
-    coded as slot 0, among those ``Dpda`` accepts."""
-    for r, row in enumerate(p.grid):
-        for c, e in enumerate(row):
-            if e is not None:
-                yield _with_entries(p, (r, c, STAR))
-                continue
-            for sender in range(p.k if p.s else 0):
-                try:
-                    flipped = _with_entries(p, (r, c, Coded(0, sender)))
-                except FormatError:  # slot 0 already has another sender
-                    continue
-                yield flipped
-
-
-def test_star_fields_match_reference_scans():
-    bases = valid_corpus()
-    bases += [lift(p, lp) for p in bases if p.lp == 1 for lp in (2, 3)]
-    arrays = bases + [q for p in bases for q in _star_cell_flips(p)]
-    rng = random.Random(20261018)
-    arrays += [random_well_formed(rng) for _ in range(2000)]
-    failing_c0 = 0
-    for p in arrays:
+def test_report_fields_match_reference_scans():
+    arrays = differential_corpus()
+    two_senders = [q for p in valid_corpus() for q in two_sender_copies(p)]
+    failing = dict.fromkeys(("c0", "c3", "c4a", "c4b", "unique_sender"), 0)
+    for p in arrays + two_senders:
         report = validate(p)
-        expected = validation_reference.star_fields(p)
+        expected = validation_reference.report_fields(p)
         assert {name: getattr(report, name) for name in expected} == expected, p
-        failing_c0 += not report.c0.passed
-    # the flips and random arrays reach the C0 witness path, not only the
-    # vacuous L' = 1 case
-    assert failing_c0 > 100
+        for name in failing:
+            failing[name] += not getattr(report, name).passed
+    # the flips, random and two-sender arrays reach every witness path, not
+    # only the passing verdicts
+    assert min(failing.values()) > 100, failing

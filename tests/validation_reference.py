@@ -1,15 +1,17 @@
 """Reference scans for differential tests of :mod:`dpda.validation`.
 
-These are the validator's earlier per-cell paths for the star facts: C0
-builds each column's list of band cells at every in-band row, C1 counts the
-first band's stars cell by cell, and the two count diagnostics walk the
-grid.  ``dpda.validation.validate`` derives the same four fields from one
-star bitmask per row; its report must equal these on every array.
+These are the validator's earlier per-cell paths: C0 builds each column's
+list of band cells at every in-band row, C1 counts the first band's stars
+cell by cell, C3 and the unique-sender check each walk every cell, C4 scans
+each slot's pairs by index, and the two count diagnostics walk the grid.
+``dpda.validation.validate`` derives the same fields from one pass over the
+rows, one transposed grid and one slot index; its report must equal these
+on every array.
 """
 
 from __future__ import annotations
 
-from dpda import Dpda
+from dpda import Dpda, slot_cells
 from dpda.validation import ConditionCheck
 
 _OK = ConditionCheck(True)
@@ -34,6 +36,41 @@ def c1(p: Dpda) -> ConditionCheck:
     return _OK
 
 
+def c3(p: Dpda) -> ConditionCheck:
+    for r, row in enumerate(p.grid):
+        for c, e in enumerate(row):
+            if e is not None and row[e.sender] is not None:
+                return ConditionCheck(False, (r, c, e.slot, e.sender))
+    return _OK
+
+
+def c4(p: Dpda) -> tuple[ConditionCheck, ConditionCheck]:
+    c4a = c4b = _OK
+    for s, occ in sorted(slot_cells(p).items()):
+        for i in range(len(occ)):
+            r1, c1 = occ[i]
+            for r2, c2 in occ[i + 1:]:
+                if r1 == r2 or c1 == c2:
+                    if c4a.passed:
+                        c4a = ConditionCheck(False, (s, r1, c1, r2, c2))
+                    continue
+                if p.grid[r1][c2] is not None or p.grid[r2][c1] is not None:
+                    if c4b.passed:
+                        c4b = ConditionCheck(False, (s, r1, c1, r2, c2))
+        if not (c4a.passed or c4b.passed):
+            break
+    return c4a, c4b
+
+
+def unique_sender(p: Dpda) -> ConditionCheck:
+    seen: dict[int, int] = {}
+    for r, row in enumerate(p.grid):
+        for c, e in enumerate(row):
+            if e is not None and seen.setdefault(e.slot, e.sender) != e.sender:
+                return ConditionCheck(False, (r, c, e.slot))
+    return _OK
+
+
 def row_integer_counts(p: Dpda) -> tuple[int, ...]:
     return tuple(sum(1 for e in row if e is not None) for row in p.grid)
 
@@ -42,11 +79,16 @@ def column_star_counts(p: Dpda) -> tuple[int, ...]:
     return tuple(sum(1 for row in p.grid if row[c] is None) for c in range(p.k))
 
 
-def star_fields(p: Dpda) -> dict:
-    """The four report fields derived from the star masks, by the old scans."""
+def report_fields(p: Dpda) -> dict:
+    """The report fields these scans cover, as the scans compute them."""
+    c4a, c4b = c4(p)
     return {
         "c0": c0(p),
         "c1": c1(p),
+        "c3": c3(p),
+        "c4a": c4a,
+        "c4b": c4b,
+        "unique_sender": unique_sender(p),
         "row_integer_counts": row_integer_counts(p),
         "column_star_counts": column_star_counts(p),
     }
