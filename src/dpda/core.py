@@ -291,8 +291,8 @@ def dpda_to_json(p: Dpda) -> dict:
 def dpda_from_json(obj: str | Mapping) -> Dpda:
     """Parse the JSON mirror produced by :func:`dpda_to_json`.
 
-    ``k, lp, f, z, s`` must be JSON integers; malformed input raises
-    :class:`FormatError`.
+    ``k, lp, f, z, s`` must be JSON integers and ``grid`` a list of lists of
+    tokens; malformed input raises :class:`FormatError`.
     """
     if isinstance(obj, (str, bytes)):
         try:
@@ -311,11 +311,12 @@ def dpda_from_json(obj: str | Mapping) -> Dpda:
     if any(type(v) is not int for v in values):
         raise FormatError(f"JSON mirror k, lp, f, z, s must be integers, got {values!r}")
     k, lp, f, z, s = values
+    if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows):
+        raise FormatError("JSON mirror grid must be a list of rows")
     memo: dict[str, Entry] = {"*": STAR}
     try:
         grid = tuple(_parse_row([*map(str, row)], r, memo) for r, row in enumerate(rows))
-    except TypeError as exc:
-        raise FormatError(f"JSON mirror grid must be a list of rows: {exc}") from exc
     except RecursionError as exc:  # str() of a token nested too deep
         raise FormatError(f"JSON mirror grid token nests too deep: {exc}") from exc
     return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=grid)

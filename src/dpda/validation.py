@@ -14,11 +14,12 @@ A structurally well-formed array is a DPDA when it satisfies:
 Two housekeeping checks the delivery protocol relies on are verified
 explicitly: one sender per slot, and slot ids contiguous from 0.
 
-:func:`validate` is the one entry point.  It indexes the array once (slot ->
-cells; one pass over the rows for the star bitmasks, C3 and the unique
-sender; the transposed grid for C1 and the column star counts) and derives
-from it every verdict, witness and counting diagnostic, plus the
-rate-optimality verdicts of a valid array.
+:func:`validate` is the one entry point.  It makes one pass over the rows
+(star bitmasks, C3, the unique sender), one transpose (C1, the column star
+counts) and one walk over the slot index in id order (C2, C4, contiguity,
+the occurrence and broadcast counts), and derives from them every verdict,
+witness and counting diagnostic, plus the rate-optimality verdicts of a
+valid array.
 All arithmetic is exact; a non-integer target makes a verdict false, never
 rounded.
 """
@@ -47,9 +48,6 @@ CONDITION_ORDER = (
     "unique_sender",
     "slot_contiguity",
 )
-
-_SlotCells = dict[int, list[tuple[int, int]]]
-
 
 class ConditionCheck(_Record):
     """Verdict for one condition; ``witness`` is the first violation found."""
@@ -83,13 +81,6 @@ def _c1(p: Dpda, stars: tuple[int, ...]) -> ConditionCheck:
     return _OK
 
 
-def _c2(p: Dpda, cells: _SlotCells) -> ConditionCheck:
-    for s in range(p.s):
-        if s not in cells:
-            return ConditionCheck(False, (s,))
-    return _OK
-
-
 def _row_pass(p: Dpda) -> tuple[tuple[int, ...], ConditionCheck, ConditionCheck]:
     """One pass over the cells: each row's star mask, C3 and the unique-sender check."""
     masks, senders, c3, unique = [], {}, _OK, _OK
@@ -107,28 +98,33 @@ def _row_pass(p: Dpda) -> tuple[tuple[int, ...], ConditionCheck, ConditionCheck]
     return tuple(masks), c3, unique
 
 
-def _c4(p: Dpda, cells: _SlotCells) -> tuple[ConditionCheck, ConditionCheck]:
-    """One pair scan deciding both halves of the pair condition."""
+def _slot_walk(p: Dpda, cells: dict[int, list[tuple[int, int]]]) -> tuple:
+    """C2, C4a, C4b, contiguity, the occurrence and the broadcast counts, from
+    one walk over the slot ids in order.  Every id lies in [0, S), so the used
+    ids have a gap iff the lowest missing id is below their number."""
     c4a = c4b = _OK
-    for s, occ in sorted(cells.items()):
+    missing = p.s
+    occurrences, counts = [], [0] * p.k
+    for s in range(p.s):
+        occ = cells.get(s, ())
+        occurrences.append(len(occ))
+        if not occ:
+            missing = min(missing, s)
+            continue
+        r, c = occ[0]
+        counts[p.grid[r][c].sender] += 1
+        if not (c4a.passed or c4b.passed):
+            continue
         for (r1, c1), (r2, c2) in combinations(occ, 2):
             if r1 == r2 or c1 == c2:
                 if c4a.passed:
                     c4a = ConditionCheck(False, (s, r1, c1, r2, c2))
-                continue
-            if p.grid[r1][c2] is not None or p.grid[r2][c1] is not None:
+            elif p.grid[r1][c2] is not None or p.grid[r2][c1] is not None:
                 if c4b.passed:
                     c4b = ConditionCheck(False, (s, r1, c1, r2, c2))
-        if not (c4a.passed or c4b.passed):
-            break
-    return c4a, c4b
-
-
-def _slot_contiguity(cells: _SlotCells) -> ConditionCheck:
-    for i, s in enumerate(sorted(cells)):
-        if s != i:
-            return ConditionCheck(False, (i,))
-    return _OK
+    c2 = ConditionCheck(False, (missing,)) if missing < p.s else _OK
+    contiguity = c2 if missing < len(cells) else _OK
+    return c2, c4a, c4b, contiguity, tuple(occurrences), tuple(counts)
 
 
 class RateOptimality(_Record):
@@ -174,7 +170,8 @@ class ValidationReport(_Record):
       for :class:`Dpda`, re-checked here so a report certifies it
       independently;
     * ``slot_contiguity`` - (gap id,): used slot ids must form a gap-free
-      range starting at 0.
+      range starting at 0.  It fails only together with ``c2``, with the
+      same witness.
 
     ``slot_occurrences[s]`` is the number of cells carrying slot ``s``;
     ``row_integer_counts[i]`` the number of coded entries in row ``i``;
@@ -271,28 +268,22 @@ def validate(p: Dpda) -> ValidationReport:
     equally often, m_k*K*Z == L'*F*(F-Z).  A violation would mean a checker
     bug and raises ``AssertionError``.
     """
-    cells = slot_cells(p)
     masks, c3, unique = _row_pass(p)
     cols = tuple(zip(*p.grid))  # a Coded entry is always truthy, a star never
     col_stars = tuple(len(col) - sum(map(bool, col)) for col in cols)
     band0 = col_stars if p.lp == 1 else tuple(p.f - sum(map(bool, c[:p.f])) for c in cols)
-    c4a, c4b = _c4(p, cells)
+    c2, c4a, c4b, contiguity, occurrences, counts = _slot_walk(p, slot_cells(p))
     checks = {
         "c0": _c0(p, masks),
         "c1": _c1(p, band0),
-        "c2": _c2(p, cells),
+        "c2": c2,
         "c3": c3,
         "c4a": c4a,
         "c4b": c4b,
         "unique_sender": unique,
-        "slot_contiguity": _slot_contiguity(cells),
+        "slot_contiguity": contiguity,
     }
-    occurrences = tuple(len(cells.get(s, ())) for s in range(p.s))
     row_ints = tuple(p.k - m.bit_count() for m in masks)
-    m = [0] * p.k
-    for r, c in (occ[0] for occ in cells.values()):
-        m[p.grid[r][c].sender] += 1
-    counts = tuple(m)
     opt = None
     if all(checks.values()):
         opt = _rate_optimality(p, occurrences, row_ints)

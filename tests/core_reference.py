@@ -93,6 +93,9 @@ def dpda_from_json(obj: str | Mapping) -> Dpda:
     if any(type(v) is not int for v in values):
         raise FormatError(f"JSON mirror k, lp, f, z, s must be integers, got {values!r}")
     k, lp, f, z, s = values
+    if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows):
+        raise FormatError("JSON mirror grid must be a list of rows")
     try:
         grid = tuple(
             tuple(_parse_token(str(t), r, c) for c, t in enumerate(row))

@@ -22,8 +22,10 @@ from search_reference import instances
 # flag set: `p4.optimal.json.out` holds the output of
 # `validate p4 --optimal --json`, `p4.simulate.json.out` that of
 # `simulate p4 ... --json`.  `search.json.out`, `search24.json.out`,
-# `search.out`, `bounds_compare.out` and `grid_mutated.json.out` hold one
-# transcript block per run: the argv, stdout, and the exit code.
+# `search.out`, `bounds_compare.out`, `grid_mutated.json.out` and
+# `grid_gap.out` hold one transcript block per run: the argv, stdout, and the
+# exit code.  `compare_families.out` and `certify_floors.out` hold the stdout
+# of those scripts.
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -147,6 +149,15 @@ GRID_MUTATIONS = {
 }
 
 
+def _slot_gap_text() -> str:
+    """grid_lifted with S raised to 37 and slot 0 renamed 36: ids 1..36 are
+    used, so C2 and slot contiguity both fail at the missing id 0."""
+    header, *rows = GOLDEN_ARRAYS["grid_lifted"].replace("S=36", "S=37").splitlines()
+    rows = [" ".join("36" + t[1:] if t.startswith("0^") else t for t in row.split())
+            for row in rows]
+    return "\n".join([header, *rows]) + "\n"
+
+
 def _transcript(capsys, tmp_path, texts: dict[str, str], *argvs: tuple[str, ...]) -> str:
     """One block per argv run on each array: argv, stdout and exit code.
 
@@ -185,6 +196,14 @@ def test_validate_mutated_family_golden_stdout(tmp_path, capsys):
         texts[f"grid_{condition}"] = text
     assert _transcript(capsys, tmp_path, texts, ("validate", "FILE", "--json")) == (
         GOLDEN_CLI / "grid_mutated.json.out").read_text()
+
+
+def test_validate_slot_gap_golden_stdout(tmp_path, capsys):
+    report = validate(parse_dpda(_slot_gap_text()))
+    assert report.first_failure == "c2" and not report.slot_contiguity.passed
+    assert _transcript(capsys, tmp_path, {"grid_gap": _slot_gap_text()},
+                       ("validate", "FILE"), ("validate", "FILE", "--json")) == (
+        GOLDEN_CLI / "grid_gap.out").read_text()
 
 
 @pytest.mark.parametrize("name, flags, code", [
@@ -416,6 +435,18 @@ def test_subcommand_skips_heavy_stdlib_imports(tmp_path, argv):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize("script, args", [
+    ("compare_families", ()),
+    ("certify_floors", ("--max-cells", "12")),
+])
+def test_scripts_golden_stdout(script, args):
+    # both validate every array they build or find, through the library
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, str(SRC.parent / "scripts" / f"{script}.py"), *args],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, (GOLDEN_CLI / f"{script}.out").read_text())
 
 
 def test_star_import_binds_every_public_name():

@@ -184,6 +184,12 @@ def test_json_mirror_rejects_malformed():
         {"k": 1, "lp": 1, "f": 1, "z": 1},
         [1, 2, 3],
         *({"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": grid} for grid in (5, [5], None)),
+        # a string or object is not a list of rows, though iterating it
+        # yields well-shaped rows of tokens
+        *({"k": k, "lp": 1, "f": f, "z": z, "s": 0, "grid": grid}
+          for k, f, z, grid in ((1, 2, 2, "**"), (2, 1, 1, ["**"]), (1, 1, 1, [{"*": 0}]),
+                                (1, 1, 1, {"*": 0}))),
+        '{"k": 1, "lp": 1, "f": 2, "z": 2, "s": 0, "grid": "**"}',
         # json.loads accepts Infinity
         '{"k": Infinity, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]}',
         {"k": 1.5, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]},

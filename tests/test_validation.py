@@ -280,13 +280,17 @@ def test_equal_broadcast_counts_follow_from_optimality():
 def test_report_fields_match_reference_scans():
     arrays = differential_corpus()
     two_senders = [q for p in valid_corpus() for q in two_sender_copies(p)]
-    failing = dict.fromkeys(("c0", "c3", "c4a", "c4b", "unique_sender"), 0)
+    failing = dict.fromkeys(("c0", "c2", "c3", "c4a", "c4b", "unique_sender",
+                             "slot_contiguity"), 0)
     for p in arrays + two_senders:
         report = validate(p)
         expected = validation_reference.report_fields(p)
         assert {name: getattr(report, name) for name in expected} == expected, p
         for name in failing:
             failing[name] += not getattr(report, name).passed
+        # every used id lies in [0, S), so a gap in them is a missing slot id
+        if not report.slot_contiguity.passed:
+            assert report.c2 == report.slot_contiguity, p
     # the flips, random and two-sender arrays reach every witness path, not
     # only the passing verdicts
     assert min(failing.values()) > 100, failing

@@ -2,19 +2,32 @@
 
 These are the validator's earlier per-cell paths: C0 builds each column's
 list of band cells at every in-band row, C1 counts the first band's stars
-cell by cell, C3 and the unique-sender check each walk every cell, C4 scans
-each slot's pairs by index, and the two count diagnostics walk the grid.
+cell by cell, C3 and the unique-sender check each walk every cell, and the
+two grid count diagnostics walk the grid.  The slot facts come from a slot
+index built here by its own per-cell scan: C2 probes every id below S, C4
+scans each slot's pairs by index in sorted slot order, contiguity sorts the
+used ids, and the occurrence and broadcast counts each walk the index.
 ``dpda.validation.validate`` derives the same fields from one pass over the
-rows, one transposed grid and one slot index; its report must equal these
-on every array.
+rows, one transposed grid and one walk over its slot index in id order; its
+report must equal these on every array.
 """
 
 from __future__ import annotations
 
-from dpda import Dpda, slot_cells
+from dpda import Dpda
 from dpda.validation import ConditionCheck
 
 _OK = ConditionCheck(True)
+
+
+def _slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
+    cells: dict[int, list[tuple[int, int]]] = {}
+    for r in range(p.rows):
+        for c in range(p.k):
+            e = p.grid[r][c]
+            if e is not None:
+                cells.setdefault(e.slot, []).append((r, c))
+    return cells
 
 
 def c0(p: Dpda) -> ConditionCheck:
@@ -36,6 +49,14 @@ def c1(p: Dpda) -> ConditionCheck:
     return _OK
 
 
+def c2(p: Dpda) -> ConditionCheck:
+    cells = _slot_cells(p)
+    for s in range(p.s):
+        if s not in cells:
+            return ConditionCheck(False, (s,))
+    return _OK
+
+
 def c3(p: Dpda) -> ConditionCheck:
     for r, row in enumerate(p.grid):
         for c, e in enumerate(row):
@@ -46,7 +67,7 @@ def c3(p: Dpda) -> ConditionCheck:
 
 def c4(p: Dpda) -> tuple[ConditionCheck, ConditionCheck]:
     c4a = c4b = _OK
-    for s, occ in sorted(slot_cells(p).items()):
+    for s, occ in sorted(_slot_cells(p).items()):
         for i in range(len(occ)):
             r1, c1 = occ[i]
             for r2, c2 in occ[i + 1:]:
@@ -71,6 +92,25 @@ def unique_sender(p: Dpda) -> ConditionCheck:
     return _OK
 
 
+def slot_contiguity(p: Dpda) -> ConditionCheck:
+    for i, s in enumerate(sorted(_slot_cells(p))):
+        if s != i:
+            return ConditionCheck(False, (i,))
+    return _OK
+
+
+def slot_occurrences(p: Dpda) -> tuple[int, ...]:
+    cells = _slot_cells(p)
+    return tuple(len(cells.get(s, ())) for s in range(p.s))
+
+
+def broadcast_counts(p: Dpda) -> tuple[int, ...]:
+    m = [0] * p.k
+    for r, c in (occ[0] for occ in _slot_cells(p).values()):
+        m[p.grid[r][c].sender] += 1
+    return tuple(m)
+
+
 def row_integer_counts(p: Dpda) -> tuple[int, ...]:
     return tuple(sum(1 for e in row if e is not None) for row in p.grid)
 
@@ -85,10 +125,14 @@ def report_fields(p: Dpda) -> dict:
     return {
         "c0": c0(p),
         "c1": c1(p),
+        "c2": c2(p),
         "c3": c3(p),
         "c4a": c4a,
         "c4b": c4b,
         "unique_sender": unique_sender(p),
+        "slot_contiguity": slot_contiguity(p),
+        "slot_occurrences": slot_occurrences(p),
         "row_integer_counts": row_integer_counts(p),
         "column_star_counts": column_star_counts(p),
+        "broadcast_counts": broadcast_counts(p),
     }
