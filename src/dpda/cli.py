@@ -119,9 +119,9 @@ def _parse_demand(literal: str, k: int) -> sim.Demand:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    p = _load(args.path)
     if (args.demand is None) == (args.trials is None):
         raise ValueError("provide exactly one of --demand or --trials")
+    p = _load(args.path)
     demand = None if args.demand is None else _parse_demand(args.demand, p.k)
     report = sim.simulate(p, args.files, args.blocks, args.packet_size,
                           demand=demand, trials=args.trials, seed=args.seed)

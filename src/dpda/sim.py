@@ -14,21 +14,24 @@ its first byte, so at most 256 distinct packets exist.
 A cache is never stored: it is the user's star rows plus the byte rule.
 Which cells each slot mixes, who sends it, whether the sender caches them,
 which side packets each user strips and whether it caches them depend on the
-array alone, so :func:`simulate` plans them once per run.  A trial touches
-only the demanded packets: it looks up the K requests' packet integers,
-XORs them per slot, strips each user's side packets and compares every
-recovered integer with the expected one.  A packet is a little-endian
-integer of width ``packet_size``, so two integers are equal exactly when
-their bytes are.  :func:`deliver` and :func:`decode` plan for their one call
-and run the same core; decoders never read a signal's audit-only
-``constituents``.
+array alone, so :func:`simulate` plans and checks them once per run; only
+the demand range and same-row collisions are checked per trial.  A packet is
+a little-endian integer of width ``packet_size``.  Trials run in chunks,
+drawn in trial order: a cell's packets for every trial of a chunk sit side
+by side in one integer, so a chunk XORs each slot once, strips each user's
+side packets once and compares each recovered integer with the expected
+one, equal exactly when every trial's bytes are.  :func:`deliver` and
+:func:`decode` run the same core on a one-trial chunk; decoders never read a
+signal's audit-only ``constituents``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from functools import reduce
+from operator import xor
+from typing import Callable, Container, Mapping, Sequence
 
 from .core import Dpda, _Record, _set, slot_cells
 
@@ -77,14 +80,10 @@ class Library(_Record):
                  _packets: dict[int, bytes] | None = None) -> None:
         super().__init__(n, l, f, packet_size, _ramp, {} if _packets is None else _packets)
 
-    def _first(self, i: int, block: int, h: int) -> int:
-        """The first byte of packet (i, block, h), which fixes the packet."""
+    def packet(self, i: int, block: int, h: int) -> bytes:
         if not (0 <= i < self.n and 0 <= block < self.l and 0 <= h < self.f):
             raise ValueError(f"packet id {(i, block, h)} outside the library")
-        return (i * 31 + block * 17 + h * 7) % 256
-
-    def packet(self, i: int, block: int, h: int) -> bytes:
-        first = self._first(i, block, h)
+        first = (i * 31 + block * 17 + h * 7) % 256  # fixes the packet
         pkt = self._packets.get(first)
         if pkt is None:
             pkt = self._packets[first] = self._ramp[first:first + self.packet_size]
@@ -165,139 +164,133 @@ class Signal(_Record):
 
 
 # Demand-free plans, derived from the array once per run and shared by every
-# trial.  A cell (i, j) is row i of column j; for a demand it carries packet
-# (d_j, b_j + i // F, i % F), formed by _pid only when an error names it.
+# trial.  Cell (i, j), row i of column j, is at index j*rows + i of flat cell
+# lists and carries packet (d_j, b_j + i // F, i % F).  A fault is a failure
+# the array alone decides: its message, whose "{}" names a cell's packet
+# (formed by _pid only then), and that cell or None.
 _Cell = tuple[int, int]
-_Slot = tuple[int, tuple[_Cell, ...], _Cell | None]
-_Side = tuple[int, int, bool, int | None]
-_Row = tuple[int | None, bool, tuple[_Side, ...]]
+_Fault = tuple[str, _Cell | None]
+_Row = tuple[int | None, tuple[int, ...]]
+CHUNK_BYTES = 4096  # bytes of one cell's integer: a chunk holds this // packet_size trials
 
 
 def _pid(dem: Demand, f: int, i: int, j: int) -> PacketId:
     return dem.d[j], dem.b[j] + i // f, i % f
 
 
+def _say(fault: _Fault, dem: Demand, f: int) -> str:
+    text, cell = fault
+    return text if cell is None else text.format(_pid(dem, f, *cell))
+
+
 def _slot_plan(p: Dpda, cells: Mapping[int, list[_Cell]],
-               caches: Caches) -> tuple[_Slot | None, ...]:
-    """Per slot: its sender, its cells, and the first cell whose packet the
-    sender does not cache (or None); None when the slot never occurs."""
-    plan: list[_Slot | None] = []
+               caches: Caches) -> tuple[list[tuple[int, ...]], _Fault | None]:
+    """Each slot's cell indices, in slot order, and the fault of the first
+    slot that never occurs or whose sender lacks one of its packets (None
+    when every slot can be sent)."""
+    mix, f, rows = [], p.f, p.rows
     for s in range(p.s):
         occ = cells.get(s)
         if not occ:
-            plan.append(None)
-            continue
+            return mix, (f"slot {s} never occurs; cannot schedule its broadcast", None)
         sender = p.grid[occ[0][0]][occ[0][1]].sender
-        held = caches.users[sender]
-        lacking = next(((i, j) for i, j in occ if i % p.f not in held), None)
-        plan.append((sender, tuple(occ), lacking))
-    return tuple(plan)
+        for i, j in occ:
+            if i % f not in caches.users[sender]:
+                return mix, (f"sender {sender} lacks packet {{}} needed for slot {s} "
+                             f"(entry at row {i}, column {j})", (i, j))
+        mix.append(tuple(j * rows + i for i, j in occ))
+    return mix, None
 
 
 def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int,
-               held: Callable[[int, int], bool]) -> tuple[_Row, ...]:
-    """Per row i of column ``k``: its slot (None for a star), whether user k
-    holds the row's own packet, and the slot's other cells as (column, row,
-    held, shift).  ``held(i, j)`` says whether user k holds cell (i, j)'s
-    packet.  Only a cell in the same in-band row can carry the wanted packet
-    itself, exactly when its start block is b_k + shift; other cells have
-    shift None."""
-    f = p.f
-    rows = []
+               held: Callable[[int, int], bool], sent: Container[int],
+               ) -> tuple[list[tuple[int, int, int, int]], _Fault | None, list[_Row]]:
+    """User k's decoding, checked in row order: (clashes, fault, rows).
+
+    ``held(i, j)`` says whether user k holds cell (i, j)'s packet, ``sent``
+    which slots were broadcast.  ``fault`` is that of the first star row
+    user k lacks, missing signal or side packet it cannot strip.
+    ``clashes`` lists, up to it, each side cell (i2, j2) in coded row i's
+    in-band row as (i, j2, shift, slot): it carries the wanted packet itself
+    when b_j2 = b_k + shift.  ``rows[i]`` is row i's (slot, side cells).
+    """
+    f, nrows = p.f, p.rows
+    clashes, rows = [], []
     for i, row in enumerate(p.grid):
         e = row[k]
-        sides: tuple[_Side, ...] = ()
-        if e is not None:
-            sides = tuple((j2, i2, held(i2, j2), i // f - i2 // f if i2 % f == i % f else None)
-                          for i2, j2 in cells[e.slot] if (i2, j2) != (i, k))
-        rows.append((None if e is None else e.slot, held(i, k), sides))
-    return tuple(rows)
+        if e is None:
+            if not held(i, k):
+                return clashes, (f"user {k} should have cached {{}} but has not", (i, k)), rows
+            rows.append((None, ()))
+            continue
+        if e.slot not in sent:
+            return clashes, (f"signal for slot {e.slot} missing", None), rows
+        sides = [(i2, j2) for i2, j2 in cells[e.slot] if (i2, j2) != (i, k)]
+        for i2, j2 in sides:
+            if i2 % f == i % f:
+                clashes.append((i, j2, i // f - i2 // f, e.slot))
+            if not held(i2, j2):
+                return clashes, (f"user {k} cannot remove uncached packet {{}} "
+                                 f"from slot {e.slot}", (i2, j2)), rows
+        rows.append((e.slot, tuple(j2 * nrows + i2 for i2, j2 in sides)))
+    return clashes, None, rows
 
 
-def _packet_table(lib: Library, lp: int, f: int) -> Callable[[int, int], list[int]]:
-    """A run-local memo from a request (file, start block) to the L'F packet
-    integers it asks for, in row order.
+def _refusal(plan: tuple, dem: Demand, k: int, f: int) -> str | None:
+    """Why user k cannot decode ``dem`` by ``plan`` (None if it can): its
+    first side packet equal to the wanted one, which would cancel inside the
+    XOR (valid arrays have none), else the plan's fault."""
+    clashes, fault, _rows = plan
+    d, b = dem.d, dem.b
+    for i, j2, shift, slot in clashes:
+        if d[j2] == d[k] and b[j2] == b[k] + shift:
+            return f"slot {slot} mixes packet {_pid(dem, f, i, k)} twice; array is not decodable"
+    return fault and _say(fault, dem, f)
 
-    A request's packets are fixed by the first byte of its first one, which
-    keys the memo, so at most 256 rows are kept.  Each integer is derived
-    once per distinct packet and shared by every row, so at most
-    min(256, N*L*F) are held however many files and trials there are.
+
+def _packets(lib: Library, lp: int, f: int, dems: list[Demand],
+             memo: dict[int, int] | None) -> list[int]:
+    """The flat cell integers of a chunk of demands: cell (i, j)'s holds its
+    packet for every trial, trial t at bytes [t*size, (t+1)*size).  Row
+    i = band*F + h is the column's joined first packets with band*17 + h*7
+    added to every byte (mod 256).  One-trial chunks pass a run-local
+    ``memo`` instead, so that each distinct packet is sliced once per run.
     """
     size, ramp = lib.packet_size, lib._ramp
-    ints: dict[int, int] = {}
-    rows: dict[int, list[int]] = {}
-
-    def request(i: int, start: int) -> list[int]:
-        key = lib._first(i, start, 0)
-        row = rows.get(key)
-        if row is None:
-            firsts = [lib._first(i, start + band, h) for band in range(lp) for h in range(f)]
-            for first in firsts:
-                if first not in ints:
-                    ints[first] = int.from_bytes(ramp[first:first + size], "little")
-            row = rows[key] = [ints[first] for first in firsts]
-        return row
-
-    return request
-
-
-def _deliver(slots: tuple[_Slot | None, ...], known: Sequence[Sequence[int]],
-             dem: Demand, f: int) -> list[int]:
-    """The payload integer of every slot, in slot order; ``known[j][i]`` is
-    the packet integer of cell (i, j)."""
-    payloads = []
-    for s, plan in enumerate(slots):
-        if plan is None:
-            raise SimulationError(f"slot {s} never occurs; cannot schedule its broadcast")
-        sender, occ, lacking = plan
-        if lacking is not None:
-            i, j = lacking
-            raise SimulationError(
-                f"sender {sender} lacks packet {_pid(dem, f, i, j)} needed for slot {s} "
-                f"(entry at row {i}, column {j})"
-            )
-        x = 0
-        for i, j in occ:
-            x ^= known[j][i]
-        payloads.append(x)
-    return payloads
+    offsets = [(band * 17 + h * 7) % 256 for band in range(lp) for h in range(f)]
+    if memo is not None:
+        firsts = [(d * 31 + b * 17 + o) % 256 for d, b in zip(dems[0].d, dems[0].b)
+                  for o in offsets]
+        for x in set(firsts).difference(memo):
+            memo[x] = int.from_bytes(ramp[x:x + size], "little")
+        return [memo[x] for x in firsts]
+    # add on the integer, byte by byte: the low seven bits of each byte add
+    # without a carry into the next byte, and the top bits XOR in
+    ones = int.from_bytes(b"\1" * (len(dems) * size), "little")
+    lows, tops = 0x7F * ones, 0x80 * ones
+    adds = [(o, (o & 0x7F) * ones, (o & 0x80) * ones) for o in set(offsets)]
+    out = []
+    for firsts in zip(*[[(d * 31 + b * 17) % 256 for d, b in zip(dem.d, dem.b)] for dem in dems]):
+        x = int.from_bytes(b"".join([ramp[y:y + size] for y in firsts]), "little")
+        low, top = x & lows, x & tops
+        row = {o: (low + add) ^ top ^ carry for o, add, carry in adds}
+        out += [row[o] for o in offsets]
+    return out
 
 
-def _decode(rows: tuple[_Row, ...], known: Sequence[Sequence[int | None]],
-            payloads: Mapping[int, int] | Sequence[int], dem: Demand, k: int,
-            f: int) -> list[int]:
-    """User ``k``'s recovered packet integers, in row order: a star row's
-    from ``known``, a coded row's from its slot's payload with the side
-    packets XORed out."""
-    d, b = dem.d, dem.b
-    dk, bk = d[k], b[k]
-    got = []
-    for i, (slot, held, sides) in enumerate(rows):
-        if slot is None:
-            if not held:
-                raise SimulationError(
-                    f"user {k} should have cached {_pid(dem, f, i, k)} but has not")
-            got.append(known[k][i])
-            continue
-        try:
-            x = payloads[slot]
-        except LookupError:
-            raise SimulationError(f"signal for slot {slot} missing") from None
-        for j2, i2, held2, shift in sides:
-            if shift is not None and d[j2] == dk and b[j2] == bk + shift:
-                # a side packet identical to the wanted one cancels inside
-                # the XOR; valid arrays cannot produce this
-                raise SimulationError(
-                    f"slot {slot} mixes packet {_pid(dem, f, i, k)} twice; array is not decodable"
-                )
-            if not held2:
-                raise SimulationError(
-                    f"user {k} cannot remove uncached packet {_pid(dem, f, i2, j2)} "
-                    f"from slot {slot}"
-                )
-            x ^= known[j2][i2]
-        got.append(x)
-    return got
+def _payloads(mix: list[tuple[int, ...]], ints: Sequence[int]) -> list[int]:
+    """Each slot's payload integer: the XOR of its cells' integers."""
+    return [reduce(xor, [ints[c] for c in occ]) for occ in mix]
+
+
+def _recover(rows: list[_Row], ints: Sequence[int],
+             payloads: Mapping[int, int] | Sequence[int], k: int) -> list[int]:
+    """User ``k``'s recovered integers, in row order: a star row's own, a
+    coded row's slot payload with its side cells XORed out."""
+    own = k * len(rows)
+    return [ints[own + i] if slot is None
+            else reduce(xor, [ints[c] for c in sides], payloads[slot])
+            for i, (slot, sides) in enumerate(rows)]
 
 
 def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
@@ -309,14 +302,14 @@ def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
     :class:`SimulationError`.
     """
     _check_demand(dem, p.k, lib.n, lib.l, p.lp)
-    slots = _slot_plan(p, slot_cells(p), caches)
-    request = _packet_table(lib, p.lp, p.f)
-    known = [request(dj, bj) for dj, bj in zip(dem.d, dem.b)]
-    payloads = _deliver(slots, known, dem, p.f)
-    return [Signal(slot=s, sender=plan[0],
+    cells = slot_cells(p)
+    mix, fault = _slot_plan(p, cells, caches)
+    if fault is not None:
+        raise SimulationError(_say(fault, dem, p.f))
+    return [Signal(slot=s, sender=p.grid[cells[s][0][0]][cells[s][0][1]].sender,
                    payload=x.to_bytes(lib.packet_size, "little"),
-                   constituents=tuple(_pid(dem, p.f, i, j) for i, j in plan[1]))
-            for s, (plan, x) in enumerate(zip(slots, payloads))]
+                   constituents=tuple(_pid(dem, p.f, i, j) for i, j in cells[s]))
+            for s, x in enumerate(_payloads(mix, _packets(lib, p.lp, p.f, [dem], {})))]
 
 
 def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal],
@@ -328,17 +321,46 @@ def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal]
     signal payloads; constituent ids are re-derived from the array, never
     read from the signals' audit lists.
     """
-    f = p.f
-    cached = [[cache_k.get(_pid(dem, f, i, j)) for i in range(p.rows)] for j in range(p.k)]
-    known = [[None if v is None else int.from_bytes(v, "little") for v in col]
-             for col in cached]
-    rows = _user_plan(p, slot_cells(p), k, lambda i, j: cached[j][i] is not None)
+    f, nrows = p.f, p.rows
+    cached = [cache_k.get(_pid(dem, f, i, j)) for j in range(p.k) for i in range(nrows)]
     by_slot = {sig.slot: sig.payload for sig in signals}
-    got = _decode(rows, known, {s: int.from_bytes(v, "little") for s, v in by_slot.items()},
-                  dem, k, f)
-    return {_pid(dem, f, i, k): cached[k][i] if slot is None
+    plan = _user_plan(p, slot_cells(p), k, lambda i, j: cached[j * nrows + i] is not None,
+                      by_slot)
+    message = _refusal(plan, dem, k, f)
+    if message:
+        raise SimulationError(message)
+    rows = plan[2]  # (slot, side cells) per row
+    ints = [0 if v is None else int.from_bytes(v, "little") for v in cached]
+    got = _recover(rows, ints, {s: int.from_bytes(v, "little") for s, v in by_slot.items()}, k)
+    return {_pid(dem, f, i, k): cached[k * nrows + i] if slot is None
             else x.to_bytes(len(by_slot[slot]), "little")
-            for i, ((slot, _held, _sides), x) in enumerate(zip(rows, got))}
+            for i, ((slot, _sides), x) in enumerate(zip(rows, got))}
+
+
+def _run_chunk(batch: list[tuple[int, Demand]], plans: list, mix: list[tuple[int, ...]],
+               f: int, size: int, ints: list[int]) -> list[tuple]:
+    """Deliver and decode a chunk of (trial, demand) pairs with cell integers
+    ``ints``; its failures as (trial, user, record), each user's by row."""
+    found, mask = [], (1 << 8 * size) - 1
+    payloads = _payloads(mix, ints)
+    for k, (clashes, stuck, rows) in enumerate(plans):
+        failed = set()
+        for pos, (run, dem) in enumerate(batch if clashes or stuck else ()):
+            message = _refusal(plans[k], dem, k, f)
+            if message:
+                failed.add(pos)
+                found.append((run, k, {"trial": run, "user": k, "error": message}))
+        if stuck:
+            continue
+        expect = ints[k * len(rows):(k + 1) * len(rows)]
+        for i, (x, y) in enumerate(zip(_recover(rows, ints, payloads, k), expect)):
+            if x != y:  # name every trial whose packet differs
+                x ^= y
+                found.extend((run, k, {"trial": run, "user": k, "packet": list(_pid(dem, f, i, k)),
+                                       "error": "byte mismatch"})
+                             for pos, (run, dem) in enumerate(batch)
+                             if pos not in failed and (x >> 8 * size * pos) & mask)
+    return found
 
 
 class SimReport(_Record):
@@ -368,10 +390,14 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
     """Run place -> deliver -> decode and verify byte-exact recovery.
 
     Exactly one of ``demand`` (a single run) or ``trials`` (that many
-    uniformly sampled demands, deterministic from ``seed``, each drawn when
-    its trial starts) must be given.  The cache size in files, Z*N/F, is
+    uniformly sampled demands, deterministic from ``seed``, each drawn in
+    trial order) must be given.  The cache size in files, Z*N/F, is
     reported exactly as a fraction; it need not be an integer.  Every packet
     of every user is compared with the library in every trial.
+
+    Trials run in chunks of ``CHUNK_BYTES // packet_size`` (at least one);
+    a run holds one chunk at a time, and each cell is one integer for the
+    whole chunk.  Failures come in trial, then user, then row order.
     """
     if l < p.lp:
         raise ValueError(f"need L >= L', got L={l}, L'={p.lp}")
@@ -385,36 +411,35 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
     rng = random.Random(seed)
     k_users, f, starts = p.k, p.f, l - p.lp + 1
     cells = slot_cells(p)
-    slots = _slot_plan(p, cells, caches)
-    plans = [_user_plan(p, cells, k, lambda i, j, star_rows=star_rows: i % f in star_rows)
-             for k, star_rows in enumerate(caches.users)]
-    request = _packet_table(lib, p.lp, f)
+    mix, fault = _slot_plan(p, cells, caches)
+    plans = [_user_plan(p, cells, k, lambda i, j, star_rows=star_rows: i % f in star_rows,
+                        range(p.s)) for k, star_rows in enumerate(caches.users)]
+    width = max(1, CHUNK_BYTES // packet_size)
+    memo = {} if width == 1 else None  # a one-trial chunk slices each packet once per run
     failures: list[dict] = []
     delivered = False
-    for run in range(count):
-        dem = demand if demand is not None else Demand(
-            d=tuple(rng.randrange(n) for _ in range(k_users)),
-            b=tuple(rng.randrange(starts) for _ in range(k_users)))
-        try:
-            _check_demand(dem, k_users, n, l, p.lp)
-            known = [request(dj, bj) for dj, bj in zip(dem.d, dem.b)]
-            payloads = _deliver(slots, known, dem, f)
-        except (SimulationError, ValueError) as exc:
-            failures.append({"trial": run, "demand": [list(dem.d), list(dem.b)],
-                             "error": str(exc)})
-            continue
-        delivered = True
-        for k, rows in enumerate(plans):
+    for start in range(0, count, width):
+        found = []  # (trial, user, record); a trial's own failure has user -1
+        batch = []
+        for run in range(start, min(start + width, count)):
+            dem = demand if demand is not None else Demand(
+                d=tuple(rng.randrange(n) for _ in range(k_users)),
+                b=tuple(rng.randrange(starts) for _ in range(k_users)))
             try:
-                got = _decode(rows, known, payloads, dem, k, f)
-            except SimulationError as exc:
-                failures.append({"trial": run, "user": k, "error": str(exc)})
+                _check_demand(dem, k_users, n, l, p.lp)
+                if fault is not None:
+                    raise SimulationError(_say(fault, dem, f))
+            except (SimulationError, ValueError) as exc:
+                found.append((run, -1, {"trial": run, "demand": [list(dem.d), list(dem.b)],
+                                        "error": str(exc)}))
                 continue
-            expect = known[k]
-            if got != expect:  # name every packet that differs, in row order
-                failures.extend({"trial": run, "user": k, "packet": list(_pid(dem, f, i, k)),
-                                 "error": "byte mismatch"}
-                                for i, (x, y) in enumerate(zip(got, expect)) if x != y)
+            batch.append((run, dem))
+        if batch:
+            delivered = True
+            found += _run_chunk(batch, plans, mix, f, packet_size,
+                                _packets(lib, p.lp, f, [dem for _, dem in batch], memo))
+        found.sort(key=lambda rec: rec[:2])  # trial, then user; rows stay in order
+        failures.extend(rec for _, _, rec in found)
     packets_sent = p.s if delivered else 0
     return SimReport(
         success=not failures,

@@ -4,10 +4,11 @@ These are the simulator's earlier per-call loops: ``deliver`` and every
 ``decode`` index the array themselves (``slot_cells``) on each call,
 ``simulate`` stores every user's cache as a dict of packet bytes
 (``user_cache_bytes``) and compares each recovered packet with the library
-one by one.  ``dpda.sim`` plans the slots and each user's decoding once per
-run, from star-row membership and the byte rule, and a trial there touches
-only the demanded packets, as integers; its reports, signals and decodes
-must equal these, failures and messages included.
+one by one, one trial at a time.  ``dpda.sim`` plans and checks the slots
+and each user's decoding once per run, from star-row membership and the
+byte rule, and runs the trials in chunks whose cells are wide integers
+holding every trial's packet; its reports, signals and decodes must equal
+these, failures, their messages and their order across chunks included.
 """
 
 from __future__ import annotations

@@ -322,6 +322,15 @@ def test_simulate_bad_demand_literal(tmp_path, capsys):
     assert code == 2
 
 
+def test_simulate_usage_error_before_reading_the_array(capsys):
+    # the --demand/--trials pair is checked first, so a missing file does not
+    # hide the usage error
+    code, out, err = run(capsys, "simulate", "/nonexistent/x.dpda", "--files", "4",
+                         "--blocks", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: provide exactly one of --demand or --trials\n"
+
+
 def test_search_finds_minimum(capsys):
     code, out, _ = run(capsys, "search", "--k", "4", "--f", "4", "--z", "2",
                        "--max-s", "8", "--json")

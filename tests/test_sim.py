@@ -285,14 +285,14 @@ class TestSimulate:
     def test_wrong_bytes_are_named_per_packet(self, monkeypatch):
         # recovery is checked byte for byte: corrupt what user 1 recovers
         # for its second band and every one of those packets is reported
-        decode_core = dpda.sim._decode
-
-        def corrupting(rows, known, payloads, dem, k, f):
-            got = decode_core(rows, known, payloads, dem, k, f)
-            return [x ^ 1 if k == 1 and i // f == 1 else x for i, x in enumerate(got)]
-
-        monkeypatch.setattr(dpda.sim, "_decode", corrupting)
+        recover = dpda.sim._recover
         p = lift(construct_even(2), 2)
+
+        def corrupting(rows, ints, payloads, k):
+            got = recover(rows, ints, payloads, k)
+            return [x ^ 1 if k == 1 and i // p.f == 1 else x for i, x in enumerate(got)]
+
+        monkeypatch.setattr(dpda.sim, "_recover", corrupting)
         dem = Demand(d=(0, 1, 2, 0), b=(0, 1, 0, 1))
         rep = simulate(p, 3, 3, packet_size=8, demand=dem)
         assert rep.failures == tuple({"trial": 0, "user": 1, "packet": [1, 2, h],
@@ -301,15 +301,15 @@ class TestSimulate:
     def test_flipped_payload_bit_is_named_per_packet(self, monkeypatch):
         # flip one bit of one slot's payload: exactly the packets that users
         # decode from that slot come out wrong, and each is reported
-        deliver_core = dpda.sim._deliver
+        payloads = dpda.sim._payloads
         slot = 5
 
-        def flipping(slots, known, dem, f):
-            payloads = deliver_core(slots, known, dem, f)
-            payloads[slot] ^= 1 << 13
-            return payloads
+        def flipping(mix, ints):
+            out = payloads(mix, ints)
+            out[slot] ^= 1 << 13
+            return out
 
-        monkeypatch.setattr(dpda.sim, "_deliver", flipping)
+        monkeypatch.setattr(dpda.sim, "_payloads", flipping)
         p = lift(construct_even(2), 2)
         dem = Demand(d=(0, 1, 2, 0), b=(0, 1, 0, 1))
         rep = simulate(p, 3, 3, packet_size=8, demand=dem)
@@ -332,6 +332,48 @@ class TestSimulate:
             tracemalloc.stop()
         assert rep.success
         assert peak < 2_000_000, peak
+
+    def test_corrupt_trial_mid_run_is_named_alone(self, monkeypatch):
+        # corrupt what user 1 recovers for the second trial of the second
+        # chunk only: exactly that trial's packets are reported
+        recover = dpda.sim._recover
+        p, n, l, size, seed = lift(construct_even(2), 2), 3, 3, 64, 4
+        width = dpda.sim.CHUNK_BYTES // size
+        trials = 3 * width - 5
+        users = []
+
+        def corrupting(rows, ints, payloads, k):
+            users.append(k)
+            got = recover(rows, ints, payloads, k)
+            if k == 1 and users.count(0) == 2:
+                return [x ^ 1 << 8 * size for x in got]
+            return got
+
+        monkeypatch.setattr(dpda.sim, "_recover", corrupting)
+        rep = simulate(p, n, l, packet_size=size, trials=trials, seed=seed)
+        rng = random.Random(seed)
+        for _ in range(width + 2):  # the demands of trials 0 .. width + 1
+            d = [rng.randrange(n) for _ in range(p.k)]
+            b = [rng.randrange(l - p.lp + 1) for _ in range(p.k)]
+        assert rep.failures == tuple(
+            {"trial": width + 1, "user": 1, "packet": [d[1], b[1] + i // p.f, i % p.f],
+             "error": "byte mismatch"} for i in range(p.rows))
+        assert users.count(0) == 3
+
+    def test_memory_holds_one_chunk_of_trials(self):
+        # a run holds one chunk of trials at a time, so 20,000 trials stay
+        # under the traced peak that 50 meet; holding every trial's demand
+        # alone would take several megabytes
+        p = construct_grid(3)
+        for trials in (50, 20_000):
+            tracemalloc.start()
+            try:
+                rep = simulate(p, 8, 2, 64, trials=trials, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rep.success and rep.trials == trials
+            assert peak < 1_000_000, (trials, peak)
 
     def test_argument_validation(self):
         p = parse_dpda(P4_TEXT)
@@ -439,6 +481,26 @@ class TestAgainstReference:
                                  b=tuple(rng.randrange(b_max) for _ in range(p.k)))
                     assert simulate(p, n, l, packet_size=size, demand=dem) == \
                         reference.simulate(p, n, l, packet_size=size, demand=dem), (p, dem)
+
+    @pytest.mark.parametrize("group", list(REFERENCE_CORPUS))
+    def test_simulate_reports_match_across_chunks(self, group):
+        # three chunks, the last one partial unless chunks hold one trial, so
+        # failures must keep trial order across chunk edges; one-byte packets
+        # make 4096-trial chunks, so only the smallest array takes them
+        rng = random.Random(f"chunks/{group}")
+        arrays = REFERENCE_CORPUS[group]
+        late = 0
+        for size in (1, 64, 4096, 5000):
+            width = max(1, dpda.sim.CHUNK_BYTES // size)
+            trials = 2 * width + 1
+            sample = ([min(arrays, key=lambda p: p.k * p.rows)] if size == 1
+                      else rng.sample(arrays, 3))
+            for p in sample:
+                kwargs = dict(packet_size=size, trials=trials, seed=rng.randrange(100))
+                rep = simulate(p, 3, p.lp + 1, **kwargs)
+                assert rep == reference.simulate(p, 3, p.lp + 1, **kwargs), (p, size)
+                late += any(f["trial"] >= 2 * width for f in rep.failures)
+        assert (late > 0) == (group != "valid")
 
     @pytest.mark.parametrize("group", list(REFERENCE_CORPUS))
     def test_deliver_and_decode_match(self, group):
