@@ -15,14 +15,13 @@ A cache is never stored: it is the user's star rows plus the byte rule.
 Which cells each slot mixes, who sends it, whether the sender caches them,
 which side packets each user strips and whether it caches them depend on the
 array alone, so :func:`simulate` plans and checks them once per run; only
-the demand range and same-row collisions are checked per trial.  A packet is
-a little-endian integer of width ``packet_size``.  Trials run in chunks,
-drawn in trial order: a cell's packets for every trial of a chunk sit side
-by side in one integer, so a chunk XORs each slot once, strips each user's
-side packets once and compares each recovered integer with the expected
-one, equal exactly when every trial's bytes are.  :func:`deliver` and
-:func:`decode` run the same core on a one-trial chunk; decoders never read a
-signal's audit-only ``constituents``.
+the demand range and same-row collisions are checked per trial.  Trials run
+in chunks that fit a byte budget, in trial order: a cell's packets for every
+trial of a chunk sit side by side in one little-endian integer, so a chunk
+XORs each slot, strips each user's side packets and compares each recovered
+integer with the expected one once.  :func:`deliver` and :func:`decode` run
+the same core on a one-trial chunk; decoders never read a signal's
+audit-only ``constituents``.
 """
 
 from __future__ import annotations
@@ -155,13 +154,6 @@ class Signal(_Record):
     payload: bytes
     constituents: tuple[PacketId, ...]
 
-    def __init__(self, slot: int, sender: int, payload: bytes,
-                 constituents: tuple[PacketId, ...]) -> None:
-        _set(self, "slot", slot)
-        _set(self, "sender", sender)
-        _set(self, "payload", payload)
-        _set(self, "constituents", constituents)
-
 
 # Demand-free plans, derived from the array once per run and shared by every
 # trial.  Cell (i, j), row i of column j, is at index j*rows + i of flat cell
@@ -171,7 +163,7 @@ class Signal(_Record):
 _Cell = tuple[int, int]
 _Fault = tuple[str, _Cell | None]
 _Row = tuple[int | None, tuple[int, ...]]
-CHUNK_BYTES = 4096  # bytes of one cell's integer: a chunk holds this // packet_size trials
+CHUNK_BYTES = 1 << 19  # bytes a chunk's trials may take: B = this // bytes per trial
 
 
 def _pid(dem: Demand, f: int, i: int, j: int) -> PacketId:
@@ -183,23 +175,24 @@ def _say(fault: _Fault, dem: Demand, f: int) -> str:
     return text if cell is None else text.format(_pid(dem, f, *cell))
 
 
-def _slot_plan(p: Dpda, cells: Mapping[int, list[_Cell]],
-               caches: Caches) -> tuple[list[tuple[int, ...]], _Fault | None]:
-    """Each slot's cell indices, in slot order, and the fault of the first
-    slot that never occurs or whose sender lacks one of its packets (None
-    when every slot can be sent)."""
-    mix, f, rows = [], p.f, p.rows
+def _slot_plan(p: Dpda, cells: Mapping[int, list[_Cell]], caches: Caches,
+               ) -> tuple[list[tuple[int, ...]], list[int], _Fault | None]:
+    """Each slot's cell indices and its sender, in slot order, and the fault
+    of the first slot that never occurs or whose sender lacks one of its
+    packets (None when every slot can be sent)."""
+    mix, senders, f, rows = [], [], p.f, p.rows
     for s in range(p.s):
         occ = cells.get(s)
         if not occ:
-            return mix, (f"slot {s} never occurs; cannot schedule its broadcast", None)
+            return mix, senders, (f"slot {s} never occurs; cannot schedule its broadcast", None)
         sender = p.grid[occ[0][0]][occ[0][1]].sender
         for i, j in occ:
             if i % f not in caches.users[sender]:
-                return mix, (f"sender {sender} lacks packet {{}} needed for slot {s} "
-                             f"(entry at row {i}, column {j})", (i, j))
+                return mix, senders, (f"sender {sender} lacks packet {{}} needed for slot {s} "
+                                      f"(entry at row {i}, column {j})", (i, j))
         mix.append(tuple(j * rows + i for i, j in occ))
-    return mix, None
+        senders.append(sender)
+    return mix, senders, None
 
 
 def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int,
@@ -249,21 +242,26 @@ def _refusal(plan: tuple, dem: Demand, k: int, f: int) -> str | None:
 
 
 def _packets(lib: Library, lp: int, f: int, dems: list[Demand],
-             memo: dict[int, int] | None) -> list[int]:
-    """The flat cell integers of a chunk of demands: cell (i, j)'s holds its
-    packet for every trial, trial t at bytes [t*size, (t+1)*size).  Row
-    i = band*F + h is the column's joined first packets with band*17 + h*7
-    added to every byte (mod 256).  One-trial chunks pass a run-local
-    ``memo`` instead, so that each distinct packet is sliced once per run.
-    """
+             memo: tuple[dict[int, int], dict[int, list[int]]] | None) -> list[int]:
+    """The flat cell integers of a chunk: cell (i, j)'s holds its packet for
+    every trial, trial t at bytes [t*size, (t+1)*size).  Row i = band*F + h is
+    the column's joined first packets plus band*17 + h*7 on every byte (mod
+    256).  One-trial chunks read each request's column from ``memo`` instead:
+    its packets by first byte and its columns by first packet, each built
+    once per run, so at most 256 of either are held."""
     size, ramp = lib.packet_size, lib._ramp
     offsets = [(band * 17 + h * 7) % 256 for band in range(lp) for h in range(f)]
-    if memo is not None:
-        firsts = [(d * 31 + b * 17 + o) % 256 for d, b in zip(dems[0].d, dems[0].b)
-                  for o in offsets]
-        for x in set(firsts).difference(memo):
-            memo[x] = int.from_bytes(ramp[x:x + size], "little")
-        return [memo[x] for x in firsts]
+    if memo is not None:  # the add below costs bulk runs more than slicing
+        packets, columns = memo
+        out = []
+        for d, b in zip(dems[0].d, dems[0].b):
+            y = (d * 31 + b * 17) % 256
+            if y not in columns:
+                for x in {(y + o) % 256 for o in offsets}.difference(packets):
+                    packets[x] = int.from_bytes(ramp[x:x + size], "little")
+                columns[y] = [packets[(y + o) % 256] for o in offsets]
+            out += columns[y]
+        return out
     # add on the integer, byte by byte: the low seven bits of each byte add
     # without a carry into the next byte, and the top bits XOR in
     ones = int.from_bytes(b"\1" * (len(dems) * size), "little")
@@ -280,17 +278,19 @@ def _packets(lib: Library, lp: int, f: int, dems: list[Demand],
 
 def _payloads(mix: list[tuple[int, ...]], ints: Sequence[int]) -> list[int]:
     """Each slot's payload integer: the XOR of its cells' integers."""
-    return [reduce(xor, [ints[c] for c in occ]) for occ in mix]
+    return [reduce(xor, map(ints.__getitem__, occ)) for occ in mix]
 
 
 def _recover(rows: list[_Row], ints: Sequence[int],
              payloads: Mapping[int, int] | Sequence[int], k: int) -> list[int]:
-    """User ``k``'s recovered integers, in row order: a star row's own, a
-    coded row's slot payload with its side cells XORed out."""
-    own = k * len(rows)
-    return [ints[own + i] if slot is None
-            else reduce(xor, [ints[c] for c in sides], payloads[slot])
-            for i, (slot, sides) in enumerate(rows)]
+    """User ``k``'s recovered integers by row: its own, or a slot's minus side cells."""
+    own, got = k * len(rows), []
+    for i, (slot, sides) in enumerate(rows):
+        x = ints[own + i] if slot is None else payloads[slot]
+        for c in sides:  # a star row has none
+            x ^= ints[c]
+        got.append(x)
+    return got
 
 
 def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
@@ -303,13 +303,12 @@ def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
     """
     _check_demand(dem, p.k, lib.n, lib.l, p.lp)
     cells = slot_cells(p)
-    mix, fault = _slot_plan(p, cells, caches)
+    mix, senders, fault = _slot_plan(p, cells, caches)
     if fault is not None:
         raise SimulationError(_say(fault, dem, p.f))
-    return [Signal(slot=s, sender=p.grid[cells[s][0][0]][cells[s][0][1]].sender,
-                   payload=x.to_bytes(lib.packet_size, "little"),
+    return [Signal(slot=s, sender=senders[s], payload=x.to_bytes(lib.packet_size, "little"),
                    constituents=tuple(_pid(dem, p.f, i, j) for i, j in cells[s]))
-            for s, x in enumerate(_payloads(mix, _packets(lib, p.lp, p.f, [dem], {})))]
+            for s, x in enumerate(_payloads(mix, _packets(lib, p.lp, p.f, [dem], ({}, {}))))]
 
 
 def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal],
@@ -346,14 +345,13 @@ def _run_chunk(batch: list[tuple[int, Demand]], plans: list, mix: list[tuple[int
     for k, (clashes, stuck, rows) in enumerate(plans):
         failed = set()
         for pos, (run, dem) in enumerate(batch if clashes or stuck else ()):
-            message = _refusal(plans[k], dem, k, f)
-            if message:
+            if message := _refusal(plans[k], dem, k, f):
                 failed.add(pos)
                 found.append((run, k, {"trial": run, "user": k, "error": message}))
-        if stuck:
-            continue
         expect = ints[k * len(rows):(k + 1) * len(rows)]
-        for i, (x, y) in enumerate(zip(_recover(rows, ints, payloads, k), expect)):
+        if stuck or (got := _recover(rows, ints, payloads, k)) == expect:
+            continue
+        for i, (x, y) in enumerate(zip(got, expect)):
             if x != y:  # name every trial whose packet differs
                 x ^= y
                 found.extend((run, k, {"trial": run, "user": k, "packet": list(_pid(dem, f, i, k)),
@@ -395,9 +393,11 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
     reported exactly as a fraction; it need not be an integer.  Every packet
     of every user is compared with the library in every trial.
 
-    Trials run in chunks of ``CHUNK_BYTES // packet_size`` (at least one);
-    a run holds one chunk at a time, and each cell is one integer for the
-    whole chunk.  Failures come in trial, then user, then row order.
+    Trials run in chunks of ``CHUNK_BYTES // (packet_size*(K*rows + S) + 512)``
+    trials (at least one), as a trial takes a packet per cell and per slot
+    and about 512 bytes of demand.  A run holds one chunk at a time: beyond
+    its plans, which grow with the array, about ``CHUNK_BYTES`` whatever the
+    array, trial and file counts.  Failures come in trial, user, row order.
     """
     if l < p.lp:
         raise ValueError(f"need L >= L', got L={l}, L'={p.lp}")
@@ -411,11 +411,11 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
     rng = random.Random(seed)
     k_users, f, starts = p.k, p.f, l - p.lp + 1
     cells = slot_cells(p)
-    mix, fault = _slot_plan(p, cells, caches)
+    mix, _senders, fault = _slot_plan(p, cells, caches)
     plans = [_user_plan(p, cells, k, lambda i, j, star_rows=star_rows: i % f in star_rows,
                         range(p.s)) for k, star_rows in enumerate(caches.users)]
-    width = max(1, CHUNK_BYTES // packet_size)
-    memo = {} if width == 1 else None  # a one-trial chunk slices each packet once per run
+    width = max(1, CHUNK_BYTES // (packet_size * (p.k * p.rows + p.s) + 512))
+    memo = ({}, {}) if width == 1 else None
     failures: list[dict] = []
     delivered = False
     for start in range(0, count, width):

@@ -35,6 +35,11 @@ from fuzz import random_well_formed, valid_corpus
 from golden import P3_TEXT, P4_TEXT, P6_TEXT, Q_LIFTED_P4_TEXT
 
 
+def _chunk_trials(p: Dpda, size: int) -> int:
+    """Trials per chunk of ``simulate``, by the rule its docstring states."""
+    return max(1, dpda.sim.CHUNK_BYTES // (size * (p.k * p.rows + p.s) + 512))
+
+
 def _xor(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
 
@@ -338,7 +343,7 @@ class TestSimulate:
         # chunk only: exactly that trial's packets are reported
         recover = dpda.sim._recover
         p, n, l, size, seed = lift(construct_even(2), 2), 3, 3, 64, 4
-        width = dpda.sim.CHUNK_BYTES // size
+        width = _chunk_trials(p, size)
         trials = 3 * width - 5
         users = []
 
@@ -374,6 +379,23 @@ class TestSimulate:
                 tracemalloc.stop()
             assert rep.success and rep.trials == trials
             assert peak < 1_000_000, (trials, peak)
+
+    def test_memory_per_chunk_does_not_grow_with_the_array(self):
+        # a chunk's trials fit CHUNK_BYTES however large the array: 100 trials
+        # of 64-byte packets on grid(8), 1,024 cells and 448 slots, take less
+        # than that beyond one trial's peak; chunks of 4096 // 64 trials took
+        # about 6.5 MB more
+        p = construct_grid(8)
+        peaks = []
+        for trials in (1, 100):
+            tracemalloc.start()
+            try:
+                rep = simulate(p, 4, 1, 64, trials=trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert rep.success and rep.trials == trials
+        assert peaks[1] - peaks[0] < dpda.sim.CHUNK_BYTES, peaks
 
     def test_argument_validation(self):
         p = parse_dpda(P4_TEXT)
@@ -486,19 +508,24 @@ class TestAgainstReference:
     def test_simulate_reports_match_across_chunks(self, group):
         # three chunks, the last one partial unless chunks hold one trial, so
         # failures must keep trial order across chunk edges; one-byte packets
-        # make 4096-trial chunks, so only the smallest array takes them
+        # make chunks of about 1,000 trials, so only the smallest array takes
+        # them, and the last size is stretched, where the array is small,
+        # until a chunk holds one trial
         rng = random.Random(f"chunks/{group}")
         arrays = REFERENCE_CORPUS[group]
         late = 0
         for size in (1, 64, 4096, 5000):
-            width = max(1, dpda.sim.CHUNK_BYTES // size)
-            trials = 2 * width + 1
             sample = ([min(arrays, key=lambda p: p.k * p.rows)] if size == 1
                       else rng.sample(arrays, 3))
             for p in sample:
-                kwargs = dict(packet_size=size, trials=trials, seed=rng.randrange(100))
+                packet = size if size < 5000 else max(
+                    size, dpda.sim.CHUNK_BYTES // (p.k * p.rows + p.s) + 1)
+                width = _chunk_trials(p, packet)
+                assert width > 1 or size > 64
+                assert width == 1 or size < 5000
+                kwargs = dict(packet_size=packet, trials=2 * width + 1, seed=rng.randrange(100))
                 rep = simulate(p, 3, p.lp + 1, **kwargs)
-                assert rep == reference.simulate(p, 3, p.lp + 1, **kwargs), (p, size)
+                assert rep == reference.simulate(p, 3, p.lp + 1, **kwargs), (p, packet)
                 late += any(f["trial"] >= 2 * width for f in rep.failures)
         assert (late > 0) == (group != "valid")
 
