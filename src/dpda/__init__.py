@@ -22,8 +22,7 @@ _EXPORTS = {
              "parse_dpda", "serialize_dpda", "dpda_to_json", "dpda_from_json",
              "slot_cells", "permute_band_rows", "permute_columns", "relabel_slots"),
     "validation": ("ConditionCheck", "ValidationReport", "RateOptimality", "validate"),
-    "construct": ("subset_rank", "subset_unrank",
-                  "construct_jcm", "construct_grid", "construct_even", "construct_odd",
+    "construct": ("construct_jcm", "construct_grid", "construct_even", "construct_odd",
                   "lift"),
     "bounds": ("rate_lower_bound", "min_f_bound", "jcm_params", "JcmParams",
                "compare_to_jcm", "JcmComparison", "BoundsReport",

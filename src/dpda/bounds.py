@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .core import Dpda, _Record
 from .validation import validate
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-class _Case(NamedTuple):
+class _Case(_Record):
     """A memory-ratio case Z/F = numerator(K)/K and its packet-number floor."""
 
     min_k: int

@@ -16,8 +16,8 @@ Families (all rate-optimal, L' = 1):
 requests at unchanged rate.
 
 Symbolic slot labels (subsets, super combinations) are numbered by
-lexicographic subset rank (what ``subset_rank`` computes), read from one
-``combinations`` table per builder call; the chosen bijections are fixed so
+lexicographic subset rank, read from one ``combinations`` table per builder
+call; the chosen bijections are fixed so
 outputs are bit-reproducible.
 """
 
@@ -30,77 +30,12 @@ from typing import Sequence
 from .core import STAR, Coded, Dpda, Entry
 
 __all__ = [
-    "subset_rank",
-    "subset_unrank",
     "construct_jcm",
     "construct_grid",
     "construct_even",
     "construct_odd",
     "lift",
 ]
-
-
-def _ground_elements(ground: int | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(ground, int):
-        if ground < 0:
-            raise ValueError("ground-set size must be nonnegative")
-        return tuple(range(ground))
-    elems = tuple(ground)
-    if any(b <= a for a, b in zip(elems, elems[1:])):
-        raise ValueError("ground set must be strictly increasing")
-    return elems
-
-
-def subset_rank(ground: int | Sequence[int], subset: Sequence[int]) -> int:
-    """Lexicographic rank of ``subset`` among the equal-size subsets of ``ground``.
-
-    ``ground`` is either an integer n (meaning 0..n-1) or a strictly
-    increasing sequence.  ``subset`` must be a nonempty, strictly increasing
-    selection of ground elements.  Ranks run from 0 (the first g elements)
-    to C(n, g) - 1.
-    """
-    elems = _ground_elements(ground)
-    sub = tuple(subset)
-    if not sub:
-        raise ValueError("subset must be nonempty")
-    if any(b <= a for a, b in zip(sub, sub[1:])):
-        raise ValueError("subset must be strictly increasing")
-    index = {e: i for i, e in enumerate(elems)}
-    try:
-        pos = [index[e] for e in sub]
-    except KeyError as exc:
-        raise ValueError(f"subset element {exc.args[0]} not in ground set") from exc
-    n, g = len(elems), len(sub)
-    rank = 0
-    prev = -1
-    for i, pi in enumerate(pos):
-        for v in range(prev + 1, pi):
-            rank += comb(n - 1 - v, g - 1 - i)
-        prev = pi
-    return rank
-
-
-def subset_unrank(ground: int | Sequence[int], g: int, rank: int) -> tuple[int, ...]:
-    """Inverse of :func:`subset_rank` for fixed subset size ``g``."""
-    elems = _ground_elements(ground)
-    n = len(elems)
-    if not 1 <= g <= n:
-        raise ValueError(f"subset size {g} out of range [1,{n}]")
-    if not 0 <= rank < comb(n, g):
-        raise ValueError(f"rank {rank} out of range [0,{comb(n, g)})")
-    pos = []
-    prev = -1
-    for i in range(g):
-        v = prev + 1
-        while True:
-            c = comb(n - 1 - v, g - 1 - i)
-            if rank < c:
-                break
-            rank -= c
-            v += 1
-        pos.append(v)
-        prev = v
-    return tuple(elems[v] for v in pos)
 
 
 def construct_jcm(k: int, t: int) -> Dpda:

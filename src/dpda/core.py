@@ -353,17 +353,22 @@ def permute_columns(p: Dpda, order: Sequence[int]) -> Dpda:
     """
     if sorted(order) != list(range(p.k)):
         raise ValueError("order must be a permutation of range(K)")
-    inv = [0] * p.k
+    return Dpda(k=p.k, lp=p.lp, f=p.f, z=p.z, s=p.s, grid=_permuted_grid(p.grid, order))
+
+
+def _permuted_grid(grid: Sequence[Sequence[Entry]], order: Sequence[int]
+                   ) -> tuple[tuple[Entry, ...], ...]:
+    """``grid`` with column ``order[c]`` placed at ``c`` and senders relabeled along."""
+    inv = [0] * len(order)
     for new, old in enumerate(order):
         inv[old] = new
-    grid = tuple(
+    return tuple(
         tuple(
             e if e is None else Coded(e.slot, inv[e.sender])
             for e in (row[old] for old in order)
         )
-        for row in p.grid
+        for row in grid
     )
-    return Dpda(k=p.k, lp=p.lp, f=p.f, z=p.z, s=p.s, grid=grid)
 
 
 def relabel_slots(p: Dpda, mapping: Sequence[int] | Mapping[int, int]) -> Dpda:

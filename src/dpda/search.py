@@ -6,6 +6,10 @@ scans S upward over them to certify the exact minimum.  The search is
 complete: star patterns (column star sets, exactly Z per column) are
 enumerated first, then the coded cells are partitioned into exactly S slot
 classes subject to the pair conditions and the existence of a sender column.
+A class keeps its rows, columns and feasible senders as bitmasks, and a cell
+joins it with one test against its row's and its column's star masks: every
+crossing cell is a star (C4, which also keeps a class's rows and columns
+distinct) and a sender column still holds a star in every class row (C3).
 
 Pruning never changes answers, only node counts:
 
@@ -33,7 +37,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import comb
 from typing import Iterable, Iterator
 
-from .core import STAR, Coded, Dpda, Entry, _Record, serialize_dpda
+from .core import STAR, Coded, Dpda, Entry, _Record, _permuted_grid, serialize_dpda
 
 __all__ = [
     "DEFAULT_CELLS_LIMIT",
@@ -89,33 +93,25 @@ def _pattern_canonical(lines: _Rows) -> bool:
     )
 
 
-class _Class:
-    __slots__ = ("cells", "rows", "cols", "senders")
-
-    def __init__(self, r: int, c: int, senders: set[int]):
-        self.cells = [(r, c)]
-        self.rows = {r}
-        self.cols = {c}
-        self.senders = senders
-
-
 def _partition_cells(star: _Rows, f: int, k: int, z: int,
-                     s_target: int, counter: list[int]) -> list[_Class] | None:
+                     s_target: int, counter: list[int]) -> list[tuple] | None:
     """Partition the non-star cells into exactly ``s_target`` slot classes.
 
-    Each class must have pairwise distinct rows and columns, stars at all
-    crossing positions, and at least one feasible sender column (a column
-    outside the class with stars in every class row).  Returns the classes
-    in creation order, or None when no partition exists.
+    A class is a ``(cells, rows, cols, senders)`` tuple whose last three
+    fields are bitmasks.  Cell (r, c) joins a class that is not full iff
+    row r holds stars in all the class's columns, column c holds stars in
+    all its rows, and row r holds a star in one of its senders: every
+    crossing cell is then a star, which also keeps the coded members off
+    row r and column c.  A new class's senders are row r's star columns.
+    Returns the classes in creation order, or None when no partition exists.
     """
     cells = [(r, c) for r in range(f) for c in range(k) if not star[r][c]]
     if len(cells) < s_target:
         return None
     cap = min(f, k - 1, z) if cells else 0
-    star_cols_by_row = [
-        frozenset(c for c in range(k) if star[r][c]) for r in range(f)
-    ]
-    classes: list[_Class] = []
+    row_stars = [sum(1 << c for c in range(k) if star[r][c]) for r in range(f)]
+    col_stars = [sum(1 << r for r in range(f) if star[r][c]) for c in range(k)]
+    classes: list[tuple] = []
 
     def extend(idx: int) -> bool:
         if idx == len(cells):
@@ -123,41 +119,28 @@ def _partition_cells(star: _Rows, f: int, k: int, z: int,
         remaining = len(cells) - idx
         if len(classes) + remaining < s_target:
             return False
-        room = sum(cap - len(cl.cells) for cl in classes)
+        room = sum(cap - len(cl[0]) for cl in classes)
         room += (s_target - len(classes)) * cap
         if room < remaining:
             return False
         r, c = cells[idx]
-        for cl in classes:
-            if len(cl.cells) == cap or r in cl.rows or c in cl.cols:
-                continue
-            if any(not star[r][c2] or not star[r2][c] for r2, c2 in cl.cells):
-                continue
-            new_senders = {x for x in cl.senders if star[r][x]}
-            new_senders.discard(c)
-            if not new_senders:
+        in_row, in_col = row_stars[r], col_stars[c]
+        for i, old in enumerate(classes):
+            members, rows, cols, senders = old
+            if (len(members) == cap or cols & ~in_row or rows & ~in_col
+                    or not senders & in_row):
                 continue
             counter[0] += 1
-            old_senders = cl.senders
-            cl.cells.append((r, c))
-            cl.rows.add(r)
-            cl.cols.add(c)
-            cl.senders = new_senders
+            classes[i] = (members + ((r, c),), rows | 1 << r, cols | 1 << c, senders & in_row)
             if extend(idx + 1):
                 return True
-            cl.cells.pop()
-            cl.rows.discard(r)
-            cl.cols.discard(c)
-            cl.senders = old_senders
-        if len(classes) < s_target:
-            senders = set(star_cols_by_row[r])
-            senders.discard(c)
-            if senders:
-                counter[0] += 1
-                classes.append(_Class(r, c, senders))
-                if extend(idx + 1):
-                    return True
-                classes.pop()
+            classes[i] = old
+        if len(classes) < s_target and in_row:
+            counter[0] += 1
+            classes.append((((r, c),), 1 << r, 1 << c, in_row))
+            if extend(idx + 1):
+                return True
+            classes.pop()
         return False
 
     return classes if extend(0) else None
@@ -234,9 +217,9 @@ def _first_witness(k: int, f: int, z: int, s: int,
         # every non-star cell belongs to exactly one class, so filling the
         # classes over an all-star grid yields the complete array
         grid: list[list[Entry]] = [[STAR] * k for _ in range(f)]
-        for slot, cl in enumerate(classes):
-            sender = min(cl.senders)
-            for r, c in cl.cells:
+        for slot, (cells, _rows, _cols, senders) in enumerate(classes):
+            sender = (senders & -senders).bit_length() - 1  # the lowest feasible sender
+            for r, c in cells:
                 grid[r][c] = Coded(slot, sender)
         witness = Dpda(k=k, lp=1, f=f, z=z, s=s,
                        grid=tuple(tuple(row) for row in grid))
@@ -307,7 +290,7 @@ def canonicalize(p: Dpda, *, cells_limit: int = _CANON_CELLS_LIMIT) -> Dpda:
         )
     best: list[tuple] | None = None
 
-    def descend(rows: list[tuple[Entry, ...]], used: list[bool],
+    def descend(rows: tuple[tuple[Entry, ...], ...], used: list[bool],
                 slot_map: dict[int, int], acc: list[tuple]) -> None:
         nonlocal best
         depth = len(acc)
@@ -338,17 +321,7 @@ def canonicalize(p: Dpda, *, cells_limit: int = _CANON_CELLS_LIMIT) -> Dpda:
         acc.pop()
 
     for perm in permutations(range(p.k)):
-        inv = [0] * p.k
-        for new, old in enumerate(perm):
-            inv[old] = new
-        rows = [
-            tuple(
-                e if e is None else Coded(e.slot, inv[e.sender])
-                for e in (p.grid[r][old] for old in perm)
-            )
-            for r in range(p.f)
-        ]
-        descend(rows, [False] * p.f, {}, [])
+        descend(_permuted_grid(p.grid, perm), [False] * p.f, {}, [])
 
     assert best is not None
     grid = tuple(

@@ -14,14 +14,14 @@ its first byte, so at most 256 distinct packets exist.
 A cache is never stored: it is the user's star rows plus the byte rule.
 Which cells each slot mixes, who sends it, whether the sender caches them,
 which side packets each user strips and whether it caches them depend on the
-array alone, so :func:`simulate` plans and checks them once per run; only
-the demand range and same-row collisions are checked per trial.  Trials run
-in chunks that fit a byte budget, in trial order: a cell's packets for every
-trial of a chunk sit side by side in one little-endian integer, so a chunk
-XORs each slot, strips each user's side packets and compares each recovered
-integer with the expected one once.  :func:`deliver` and :func:`decode` run
-the same core on a one-trial chunk; decoders never read a signal's
-audit-only ``constituents``.
+array alone, so :func:`simulate` plans and checks them, and a caller's
+demand, once per run; only same-row collisions are checked per trial (drawn
+demands are in range).  Trials run in chunks that fit a byte budget, in
+trial order: a cell's packets for every trial of a chunk sit side by side in
+one little-endian integer, so a chunk XORs each slot, strips each user's
+side packets and compares each recovered integer with the expected one
+once.  :func:`deliver` and :func:`decode` run the same core on a one-trial
+chunk; decoders never read a signal's audit-only ``constituents``.
 """
 
 from __future__ import annotations
@@ -414,33 +414,28 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
     mix, _senders, fault = _slot_plan(p, cells, caches)
     plans = [_user_plan(p, cells, k, lambda i, j, star_rows=star_rows: i % f in star_rows,
                         range(p.s)) for k, star_rows in enumerate(caches.users)]
+    if demand is not None:
+        try:
+            _check_demand(demand, k_users, n, l, p.lp)
+        except ValueError as exc:
+            fault = (str(exc), None)
     width = max(1, CHUNK_BYTES // (packet_size * (p.k * p.rows + p.s) + 512))
     memo = ({}, {}) if width == 1 else None
     failures: list[dict] = []
-    delivered = False
     for start in range(0, count, width):
-        found = []  # (trial, user, record); a trial's own failure has user -1
-        batch = []
-        for run in range(start, min(start + width, count)):
-            dem = demand if demand is not None else Demand(
-                d=tuple(rng.randrange(n) for _ in range(k_users)),
-                b=tuple(rng.randrange(starts) for _ in range(k_users)))
-            try:
-                _check_demand(dem, k_users, n, l, p.lp)
-                if fault is not None:
-                    raise SimulationError(_say(fault, dem, f))
-            except (SimulationError, ValueError) as exc:
-                found.append((run, -1, {"trial": run, "demand": [list(dem.d), list(dem.b)],
-                                        "error": str(exc)}))
-                continue
-            batch.append((run, dem))
-        if batch:
-            delivered = True
-            found += _run_chunk(batch, plans, mix, f, packet_size,
-                                _packets(lib, p.lp, f, [dem for _, dem in batch], memo))
+        batch = [(run, demand if demand is not None else Demand(
+                     d=tuple(rng.randrange(n) for _ in range(k_users)),
+                     b=tuple(rng.randrange(starts) for _ in range(k_users))))
+                 for run in range(start, min(start + width, count))]
+        if fault is not None:
+            failures.extend({"trial": run, "demand": [list(dem.d), list(dem.b)],
+                             "error": _say(fault, dem, f)} for run, dem in batch)
+            continue
+        found = _run_chunk(batch, plans, mix, f, packet_size,
+                           _packets(lib, p.lp, f, [dem for _, dem in batch], memo))
         found.sort(key=lambda rec: rec[:2])  # trial, then user; rows stay in order
         failures.extend(rec for _, _, rec in found)
-    packets_sent = p.s if delivered else 0
+    packets_sent = 0 if fault is not None else p.s
     return SimReport(
         success=not failures,
         packets_sent=packets_sent,

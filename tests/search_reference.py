@@ -8,6 +8,12 @@ symmetry pruning, and partitions the coded cells of each one.
 witnesses must validate.  Node counts differ by design: this path
 partitions every pattern.
 
+``partition_cells`` is the search's earlier set-based cell partition:
+each slot class is a mutable object holding its cells and its row, column
+and sender sets.  ``dpda.search._partition_cells`` works on star bitmasks
+and must give the same verdict, the same classes in the same order with
+the same lowest sender, and the same node count.
+
 ``canonical_patterns`` is the search's earlier generate-and-test pattern
 pass: it walks all ``C(F,Z)^K`` patterns in ``product`` order and keeps
 those that pass a K!- or F!-permutation canonicity test.
@@ -22,7 +28,81 @@ from math import factorial
 from typing import Iterator
 
 from dpda import STAR, Coded, Dpda
-from dpda.search import SearchResult, _partition_cells, _Rows
+from dpda.search import SearchResult, _Rows
+
+
+class _Class:
+    __slots__ = ("cells", "rows", "cols", "senders")
+
+    def __init__(self, r: int, c: int, senders: set[int]):
+        self.cells = [(r, c)]
+        self.rows = {r}
+        self.cols = {c}
+        self.senders = senders
+
+
+def partition_cells(star: _Rows, f: int, k: int, z: int,
+                    s_target: int, counter: list[int]) -> list[_Class] | None:
+    """Partition the non-star cells into exactly ``s_target`` slot classes.
+
+    Each class must have pairwise distinct rows and columns, stars at all
+    crossing positions, and at least one feasible sender column (a column
+    outside the class with stars in every class row).  Returns the classes
+    in creation order, or None when no partition exists.
+    """
+    cells = [(r, c) for r in range(f) for c in range(k) if not star[r][c]]
+    if len(cells) < s_target:
+        return None
+    cap = min(f, k - 1, z) if cells else 0
+    star_cols_by_row = [
+        frozenset(c for c in range(k) if star[r][c]) for r in range(f)
+    ]
+    classes: list[_Class] = []
+
+    def extend(idx: int) -> bool:
+        if idx == len(cells):
+            return len(classes) == s_target
+        remaining = len(cells) - idx
+        if len(classes) + remaining < s_target:
+            return False
+        room = sum(cap - len(cl.cells) for cl in classes)
+        room += (s_target - len(classes)) * cap
+        if room < remaining:
+            return False
+        r, c = cells[idx]
+        for cl in classes:
+            if len(cl.cells) == cap or r in cl.rows or c in cl.cols:
+                continue
+            if any(not star[r][c2] or not star[r2][c] for r2, c2 in cl.cells):
+                continue
+            new_senders = {x for x in cl.senders if star[r][x]}
+            new_senders.discard(c)
+            if not new_senders:
+                continue
+            counter[0] += 1
+            old_senders = cl.senders
+            cl.cells.append((r, c))
+            cl.rows.add(r)
+            cl.cols.add(c)
+            cl.senders = new_senders
+            if extend(idx + 1):
+                return True
+            cl.cells.pop()
+            cl.rows.discard(r)
+            cl.cols.discard(c)
+            cl.senders = old_senders
+        if len(classes) < s_target:
+            senders = set(star_cols_by_row[r])
+            senders.discard(c)
+            if senders:
+                counter[0] += 1
+                classes.append(_Class(r, c, senders))
+                if extend(idx + 1):
+                    return True
+                classes.pop()
+        return False
+
+    return classes if extend(0) else None
 
 
 def instances(max_cells: int) -> list[tuple[int, int, int]]:
@@ -55,20 +135,24 @@ def _pattern_canonical(rows: _Rows, f: int, k: int) -> bool:
     return cols == best
 
 
+def star_patterns(k: int, f: int, z: int) -> Iterator[_Rows]:
+    """Every star pattern with Z stars per column, in ``product`` order."""
+    for col_stars in product(combinations(range(f), z), repeat=k):
+        yield tuple(tuple(r in cs for cs in col_stars) for r in range(f))
+
+
 def canonical_patterns(k: int, f: int, z: int) -> Iterator[tuple[int, _Rows]]:
     """Canonical star patterns, each with its 1-based position in ``product`` order."""
-    for pos, col_stars in enumerate(product(combinations(range(f), z), repeat=k), 1):
-        rows = tuple(tuple(r in cs for cs in col_stars) for r in range(f))
+    for pos, rows in enumerate(star_patterns(k, f, z), 1):
         if _pattern_canonical(rows, f, k):
             yield pos, rows
 
 
 def exists_dpda(k: int, f: int, z: int, s: int) -> SearchResult:
     counter = [0]
-    for col_stars in product(combinations(range(f), z), repeat=k):
+    for star in star_patterns(k, f, z):
         counter[0] += 1
-        star = [[r in col_stars[c] for c in range(k)] for r in range(f)]
-        classes = _partition_cells(star, f, k, z, s, counter)
+        classes = partition_cells(star, f, k, z, s, counter)
         if classes is None:
             continue
         grid: list[list] = [[STAR] * k for _ in range(f)]

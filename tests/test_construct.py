@@ -19,8 +19,6 @@ from dpda import (
     parse_dpda,
     serialize_dpda,
     slot_cells,
-    subset_rank,
-    subset_unrank,
     validate,
 )
 
@@ -34,43 +32,6 @@ from golden import (
     P6_TEXT,
     Q_LIFTED_P4_TEXT,
 )
-
-
-class TestSubsetRanking:
-    def test_worked_ground_set(self):
-        h = (2, 5, 8, 10)
-        assert subset_rank(h, (2, 5)) == 0
-        assert subset_rank(h, (2, 8)) == 1
-        assert subset_rank(h, (2, 10)) == 2
-        assert subset_rank(h, (5, 8)) == 3
-        assert subset_rank(h, (5, 10)) == 4
-        assert subset_rank(h, (8, 10)) == 5
-        assert subset_unrank(h, 2, 5) == (8, 10)
-
-    def test_first_elements_rank_zero(self):
-        assert subset_rank(7, (0, 1, 2)) == 0
-        assert subset_unrank(9, 4, 0) == (0, 1, 2, 3)
-
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_round_trip_exhaustive(self, n):
-        from itertools import combinations
-
-        for g in range(1, n + 1):
-            for r, sub in enumerate(combinations(range(n), g)):
-                assert subset_rank(n, sub) == r
-                assert subset_unrank(n, g, r) == sub
-
-    def test_errors(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            subset_rank(4, (2, 1))
-        with pytest.raises(ValueError, match="not in ground set"):
-            subset_rank(4, (0, 9))
-        with pytest.raises(ValueError, match="nonempty"):
-            subset_rank(4, ())
-        with pytest.raises(ValueError, match="rank"):
-            subset_unrank(4, 2, 6)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            subset_rank((3, 3), (3,))
 
 
 class TestGoldenArrays:
@@ -193,10 +154,11 @@ class TestJcmStructure:
             cells = slot_cells(p)
             senders = slot_senders(p)
             tsubsets = list(combinations(range(k), t))
+            usubsets = list(combinations(range(k), t + 1))
             assert set(cells) == set(range(p.s))
             for slot in range(p.s):
                 u_rank, m_idx = divmod(slot, t + 1)
-                u = subset_unrank(k, t + 1, u_rank)
+                u = usubsets[u_rank]
                 m = u[m_idx]
                 assert senders[slot] == m
                 occ = cells[slot]

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import dpda
 from dpda import (
     BoundsReport,
     Caches,
@@ -128,3 +131,14 @@ def test_record_checks_run_on_every_construction():
     with pytest.raises(ValueError, match="K, L' and F"):
         Dpda(0, 1, 1, 1, 0, ())
     assert Dpda(1, 1, 1, 1, 0, [[None]]).grid == ((None,),)
+
+
+def test_no_class_is_a_generated_named_tuple():
+    # collections.namedtuple (and typing.NamedTuple) eval a generated
+    # __new__ when the class is defined, which every run that loads the
+    # module would pay for
+    for info in pkgutil.iter_modules(dpda.__path__):
+        module = importlib.import_module(f"dpda.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                assert not (issubclass(obj, tuple) and hasattr(obj, "_fields")), obj

@@ -188,6 +188,28 @@ def test_canonical_patterns_match_generate_and_test_reference():
             list(search_reference.canonical_patterns(k, f, z)), (k, f, z)
 
 
+def test_partition_matches_set_based_reference():
+    # the bitmask partition keeps the set-based one's verdicts, classes,
+    # lowest senders and node counts on every star pattern, canonical or not
+    from dpda.search import _partition_cells
+
+    pairs = 0
+    for k, f, z in search_reference.instances(12):
+        for star in search_reference.star_patterns(k, f, z):
+            for s in range((f - z) * k + 1):
+                ours, theirs = [0], [0]
+                got = _partition_cells(star, f, k, z, s, ours)
+                want = search_reference.partition_cells(star, f, k, z, s, theirs)
+                assert ours == theirs, (star, s)
+                assert (got is None) == (want is None), (star, s)
+                if got is not None:
+                    assert [(list(cells), (senders & -senders).bit_length() - 1)
+                            for cells, _rows, _cols, senders in got] == \
+                        [(cl.cells, min(cl.senders)) for cl in want], (star, s)
+                pairs += 1
+    assert pairs == 12_981
+
+
 class TestGuard:
     def test_cells_guard_refuses_large_instances(self):
         with pytest.raises(SearchSpaceError, match="guard"):
