@@ -471,6 +471,49 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+VERBS = ("construct", "validate", "bounds", "simulate", "search", "compare")
+
+# argv of the usage errors pinned in usage.out: no verb, an unknown verb, a
+# missing required option, a bad int, an invalid choice of each kind, and an
+# unknown option.
+USAGE_ERRORS = [
+    (),
+    ("frobnicate",),
+    ("search", "--k", "3", "--f", "3"),
+    ("search", "--k", "x", "--f", "3", "--z", "1"),
+    ("construct", "--family", "triangle", "--q", "2"),
+    ("bounds", "--k", "4", "--case", "3/K"),
+    ("compare", "p4.dpda", "--frobnicate"),
+]
+
+
+def _exit_transcript(monkeypatch, capsys, argvs, stream: str) -> str:
+    """One block per argv that exits through SystemExit (argparse's help and
+    usage errors): the argv, the text on ``stream`` and the exit code, at a
+    terminal width of 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    blocks = []
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert (out.out, out.err)[stream == "out"] == "", argv
+        blocks.append(f"$ {' '.join(('dpda',) + argv)}\n{getattr(out, stream)}"
+                      f"[exit {exc.value.code}]\n")
+    return "".join(blocks)
+
+
+def test_help_golden_stdout(monkeypatch, capsys):
+    argvs = [("--help",)] + [(verb, "--help") for verb in VERBS]
+    assert _exit_transcript(monkeypatch, capsys, argvs, "out") == (
+        GOLDEN_CLI / "help.out").read_text()
+
+
+def test_usage_errors_golden_stderr(monkeypatch, capsys):
+    assert _exit_transcript(monkeypatch, capsys, USAGE_ERRORS, "err") == (
+        GOLDEN_CLI / "usage.out").read_text()
+
+
 def test_byte_identical_reruns(capsys):
     a = run(capsys, "construct", "--family", "odd", "--q", "2")
     b = run(capsys, "construct", "--family", "odd", "--q", "2")
