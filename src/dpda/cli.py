@@ -10,20 +10,25 @@ invocations on identical inputs produce byte-identical output.
 No domain logic lives here; every subcommand is a thin adapter over the
 library modules.  Those load on first use (see :mod:`dpda`), so a run pays
 only for the modules its subcommand calls.
+
+``_VERBS`` is the one grammar of the command line.  A plain well-formed argv
+is read straight from it by ``_fast_args``; ``argparse``, built from the same
+table, loads only for help, usage errors and the argv forms the fast path
+leaves to it (abbreviations, ``--opt=value``, values starting with ``-``).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import bounds, construct, search, sim, validation
 from .core import Dpda, FormatError, dpda_to_json, parse_dpda, serialize_dpda
 
 __all__ = ["main"]
 
-# bounds.MEMORY_CASES, spelled out so that building the parser does not load
+# bounds.MEMORY_CASES, spelled out so that the grammar does not load
 # dpda.bounds for every subcommand; a test keeps the two equal.
 _MEMORY_CASES = ("1/K", "2/K", "(K-2)/K", "(K-1)/K")
 
@@ -46,7 +51,7 @@ def _json_dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: SimpleNamespace) -> int:
     if args.family == "jcm":
         if args.k is None or args.t is None:
             raise ValueError("--family jcm requires --k and --t")
@@ -64,7 +69,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     report = validation.validate(_load(args.path))
     ok = report.valid
     payload: dict = {"validation": report.to_json()}
@@ -87,7 +92,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bounds(args: argparse.Namespace) -> int:
+def _cmd_bounds(args: SimpleNamespace) -> int:
     if args.from_path is not None:
         report = bounds.bounds_for_array(_load(args.from_path))
     else:
@@ -118,7 +123,7 @@ def _parse_demand(literal: str, k: int) -> sim.Demand:
     return sim.Demand(d=d, b=b)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: SimpleNamespace) -> int:
     if (args.demand is None) == (args.trials is None):
         raise ValueError("provide exactly one of --demand or --trials")
     p = _load(args.path)
@@ -133,7 +138,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if report.success else 1
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
+def _cmd_search(args: SimpleNamespace) -> int:
     s_max = args.max_s if args.max_s is not None else (args.f - args.z) * args.k
     try:
         result = search.search_min_s(args.k, args.f, args.z, s_max,
@@ -153,7 +158,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0 if result.feasible else 1
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: SimpleNamespace) -> int:
     comparison = bounds.compare_to_jcm(_load(args.path))
     if args.json:
         _emit(_json_dumps(comparison.to_json()), None)
@@ -167,68 +172,125 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parser() -> argparse.ArgumentParser:
+_JSON = {"action": "store_true"}
+_PATH = {"help": "array file ('-' for stdin)"}
+_REQUIRED_INT = {"type": int, "required": True}
+
+# The grammar: verb -> (help, handler name, argument -> add_argument keywords),
+# in help order.  Handlers are looked up by name when a run dispatches.
+_VERBS = {
+    "construct": ("build a family array", "_cmd_construct", {
+        "--family": {"required": True, "choices": ["jcm", "grid", "even", "odd"]},
+        "--q": {"type": int, "help": "size parameter for grid/even/odd"},
+        "--k": {"type": int, "help": "user count for jcm"},
+        "--t": {"type": int, "help": "memory parameter for jcm (ratio t/K)"},
+        "--lift": {"type": int, "help": "stack into an L'-block array"},
+        "--out": {"help": "output path (default stdout)"},
+        "--json": _JSON,
+    }),
+    "validate": ("check the DPDA conditions", "_cmd_validate", {
+        "path": _PATH,
+        "--optimal": {"action": "store_true", "help": "also require the minimal-rate conditions"},
+        "--json": _JSON,
+    }),
+    "bounds": ("rate/packet-number lower bounds", "_cmd_bounds", {
+        "--k": {"type": int},
+        "--case": {"choices": _MEMORY_CASES},
+        "--from": {"dest": "from_path", "help": "score an array file instead"},
+        "--json": _JSON,
+    }),
+    "simulate": ("run the protocol on synthetic packets", "_cmd_simulate", {
+        "path": _PATH,
+        "--files": {"type": int, "required": True, "help": "library size N"},
+        "--blocks": {"type": int, "required": True, "help": "blocks per file L"},
+        "--packet-size": {"type": int, "default": 64},
+        "--demand": {"help": "literal 'd0,d1,...;b0,b1,...'"},
+        "--trials": {"type": int, "help": "number of random demands"},
+        "--seed": {"type": int, "default": 0},
+        "--json": _JSON,
+    }),
+    "search": ("exhaustive minimum-S search", "_cmd_search", {
+        "--k": _REQUIRED_INT,
+        "--f": _REQUIRED_INT,
+        "--z": _REQUIRED_INT,
+        "--max-s": {"type": int, "help": "default (F-Z)*K"},
+        "--cells-limit": {"type": int, "help": "override the search guard"},
+        "--json": _JSON,
+    }),
+    "compare": ("packet-number ratio against the baseline", "_cmd_compare",
+                {"path": _PATH, "--json": _JSON}),
+}
+
+
+def _fast_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a plain well-formed ``argv``, else None.
+
+    Plain: a verb, then its positionals and its options by full name, each
+    option at most once and its value the next token, through ``int()`` and
+    ``choices`` as argparse applies them.  Any other token starting with
+    ``-`` (``-h``, ``--``, ``--opt=value``, an abbreviation, a value such as
+    ``-3``) leaves the whole argv to argparse.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _help, handler, grammar = _VERBS[argv[0]]
+    values = {"command": argv[0], "func": globals()[handler]}
+    dests, positionals, given = {}, [], []
+    for name, kw in grammar.items():
+        if name[0] == "-":
+            dests[name] = kw.get("dest", name[2:].replace("-", "_"))
+            values[dests[name]] = kw.get("default", False if "action" in kw else None)
+        else:
+            positionals.append(name)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token[:1] != "-":
+            given.append(token)
+            continue
+        dest = dests.pop(token, None)  # None: unknown, or given before
+        if dest is None:
+            return None
+        kw = grammar[token]
+        if "action" in kw:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as one starting with '-'
+        if value[:1] == "-":
+            return None
+        try:
+            values[dest] = value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+    if len(given) != len(positionals) or any(
+            kw.get("required") and name in dests for name, kw in grammar.items()):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
+def _parser():
+    import argparse  # only help and usage errors need it
+
     parser = argparse.ArgumentParser(
         prog="dpda",
         description="Construct, validate, bound, search and simulate "
                     "D2D placement delivery arrays.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="build a family array")
-    c.add_argument("--family", required=True, choices=["jcm", "grid", "even", "odd"])
-    c.add_argument("--q", type=int, help="size parameter for grid/even/odd")
-    c.add_argument("--k", type=int, help="user count for jcm")
-    c.add_argument("--t", type=int, help="memory parameter for jcm (ratio t/K)")
-    c.add_argument("--lift", type=int, help="stack into an L'-block array")
-    c.add_argument("--out", help="output path (default stdout)")
-    c.add_argument("--json", action="store_true")
-    c.set_defaults(func=_cmd_construct)
-
-    v = sub.add_parser("validate", help="check the DPDA conditions")
-    v.add_argument("path", help="array file ('-' for stdin)")
-    v.add_argument("--optimal", action="store_true",
-                   help="also require the minimal-rate conditions")
-    v.add_argument("--json", action="store_true")
-    v.set_defaults(func=_cmd_validate)
-
-    b = sub.add_parser("bounds", help="rate/packet-number lower bounds")
-    b.add_argument("--k", type=int)
-    b.add_argument("--case", choices=list(_MEMORY_CASES))
-    b.add_argument("--from", dest="from_path", help="score an array file instead")
-    b.add_argument("--json", action="store_true")
-    b.set_defaults(func=_cmd_bounds)
-
-    s = sub.add_parser("simulate", help="run the protocol on synthetic packets")
-    s.add_argument("path", help="array file ('-' for stdin)")
-    s.add_argument("--files", type=int, required=True, help="library size N")
-    s.add_argument("--blocks", type=int, required=True, help="blocks per file L")
-    s.add_argument("--packet-size", type=int, default=64)
-    s.add_argument("--demand", help="literal 'd0,d1,...;b0,b1,...'")
-    s.add_argument("--trials", type=int, help="number of random demands")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--json", action="store_true")
-    s.set_defaults(func=_cmd_simulate)
-
-    q = sub.add_parser("search", help="exhaustive minimum-S search")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--f", type=int, required=True)
-    q.add_argument("--z", type=int, required=True)
-    q.add_argument("--max-s", type=int, help="default (F-Z)*K")
-    q.add_argument("--cells-limit", type=int, help="override the search guard")
-    q.add_argument("--json", action="store_true")
-    q.set_defaults(func=_cmd_search)
-
-    m = sub.add_parser("compare", help="packet-number ratio against the baseline")
-    m.add_argument("path", help="array file ('-' for stdin)")
-    m.add_argument("--json", action="store_true")
-    m.set_defaults(func=_cmd_compare)
-
+    for verb, (help_text, handler, grammar) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for name, kw in grammar.items():
+            p.add_argument(name, **kw)
+        p.set_defaults(func=globals()[handler])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_args(argv) or SimpleNamespace(**vars(_parser().parse_args(argv)))
     try:
         return args.func(args)
     except (FormatError, OSError, ValueError) as exc:

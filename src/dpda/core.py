@@ -79,7 +79,9 @@ class _Record:
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(cls.__annotations__)
-        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        slots = cls.__dict__.get("__slots__", ())  # their member descriptors are no defaults
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields
+                         if name in cls.__dict__ and name not in slots}
         cls.__match_args__ = cls._fields
 
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -145,6 +147,7 @@ class Dpda(_Record):
     ``[0, s)``, sender indices in ``[0, k)``, and a single sender per slot.
     """
 
+    __slots__ = ("k", "lp", "f", "z", "s", "grid")
     k: int
     lp: int
     f: int

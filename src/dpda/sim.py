@@ -125,6 +125,7 @@ def user_cache_bytes(lib: Library, caches: Caches, k: int) -> dict[PacketId, byt
 class Demand(_Record):
     """Per-user requests: file indices ``d`` and start blocks ``b``."""
 
+    __slots__ = ("d", "b")
     d: tuple[int, ...]
     b: tuple[int, ...]
 
@@ -144,6 +145,20 @@ def _check_demand(dem: Demand, k: int, n: int, l: int, lp: int) -> None:
             raise ValueError(f"user {j}: file {dj} out of range [0,{n})")
         if not 0 <= bj <= l - lp:
             raise ValueError(f"user {j}: start block {bj} out of range [0,{l - lp}]")
+
+
+def _draw_demand(getrandbits: Callable[[int], int], bounds: list[tuple[int, int]],
+                 k: int) -> Demand:
+    """A uniform demand: each user's file, then each user's start block, each
+    drawn below its bound as ``random.Random.randrange`` draws it (fresh
+    ``getrandbits(bound.bit_length())`` until below), so the stream is the same."""
+    values = []
+    for bound, bits in bounds:
+        x = getrandbits(bits)
+        while x >= bound:
+            x = getrandbits(bits)
+        values.append(x)
+    return Demand(values[:k], values[k:])
 
 
 class Signal(_Record):
@@ -421,11 +436,11 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
             fault = (str(exc), None)
     width = max(1, CHUNK_BYTES // (packet_size * (p.k * p.rows + p.s) + 512))
     memo = ({}, {}) if width == 1 else None
+    bounds = [(n, n.bit_length())] * k_users + [(starts, starts.bit_length())] * k_users
     failures: list[dict] = []
     for start in range(0, count, width):
-        batch = [(run, demand if demand is not None else Demand(
-                     d=tuple(rng.randrange(n) for _ in range(k_users)),
-                     b=tuple(rng.randrange(starts) for _ in range(k_users))))
+        batch = [(run, demand if demand is not None
+                  else _draw_demand(rng.getrandbits, bounds, k_users))
                  for run in range(start, min(start + width, count))]
         if fault is not None:
             failures.extend({"trial": run, "demand": [list(dem.d), list(dem.b)],

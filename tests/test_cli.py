@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -25,9 +26,11 @@ from search_reference import instances
 # `search.out`, `bounds_compare.out`, `grid_mutated.json.out` and
 # `grid_gap.out` hold one transcript block per run: the argv, stdout, and the
 # exit code.  `compare_families.out` and `certify_floors.out` hold the stdout
-# of those scripts.
+# of those scripts.  `help.out` and `usage.out` hold argparse's help text and
+# usage errors: the argv, stdout or stderr, and the exit code.
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 SRC = Path(__file__).resolve().parent.parent / "src"
+BENCH = SRC.parent / "bench"
 
 
 def _jcm_split_text() -> str:
@@ -428,10 +431,11 @@ def test_subcommand_runs_only_its_modules(tmp_path):
 ], ids=lambda argv: argv[0])
 def test_subcommand_skips_heavy_stdlib_imports(tmp_path, argv):
     # The records need no `dataclasses` (which pulls in inspect, ast and dis),
-    # and `json` loads only for JSON input or output.
+    # `json` loads only for JSON input or output, and `argparse` (with
+    # gettext and locale) only for help and usage errors.
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
-    heavy = {"dataclasses", "inspect", "ast", "dis"}
+    heavy = {"dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "locale"}
     if "--json" not in argv:
         heavy.add("json")
     script = (
@@ -456,6 +460,16 @@ def test_scripts_golden_stdout(script, args):
     proc = subprocess.run([sys.executable, str(SRC.parent / "scripts" / f"{script}.py"), *args],
                           env=env, capture_output=True, text=True)
     assert (proc.returncode, proc.stdout) == (0, (GOLDEN_CLI / f"{script}.out").read_text())
+
+
+def test_startup_profile_runs():
+    # its timings vary from run to run, so only the shape is checked
+    proc = subprocess.run([sys.executable, str(SRC.parent / "scripts" / "startup_profile.py"),
+                           "search", "--k", "2", "--f", "2", "--z", "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("$ dpda search --k 2 --f 2 --z 1  [exit 0]\n")
+    assert "dpda.cli\n" in proc.stdout and "argparse" not in proc.stdout
 
 
 def test_star_import_binds_every_public_name():
@@ -497,9 +511,9 @@ def _exit_transcript(monkeypatch, capsys, argvs, stream: str) -> str:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         out = capsys.readouterr()
-        assert (out.out, out.err)[stream == "out"] == "", argv
-        blocks.append(f"$ {' '.join(('dpda',) + argv)}\n{getattr(out, stream)}"
-                      f"[exit {exc.value.code}]\n")
+        shown, other = (out.out, out.err) if stream == "out" else (out.err, out.out)
+        assert other == "", argv
+        blocks.append(f"$ {' '.join(('dpda',) + argv)}\n{shown}[exit {exc.value.code}]\n")
     return "".join(blocks)
 
 
@@ -512,6 +526,99 @@ def test_help_golden_stdout(monkeypatch, capsys):
 def test_usage_errors_golden_stderr(monkeypatch, capsys):
     assert _exit_transcript(monkeypatch, capsys, USAGE_ERRORS, "err") == (
         GOLDEN_CLI / "usage.out").read_text()
+
+
+def _argparse_vars(parser, argv: list[str]) -> dict | None:
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_fast_path_reads_every_benchmark_argv(monkeypatch):
+    # every op, and every set-up construct, of the three decks at seeds 1-5
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    parser = cli._parser()
+    count = 0
+    for make_deck in workloads.DECKS.values():
+        for seed in range(1, 6):
+            deck = make_deck(seed)
+            argvs = [op.argv for group in deck.groups for op in group]
+            argvs += [args + ["--out", name] for name, args in deck.files.items()]
+            for argv in argvs:
+                fast = cli._fast_args(argv)
+                assert fast is not None, argv
+                assert vars(fast) == _argparse_vars(parser, argv), argv
+            count += len(argvs)
+    assert count > 1000
+
+
+# Values that argparse reads differently from the plain grammar, or rejects.
+_ODD_VALUES = ["-3", "+4", "\u0663", " 7", "1_0", "4.0", "x", "", "-", "--", "-h", "--json"]
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    """An argv built from the verbs' own tokens, often well formed, often not:
+    abbreviated, ``--opt=value``, repeated or missing options, odd values,
+    extra or missing positionals, help flags and ``--``."""
+    verb = rng.choice(VERBS * 4 + ("", "frobnicate", "-h", "--help", "sim", "--"))
+    grammar = cli._VERBS[verb][2] if verb in cli._VERBS else {}
+    pieces: list[list[str]] = []
+    for name, kw in grammar.items():
+        # a required option or positional is mostly given once, others often not
+        usual = kw.get("required") or name[0] != "-"
+        for _ in range(rng.choice((0, 1, 1, 1, 1, 2) if usual else (0, 0, 1, 1, 2))):
+            if name[0] != "-":
+                pieces.append([rng.choice(["p4.dpda", "-", "", "validate", "x y"])])
+                continue
+            value = rng.choice(list(kw.get("choices", ["4", "0", "12", "p4.dpda"]))
+                               + ["2", "5"] + rng.sample(_ODD_VALUES, 2))
+            token = rng.choice([name] * 8 + [name[:rng.randrange(2, len(name) + 1)],
+                                             name[1:], name + "=" + value])
+            pieces.append([token] if "action" in kw or "=" in token else [token, value])
+    pieces += [[rng.choice(["-h", "--help", "--", "--json", "--k", "-k", "4"])]
+               for _ in range(rng.random() < 0.1)]
+    rng.shuffle(pieces)
+    return [verb] * (verb != "" or rng.random() < 0.5) + [t for piece in pieces for t in piece]
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--k", "3", "--f", "3", "--z", "1", "-h"],
+    ["search", "--k", "3", "--f", "3", "--z", "1", "--help"],
+    ["search", "--k=3", "--f", "3", "--z", "1"],
+    ["search", "--k", "3", "--f", "3", "--z", "1", "--max", "4"],
+    ["search", "--k", "3", "--f", "3", "--z", "1", "--z", "2"],
+    ["search", "--k", "-3", "--f", "3", "--z", "1"],
+    ["search", "--k", "3", "--f", "3", "--z", "x"],
+    ["search", "--k", "3", "--f", "3"],
+    ["search", "--", "--k", "3", "--f", "3", "--z", "1"],
+    ["search", "--k", "3", "--f", "3", "--z"],
+    ["construct", "--family", "triangle", "--q", "2"],
+    ["validate", "-"],
+    ["validate", "a.dpda", "b.dpda"],
+    ["compare"],
+    ["sim", "p4.dpda", "--files", "4", "--blocks", "2", "--trials", "3"],
+    [],
+    ["--help"],
+])
+def test_fast_path_leaves_the_rest_to_argparse(argv):
+    assert cli._fast_args(argv) is None
+
+
+def test_fast_path_matches_argparse_on_random_argv(capsys):
+    parser = cli._parser()
+    rng = random.Random(20261018)
+    accepted = 0
+    for _ in range(50_000):
+        argv = _random_argv(rng)
+        fast = cli._fast_args(argv)
+        if fast is not None:
+            accepted += 1
+            assert vars(fast) == _argparse_vars(parser, argv), argv
+    capsys.readouterr()
+    assert accepted >= 4_000
 
 
 def test_byte_identical_reruns(capsys):

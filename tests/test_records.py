@@ -91,6 +91,7 @@ _BY_IDENTITY = (Library, Caches)
 @pytest.mark.parametrize("cls, fields, defaulted, expected_repr", RECORDS,
                          ids=[r[0].__name__ for r in RECORDS])
 def test_record_contract(cls, fields, defaulted, expected_repr):
+    assert cls._defaults.keys() <= set(defaulted)  # slot descriptors are no defaults
     positional = cls(*fields.values())
     keyword = cls(**fields)
     defaults = cls(**{name: v for name, v in fields.items() if name not in defaulted})
@@ -121,7 +122,10 @@ def test_record_contract(cls, fields, defaulted, expected_repr):
 
 
 def test_coded_is_slotted():
-    assert not hasattr(Coded(0, 0), "__dict__")
+    # the records built per cell, per array and per trial carry no
+    # per-instance __dict__
+    for record in (Coded(0, 0), _P1, Demand((1,), (0,))):
+        assert not hasattr(record, "__dict__"), type(record)
 
 
 def test_record_checks_run_on_every_construction():

@@ -365,6 +365,21 @@ class TestSimulate:
              "error": "byte mismatch"} for i in range(p.rows))
         assert users.count(0) == 3
 
+    def test_drawn_demands_follow_randrange(self):
+        # an unused slot is a fault that names every trial's demand, so the
+        # draws show; they must be the stream of a plain randrange loop,
+        # one start block (L = L') included
+        for text, lp in product((P3_TEXT, P4_TEXT, P6_TEXT), (1, 2)):
+            p = lift(parse_dpda(text), lp)
+            unused_slot = Dpda(p.k, p.lp, p.f, p.z, p.s + 1, p.grid)
+            for seed, n, starts in product((0, 5, 2**40), (1, 2, 3, 4, 5, 8, 2**32 + 5),
+                                           (1, 2, 4)):
+                rep = simulate(unused_slot, n, p.lp + starts - 1, 4, trials=7, seed=seed)
+                rng = random.Random(seed)
+                assert [rec["demand"] for rec in rep.failures] == [
+                    [[rng.randrange(n) for _ in range(p.k)],
+                     [rng.randrange(starts) for _ in range(p.k)]] for _ in range(7)]
+
     def test_memory_holds_one_chunk_of_trials(self):
         # a run holds one chunk of trials at a time, so 20,000 trials stay
         # under the traced peak that 50 meet; holding every trial's demand
