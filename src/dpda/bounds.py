@@ -23,8 +23,8 @@ from fractions import Fraction
 from math import comb
 from typing import Callable
 
+from . import validation
 from .core import Dpda, _Record
-from .validation import validate
 
 __all__ = [
     "MEMORY_CASES",
@@ -152,7 +152,7 @@ def compare_to_jcm(p: Dpda) -> JcmComparison:
     Requires Z/F = t/K for an integer t in [1, K); otherwise the baseline
     has no instance at this memory ratio and ``ValueError`` is raised.
     """
-    report = validate(p)
+    report = validation.validate(p)
     if not report.valid:
         raise ValueError(f"array is not a valid DPDA (fails {report.first_failure})")
     if (p.k * p.z) % p.f:
@@ -229,7 +229,7 @@ def bounds_for_array(p: Dpda) -> BoundsReport:
     When several covered cases coincide at this (K, Z/F), the strongest
     (largest) packet-number floor is reported.
     """
-    report = validate(p)
+    report = validation.validate(p)
     if not report.valid:
         raise ValueError(f"array is not a valid DPDA (fails {report.first_failure})")
     rate_bound = rate_lower_bound(p.f, p.z)

@@ -111,15 +111,13 @@ def _cmd_bounds(args: SimpleNamespace) -> int:
     return 0
 
 
-def _parse_demand(literal: str, k: int) -> sim.Demand:
+def _parse_demand(literal: str) -> sim.Demand:
     try:
         d_part, b_part = literal.split(";")
         d = tuple(int(x) for x in d_part.split(","))
         b = tuple(int(x) for x in b_part.split(","))
     except ValueError as exc:
         raise ValueError(f"demand literal must be 'd0,d1,...;b0,b1,...': {exc}") from exc
-    if len(d) != k or len(b) != k:
-        raise ValueError(f"demand names {len(d)} users, array has {k}")
     return sim.Demand(d=d, b=b)
 
 
@@ -127,7 +125,9 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
     if (args.demand is None) == (args.trials is None):
         raise ValueError("provide exactly one of --demand or --trials")
     p = _load(args.path)
-    demand = None if args.demand is None else _parse_demand(args.demand, p.k)
+    demand = None if args.demand is None else _parse_demand(args.demand)
+    if demand is not None and args.blocks >= p.lp:  # else simulate says need L >= L'
+        sim._check_demand(demand, p.k, args.files, args.blocks, p.lp)
     report = sim.simulate(p, args.files, args.blocks, args.packet_size,
                           demand=demand, trials=args.trials, seed=args.seed)
     if args.json:

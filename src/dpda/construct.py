@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from typing import Sequence
 
 from .core import STAR, Coded, Dpda, Entry
 
@@ -103,19 +102,6 @@ def construct_grid(q: int) -> Dpda:
     return Dpda(k=2 * q, lp=1, f=q * q, z=q, s=q**3 - q**2, grid=tuple(grid))
 
 
-def _diag_block(n: int, entry: Coded, tail_col: Sequence[Entry],
-                tail_pos: int) -> list[tuple[Entry, ...]]:
-    """n x (n+2) block: ``entry`` on the diagonal, stars elsewhere, and the
-    appended column at ``tail_pos`` (0 or 1) filled from ``tail_col``."""
-    rows = []
-    for r in range(n):
-        left = tuple(entry if c == r else STAR for c in range(n))
-        cols: list[Entry] = [STAR, STAR]
-        cols[tail_pos] = tail_col[r]
-        rows.append(left + tuple(cols))
-    return rows
-
-
 _EVEN_BASE: tuple[tuple[Entry, ...], ...] = (
     (Coded(2, 2), STAR, STAR, Coded(1, 1)),
     (STAR, Coded(2, 2), STAR, Coded(0, 0)),
@@ -130,53 +116,54 @@ _ODD_BASE: tuple[tuple[Entry, ...], ...] = (
 )
 
 
+def _grow(base: tuple[tuple[Entry, ...], ...], vectors: list[list[Coded]],
+          k: int) -> tuple[tuple[Entry, ...], ...]:
+    """Grow a recursive family's base array two users at a time to ``k`` users.
+
+    With m boundary vectors, user u sends slot m*u + v for each vector v.  The
+    step from n users pads every row with two stars.  Then, for each vector,
+    it appends an n-row block per new user u in (n, n+1): u's coded entry on
+    the diagonal, and the other new user's column filled from the vector.
+    Last it extends the vector with the two entries in reverse order.
+    """
+    grid, m = list(base), len(vectors)
+    for n in range(len(base[0]), k, 2):
+        grid = [row + (STAR, STAR) for row in grid]
+        for v, vector in enumerate(vectors):
+            new = [Coded(m * u + v, u) for u in (n, n + 1)]
+            for e in new:
+                for r in range(n):
+                    row: list[Entry] = [STAR] * (n + 2)
+                    row[r], row[2 * n + 1 - e.sender] = e, vector[r]
+                    grid.append(tuple(row))
+            vector += reversed(new)
+    return tuple(grid)
+
+
 def construct_even(q: int) -> Dpda:
     """Even-user recursive family: (2q, 1, 2q(q-1), 2(q-1)^2, 2q).
 
-    Grows the 4-user base two users at a time.  Each step appends two
-    diagonal blocks (the two new slots) and a boundary column drawn from a
-    running vector of previously introduced coded entries.
+    Grows the 4-user base two users at a time (:func:`_grow`) with one
+    boundary vector; user u sends slot u.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    grid: list[tuple[Entry, ...]] = list(_EVEN_BASE)
-    alpha: list[Coded] = [Coded(1, 1), Coded(0, 0), Coded(3, 3), Coded(2, 2)]
-    for n in range(4, 2 * q, 2):
-        rows = [row + (STAR, STAR) for row in grid]
-        rows += _diag_block(n, Coded(n, n), alpha, 1)
-        rows += _diag_block(n, Coded(n + 1, n + 1), alpha, 0)
-        grid = rows
-        alpha = alpha + [Coded(n + 1, n + 1), Coded(n, n)]
-    return Dpda(
-        k=2 * q, lp=1, f=2 * q * (q - 1), z=2 * (q - 1) ** 2, s=2 * q,
-        grid=tuple(grid),
-    )
+    grid = _grow(_EVEN_BASE, [[Coded(1, 1), Coded(0, 0), Coded(3, 3), Coded(2, 2)]],
+                 2 * q)
+    return Dpda(k=2 * q, lp=1, f=2 * q * (q - 1), z=2 * (q - 1) ** 2, s=2 * q, grid=grid)
 
 
 def construct_odd(q: int) -> Dpda:
     """Odd-user recursive family: (2q+1, 1, 4q^2-1, (2q-1)^2, 4q+2).
 
-    Grows the 3-user base two users at a time, appending four diagonal
-    blocks per step (slots 2n..2n+3) with two alternating boundary vectors.
+    Grows the 3-user base two users at a time (:func:`_grow`) with two
+    boundary vectors; user u sends slots 2u and 2u+1.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    grid: list[tuple[Entry, ...]] = list(_ODD_BASE)
-    beta: list[Coded] = [Coded(2, 1), Coded(4, 2), Coded(0, 0)]
-    gamma: list[Coded] = [Coded(5, 2), Coded(1, 0), Coded(3, 1)]
-    for n in range(3, 2 * q, 2):
-        rows = [row + (STAR, STAR) for row in grid]
-        rows += _diag_block(n, Coded(2 * n, n), beta, 1)
-        rows += _diag_block(n, Coded(2 * n + 2, n + 1), beta, 0)
-        rows += _diag_block(n, Coded(2 * n + 1, n), gamma, 1)
-        rows += _diag_block(n, Coded(2 * n + 3, n + 1), gamma, 0)
-        grid = rows
-        beta = beta + [Coded(2 * n + 2, n + 1), Coded(2 * n, n)]
-        gamma = gamma + [Coded(2 * n + 3, n + 1), Coded(2 * n + 1, n)]
-    return Dpda(
-        k=2 * q + 1, lp=1, f=4 * q * q - 1, z=(2 * q - 1) ** 2, s=4 * q + 2,
-        grid=tuple(grid),
-    )
+    grid = _grow(_ODD_BASE, [[Coded(2, 1), Coded(4, 2), Coded(0, 0)],
+                             [Coded(5, 2), Coded(1, 0), Coded(3, 1)]], 2 * q + 1)
+    return Dpda(k=2 * q + 1, lp=1, f=4 * q * q - 1, z=(2 * q - 1) ** 2, s=4 * q + 2, grid=grid)
 
 
 def lift(p: Dpda, lp_new: int) -> Dpda:

@@ -257,26 +257,21 @@ def _refusal(plan: tuple, dem: Demand, k: int, f: int) -> str | None:
 
 
 def _packets(lib: Library, lp: int, f: int, dems: list[Demand],
-             memo: tuple[dict[int, int], dict[int, list[int]]] | None) -> list[int]:
+             memo: dict[int, int]) -> list[int]:
     """The flat cell integers of a chunk: cell (i, j)'s holds its packet for
     every trial, trial t at bytes [t*size, (t+1)*size).  Row i = band*F + h is
     the column's joined first packets plus band*17 + h*7 on every byte (mod
-    256).  One-trial chunks read each request's column from ``memo`` instead:
-    its packets by first byte and its columns by first packet, each built
-    once per run, so at most 256 of either are held."""
+    256).  A one-trial chunk reads each packet from ``memo``, the run's
+    packet integers by first byte, filled on first use (at most 256)."""
     size, ramp = lib.packet_size, lib._ramp
-    offsets = [(band * 17 + h * 7) % 256 for band in range(lp) for h in range(f)]
-    if memo is not None:  # the add below costs bulk runs more than slicing
-        packets, columns = memo
-        out = []
-        for d, b in zip(dems[0].d, dems[0].b):
-            y = (d * 31 + b * 17) % 256
-            if y not in columns:
-                for x in {(y + o) % 256 for o in offsets}.difference(packets):
-                    packets[x] = int.from_bytes(ramp[x:x + size], "little")
-                columns[y] = [packets[(y + o) % 256] for o in offsets]
-            out += columns[y]
-        return out
+    offsets = bytes((band * 17 + h * 7) % 256 for band in range(lp) for h in range(f))
+    if len(dems) == 1:  # the add below costs bulk runs more than slicing
+        # ramp[y:y + 256] is the table that adds y to each byte it translates
+        columns = [(d * 31 + b * 17) % 256 for d, b in zip(dems[0].d, dems[0].b)]
+        firsts = b"".join([offsets.translate(ramp[y:y + 256]) for y in columns])
+        for x in set(firsts).difference(memo):
+            memo[x] = int.from_bytes(ramp[x:x + size], "little")
+        return list(map(memo.__getitem__, firsts))
     # add on the integer, byte by byte: the low seven bits of each byte add
     # without a carry into the next byte, and the top bits XOR in
     ones = int.from_bytes(b"\1" * (len(dems) * size), "little")
@@ -323,7 +318,7 @@ def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
         raise SimulationError(_say(fault, dem, p.f))
     return [Signal(slot=s, sender=senders[s], payload=x.to_bytes(lib.packet_size, "little"),
                    constituents=tuple(_pid(dem, p.f, i, j) for i, j in cells[s]))
-            for s, x in enumerate(_payloads(mix, _packets(lib, p.lp, p.f, [dem], ({}, {}))))]
+            for s, x in enumerate(_payloads(mix, _packets(lib, p.lp, p.f, [dem], {})))]
 
 
 def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal],
@@ -351,27 +346,28 @@ def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal]
             for i, ((slot, _sides), x) in enumerate(zip(rows, got))}
 
 
-def _run_chunk(batch: list[tuple[int, Demand]], plans: list, mix: list[tuple[int, ...]],
-               f: int, size: int, ints: list[int]) -> list[tuple]:
-    """Deliver and decode a chunk of (trial, demand) pairs with cell integers
-    ``ints``; its failures as (trial, user, record), each user's by row."""
+def _run_chunk(first: int, dems: list[Demand], plans: list, mix: list[tuple[int, ...]],
+               f: int, size: int, ints: list[int]) -> list[dict]:
+    """Deliver and decode trials ``first``, ``first + 1``, ... with demands
+    ``dems`` and cell integers ``ints``; their failures user by user, each
+    user's by row."""
     found, mask = [], (1 << 8 * size) - 1
     payloads = _payloads(mix, ints)
     for k, (clashes, stuck, rows) in enumerate(plans):
         failed = set()
-        for pos, (run, dem) in enumerate(batch if clashes or stuck else ()):
+        for pos, dem in enumerate(dems if clashes or stuck else ()):
             if message := _refusal(plans[k], dem, k, f):
                 failed.add(pos)
-                found.append((run, k, {"trial": run, "user": k, "error": message}))
+                found.append({"trial": first + pos, "user": k, "error": message})
         expect = ints[k * len(rows):(k + 1) * len(rows)]
         if stuck or (got := _recover(rows, ints, payloads, k)) == expect:
             continue
         for i, (x, y) in enumerate(zip(got, expect)):
             if x != y:  # name every trial whose packet differs
                 x ^= y
-                found.extend((run, k, {"trial": run, "user": k, "packet": list(_pid(dem, f, i, k)),
-                                       "error": "byte mismatch"})
-                             for pos, (run, dem) in enumerate(batch)
+                found.extend({"trial": first + pos, "user": k, "packet": list(_pid(dem, f, i, k)),
+                              "error": "byte mismatch"}
+                             for pos, dem in enumerate(dems)
                              if pos not in failed and (x >> 8 * size * pos) & mask)
     return found
 
@@ -435,21 +431,20 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
         except ValueError as exc:
             fault = (str(exc), None)
     width = max(1, CHUNK_BYTES // (packet_size * (p.k * p.rows + p.s) + 512))
-    memo = ({}, {}) if width == 1 else None
     bounds = [(n, n.bit_length())] * k_users + [(starts, starts.bit_length())] * k_users
+    memo: dict[int, int] = {}
     failures: list[dict] = []
     for start in range(0, count, width):
-        batch = [(run, demand if demand is not None
-                  else _draw_demand(rng.getrandbits, bounds, k_users))
-                 for run in range(start, min(start + width, count))]
+        dems = [demand] if demand is not None else [_draw_demand(rng.getrandbits, bounds, k_users)
+                                                    for _ in range(min(width, count - start))]
         if fault is not None:
             failures.extend({"trial": run, "demand": [list(dem.d), list(dem.b)],
-                             "error": _say(fault, dem, f)} for run, dem in batch)
+                             "error": _say(fault, dem, f)} for run, dem in enumerate(dems, start))
             continue
-        found = _run_chunk(batch, plans, mix, f, packet_size,
-                           _packets(lib, p.lp, f, [dem for _, dem in batch], memo))
-        found.sort(key=lambda rec: rec[:2])  # trial, then user; rows stay in order
-        failures.extend(rec for _, _, rec in found)
+        found = _run_chunk(start, dems, plans, mix, f, packet_size,
+                           _packets(lib, p.lp, f, dems, memo))
+        found.sort(key=lambda rec: rec["trial"])  # stable: users, then rows, stay in order
+        failures += found
     packets_sent = 0 if fault is not None else p.s
     return SimReport(
         success=not failures,

@@ -325,6 +325,23 @@ def test_simulate_bad_demand_literal(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, blocks, demand, message", [
+    (P4_TEXT, "1", "9,0,0,0;0,0,0,0", "user 0: file 9 out of range [0,2)"),
+    (P4_TEXT, "1", "0,0,0,0;0,0,1,0", "user 2: start block 1 out of range [0,0]"),
+    (P4_TEXT, "1", "0,1;0,1", "demand is for 2 users, array has 4"),
+    (Q_LIFTED_P4_TEXT, "1", "9,0,0,0;0,0,0,0", "need L >= L', got L=1, L'=2"),
+], ids=["file", "start_block", "user_count", "blocks_below_lp"])
+def test_simulate_malformed_demand_is_an_input_error(tmp_path, capsys, text, blocks, demand,
+                                                      message):
+    # a demand the array and library cannot serve is rejected before any run,
+    # by the check simulate itself applies; exit 1 stays a failed run
+    f = tmp_path / "p.dpda"
+    f.write_text(text)
+    code, out, err = run(capsys, "simulate", str(f), "--files", "2", "--blocks", blocks,
+                         "--demand", demand)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_simulate_usage_error_before_reading_the_array(capsys):
     # the --demand/--trials pair is checked first, so a missing file does not
     # hide the usage error
@@ -407,18 +424,30 @@ def test_subcommand_runs_only_its_modules(tmp_path):
     # it stays an unloaded stub in sys.modules (see dpda/__init__.py).
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
-    script = (
-        "import sys, types\n"
-        "from dpda.cli import main\n"
-        f"code = main(['simulate', {str(f)!r}, '--files', '4', '--blocks', '2',"
-        " '--trials', '3', '--json'])\n"
-        "print(code, sorted(n for n, m in sys.modules.items()"
-        " if n.startswith('dpda') and type(m) is types.ModuleType))\n"
-    )
+    expected = {
+        ("construct", "--family", "even", "--q", "2"): ["construct"],
+        ("validate", str(f)): ["validation"],
+        ("bounds", "--k", "6", "--case", "2/K"): ["bounds"],
+        ("bounds", "--from", str(f)): ["bounds", "validation"],
+        ("compare", str(f)): ["bounds", "validation"],
+        ("simulate", str(f), "--files", "4", "--blocks", "2", "--trials", "3", "--json"): ["sim"],
+        ("search", "--k", "3", "--f", "3", "--z", "1"): ["search"],
+    }
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 ['dpda', 'dpda.cli', 'dpda.core', 'dpda.sim']"
+    ran = {}
+    for argv in expected:
+        script = (
+            "import sys, types\n"
+            "from dpda.cli import main\n"
+            f"code = main({list(argv)!r})\n"
+            "print(code, sorted(n[5:] for n, m in sys.modules.items()"
+            " if n.startswith('dpda.') and type(m) is types.ModuleType))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        ran[argv] = proc.stdout.splitlines()[-1]
+    assert ran == {argv: f"0 {sorted(['cli', 'core'] + mods)}"
+                   for argv, mods in expected.items()}
 
 
 @pytest.mark.parametrize("argv", [

@@ -412,6 +412,23 @@ class TestSimulate:
             assert rep.success and rep.trials == trials
         assert peaks[1] - peaks[0] < dpda.sim.CHUNK_BYTES, peaks
 
+    @pytest.mark.parametrize("size", [1, 64, 300])
+    def test_one_trial_memo_matches_the_bytewise_add(self, size):
+        # a one-trial chunk reads the run's packet memo, a wider one adds on
+        # the joined integer; each trial's bytes must agree, and the memo
+        # holds one integer per first byte, at most 256
+        rng = random.Random(size)
+        p = lift(construct_grid(3), 2)
+        lib, memo = make_library(40, 5, p.f, size), {}
+        for _ in range(30):
+            dems = [Demand(d=[rng.randrange(40) for _ in range(p.k)],
+                           b=[rng.randrange(4) for _ in range(p.k)]) for _ in range(3)]
+            wide = dpda.sim._packets(lib, p.lp, p.f, dems, {})
+            for t, dem in enumerate(dems):
+                ints = dpda.sim._packets(lib, p.lp, p.f, [dem], memo)
+                assert ints == [x >> 8 * size * t & (1 << 8 * size) - 1 for x in wide]
+        assert 200 < len(memo) <= 256
+
     def test_argument_validation(self):
         p = parse_dpda(P4_TEXT)
         with pytest.raises(ValueError, match="L >= L'"):
