@@ -11,7 +11,8 @@ source), under ``-X importtime``, and prints:
   compile and execution time is counted in the self time of the module that
   was importing when they ran, usually ``dpda.cli``;
 * each ``dpda`` module the run executed, with its lines, syntax-tree nodes
-  and compile time (best of 5, in this process).
+  and compile time (best of 5, in this process), and their totals: the
+  source that one run compiles.
 
 Timings move from run to run and machine to machine: read them as a profile,
 not as a benchmark.  The run's own output is discarded; its exit code is
@@ -90,13 +91,17 @@ def main(argv: list[str]) -> int:
                      if line.startswith("dpda modules:")), [])
     print("dpda modules executed, compiled here from source (best of 5):")
     print(f"{'compile_ms':>10}  {'lines':>5}  {'nodes':>5}  module")
+    total = [0.0, 0, 0]
     for name in executed:
         parts = name.split(".")
         path = SRC.joinpath(*parts[:-1], parts[-1] + ".py") if len(parts) > 1 \
             else SRC / name / "__init__.py"
         source = path.read_text(encoding="utf-8")
-        nodes = sum(1 for _ in ast.walk(ast.parse(source)))
-        print(f"{compile_ms(path):>10.2f}  {len(source.splitlines()):>5}  {nodes:>5}  {name}")
+        row = (compile_ms(path), len(source.splitlines()),
+               sum(1 for _ in ast.walk(ast.parse(source))))
+        total = [t + x for t, x in zip(total, row)]
+        print(f"{row[0]:>10.2f}  {row[1]:>5}  {row[2]:>5}  {name}")
+    print(f"{total[0]:>10.2f}  {total[1]:>5}  {total[2]:>5}  total over {len(executed)} modules")
     return 0
 
 

@@ -6,9 +6,12 @@ search exhaustively for minimum-slot arrays at tiny sizes, and execute the
 full placement/XOR-delivery/decode protocol on byte-level packets.
 
 Submodules load on first use: importing the package runs none of them, and
-``from dpda import X`` runs only the module that defines ``X``.  The records
-are plain frozen classes on one small base in :mod:`dpda.core` that
-generates no code, and ``json`` loads only where JSON is read or written.
+``from dpda import X`` runs only the module that defines ``X``.  The readers
+``parse_dpda`` and ``dpda_from_json`` live in :mod:`dpda.read`, apart from
+the model and writers in :mod:`dpda.core`, so a run that reads no array
+never compiles them.  The records are plain frozen classes on one small base
+in :mod:`dpda.core` that generates no code, and ``json`` loads only where
+JSON is read or written.
 """
 
 import importlib.util
@@ -19,8 +22,8 @@ __version__ = "0.1.0"
 # Submodule -> the public names it gives the package, in ``__all__`` order.
 _EXPORTS = {
     "core": ("STAR", "Coded", "Dpda", "Entry", "FormatError",
-             "parse_dpda", "serialize_dpda", "dpda_to_json", "dpda_from_json",
-             "slot_cells", "permute_band_rows", "permute_columns", "relabel_slots"),
+             "serialize_dpda", "dpda_to_json", "slot_cells"),
+    "read": ("parse_dpda", "dpda_from_json"),
     "validation": ("ConditionCheck", "ValidationReport", "RateOptimality", "validate"),
     "construct": ("construct_jcm", "construct_grid", "construct_even", "construct_odd",
                   "lift"),
@@ -29,8 +32,7 @@ _EXPORTS = {
                "bounds_for_case", "bounds_for_array"),
     "sim": ("Library", "Caches", "Demand", "Signal", "SimReport", "SimulationError",
             "make_library", "place", "user_cache_bytes", "deliver", "decode", "simulate"),
-    "search": ("SearchResult", "SearchSpaceError", "exists_dpda", "search_min_s",
-               "canonicalize"),
+    "search": ("SearchResult", "SearchSpaceError", "exists_dpda", "search_min_s"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

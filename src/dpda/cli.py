@@ -23,8 +23,8 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import bounds, construct, search, sim, validation
-from .core import Dpda, FormatError, dpda_to_json, parse_dpda, serialize_dpda
+from . import bounds, construct, read, search, sim, validation
+from .core import Dpda, FormatError, dpda_to_json, serialize_dpda
 
 __all__ = ["main"]
 
@@ -42,7 +42,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load(path: str) -> Dpda:
     data = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return parse_dpda(data)
+    return read.parse_dpda(data)
 
 
 def _json_dumps(obj: dict) -> str:
@@ -126,7 +126,7 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
         raise ValueError("provide exactly one of --demand or --trials")
     p = _load(args.path)
     demand = None if args.demand is None else _parse_demand(args.demand)
-    if demand is not None and args.blocks >= p.lp:  # else simulate says need L >= L'
+    if demand is not None:
         sim._check_demand(demand, p.k, args.files, args.blocks, p.lp)
     report = sim.simulate(p, args.files, args.blocks, args.packet_size,
                           demand=demand, trials=args.trials, seed=args.seed)

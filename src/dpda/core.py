@@ -1,4 +1,4 @@
-"""Data model and wire formats for D2D placement delivery arrays (DPDAs).
+"""Data model and writers for D2D placement delivery arrays (DPDAs).
 
 A DPDA is an (L'*F) x K array over star entries and coded entries ``s^k``:
 a star marks a packet index cached by the column's user, while a coded entry
@@ -24,16 +24,16 @@ Canonical text format (byte-stable)::
 A JSON mirror with keys ``k, lp, f, z, s, grid`` (the grid holding the same
 tokens) is provided for machine consumers.
 
-This module checks structural well-formedness only (dimensions, entry
-ranges, one sender per slot).  The semantic conditions C0-C4 live in
-:mod:`dpda.validation`.
+This module holds the model and the writers.  The readers,
+``parse_dpda`` and ``dpda_from_json``, live in :mod:`dpda.read`, which loads
+on their first use; this module still answers for both names.  Both check
+structural well-formedness only (dimensions, entry ranges, one sender per
+slot); the semantic conditions C0-C4 live in :mod:`dpda.validation`.
 """
 
 from __future__ import annotations
 
-import re
-from itertools import filterfalse
-from typing import Mapping, Sequence
+from typing import Sequence
 
 __all__ = [
     "STAR",
@@ -41,14 +41,9 @@ __all__ = [
     "Entry",
     "Dpda",
     "FormatError",
-    "parse_dpda",
     "serialize_dpda",
     "dpda_to_json",
-    "dpda_from_json",
     "slot_cells",
-    "permute_band_rows",
-    "permute_columns",
-    "relabel_slots",
 ]
 
 
@@ -135,10 +130,6 @@ class Coded(_Record):
 Entry = Coded | None
 STAR: Entry = None  # star entries are represented as None
 
-_DIGITS = re.compile(r"[0-9]+")
-_CODED_TOKEN = re.compile(r"([0-9]+)\^([0-9]+)")
-
-
 class Dpda(_Record):
     """A (K, L', F, Z, S) placement delivery array.
 
@@ -207,71 +198,6 @@ def _count(n: int) -> str:
         return f"at least 2^{n.bit_length() - 1}"
 
 
-def _parse_int(digits: str, where: str) -> int:
-    try:
-        return int(digits)
-    except ValueError as exc:  # more digits than int() converts
-        raise FormatError(f"{where}: {len(digits)}-digit integer is too long") from exc
-
-
-def _parse_token(tok: str, r: int, c: int) -> Coded:
-    m = _CODED_TOKEN.fullmatch(tok)
-    if m is None:
-        raise FormatError(f"row {r}, column {c}: bad token {tok!r}")
-    try:
-        return Coded(int(m[1]), int(m[2]))
-    except ValueError:  # more digits than int() converts: parse again to name the field
-        where = f"row {r}, column {c}"
-        return Coded(_parse_int(m[1], where), _parse_int(m[2], where))
-
-
-def _parse_row(toks: Sequence[str], r: int, memo: dict[str, Entry]) -> tuple[Entry, ...]:
-    """Row ``r``'s entries; ``memo`` maps each token seen so far to its one entry,
-    and gains the row's new tokens, parsed in column order."""
-    for tok in filterfalse(memo.__contains__, toks):
-        memo[tok] = _parse_token(tok, r, toks.index(tok))
-    return tuple(map(memo.__getitem__, toks))
-
-
-def parse_dpda(text: str | bytes) -> Dpda:
-    """Parse the DPDA text format into a structurally well-formed array.
-
-    Semantic conditions (C0-C4) are *not* checked here.  Raises
-    :class:`FormatError` with row/column coordinates on malformed input.
-    """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"input is not UTF-8: {exc}") from exc
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise FormatError("empty input")
-    header = lines[0].split()
-    if len(header) != 6 or header[0] != "DPDA":
-        raise FormatError(f"malformed header: {lines[0]!r}")
-    fields = {}
-    for part, key in zip(header[1:], ("K", "L'", "F", "Z", "S")):
-        prefix = key + "="
-        if not part.startswith(prefix) or not _DIGITS.fullmatch(part, len(prefix)):
-            raise FormatError(f"malformed header field {part!r} (expected {prefix}<int>)")
-        fields[key] = _parse_int(part[len(prefix):], f"header field {key}")
-    k, lp, f, z, s = fields["K"], fields["L'"], fields["F"], fields["Z"], fields["S"]
-    body = lines[1:]
-    if lp < 1 or f < 1:
-        raise FormatError("header requires L' >= 1 and F >= 1")
-    if len(body) != lp * f:
-        raise FormatError(f"expected {_count(lp * f)} body rows (L'*F), got {len(body)}")
-    memo: dict[str, Entry] = {"*": STAR}
-    grid = []
-    for r, line in enumerate(body):
-        toks = line.split()
-        if len(toks) != k:
-            raise FormatError(f"row {r}: expected {k} tokens, got {len(toks)}")
-        grid.append(_parse_row(toks, r, memo))
-    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=tuple(grid))
-
-
 def serialize_dpda(p: Dpda) -> str:
     """Render ``p`` in the canonical text format (byte-stable, round-trips)."""
     out = [f"DPDA K={p.k} L'={p.lp} F={p.f} Z={p.z} S={p.s}"]
@@ -291,40 +217,6 @@ def dpda_to_json(p: Dpda) -> dict:
     }
 
 
-def dpda_from_json(obj: str | Mapping) -> Dpda:
-    """Parse the JSON mirror produced by :func:`dpda_to_json`.
-
-    ``k, lp, f, z, s`` must be JSON integers and ``grid`` a list of lists of
-    tokens; malformed input raises :class:`FormatError`.
-    """
-    if isinstance(obj, (str, bytes)):
-        try:
-            import json  # only the JSON mirror needs it
-
-            obj = json.loads(obj)
-        except (ValueError, RecursionError) as exc:  # malformed, too long or too deep
-            raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, Mapping):
-        raise FormatError("JSON mirror must be an object")
-    try:
-        values = [obj[key] for key in ("k", "lp", "f", "z", "s")]
-        rows = obj["grid"]
-    except KeyError as exc:
-        raise FormatError(f"JSON mirror missing field: {exc}") from exc
-    if any(type(v) is not int for v in values):
-        raise FormatError(f"JSON mirror k, lp, f, z, s must be integers, got {values!r}")
-    k, lp, f, z, s = values
-    if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in rows):
-        raise FormatError("JSON mirror grid must be a list of rows")
-    memo: dict[str, Entry] = {"*": STAR}
-    try:
-        grid = tuple(_parse_row([*map(str, row)], r, memo) for r, row in enumerate(rows))
-    except RecursionError as exc:  # str() of a token nested too deep
-        raise FormatError(f"JSON mirror grid token nests too deep: {exc}") from exc
-    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=grid)
-
-
 def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
     """Map each slot id to its (row, column) occurrences in row-major order."""
     cells: dict[int, list[tuple[int, int]]] = {}
@@ -335,56 +227,9 @@ def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
     return cells
 
 
-def permute_band_rows(p: Dpda, order: Sequence[int]) -> Dpda:
-    """Apply one permutation of the F rows identically to every band.
+def __getattr__(name: str):
+    if name in ("parse_dpda", "dpda_from_json"):
+        from . import read
 
-    ``order[h]`` names the old in-band row placed at in-band position ``h``.
-    """
-    if sorted(order) != list(range(p.f)):
-        raise ValueError("order must be a permutation of range(F)")
-    grid = tuple(
-        p.grid[band * p.f + order[h]] for band in range(p.lp) for h in range(p.f)
-    )
-    return Dpda(k=p.k, lp=p.lp, f=p.f, z=p.z, s=p.s, grid=grid)
-
-
-def permute_columns(p: Dpda, order: Sequence[int]) -> Dpda:
-    """Reorder columns and relabel senders accordingly.
-
-    ``order[c]`` names the old column placed at position ``c``; a coded
-    entry's sender ``k`` becomes ``k``'s new position.
-    """
-    if sorted(order) != list(range(p.k)):
-        raise ValueError("order must be a permutation of range(K)")
-    return Dpda(k=p.k, lp=p.lp, f=p.f, z=p.z, s=p.s, grid=_permuted_grid(p.grid, order))
-
-
-def _permuted_grid(grid: Sequence[Sequence[Entry]], order: Sequence[int]
-                   ) -> tuple[tuple[Entry, ...], ...]:
-    """``grid`` with column ``order[c]`` placed at ``c`` and senders relabeled along."""
-    inv = [0] * len(order)
-    for new, old in enumerate(order):
-        inv[old] = new
-    return tuple(
-        tuple(
-            e if e is None else Coded(e.slot, inv[e.sender])
-            for e in (row[old] for old in order)
-        )
-        for row in grid
-    )
-
-
-def relabel_slots(p: Dpda, mapping: Sequence[int] | Mapping[int, int]) -> Dpda:
-    """Apply a bijective slot-id relabeling (senders are unchanged)."""
-    table = dict(enumerate(mapping)) if not isinstance(mapping, Mapping) else dict(mapping)
-    used = {e.slot for row in p.grid for e in row if e is not None}
-    if not used <= table.keys():
-        raise ValueError(f"mapping does not cover used slots {sorted(used - table.keys())}")
-    image = {table[s] for s in used}
-    if len(image) != len(used) or any(not 0 <= v < p.s for v in image):
-        raise ValueError("mapping must be injective into [0,S) on the used slots")
-    grid = tuple(
-        tuple(e if e is None else Coded(table[e.slot], e.sender) for e in row)
-        for row in p.grid
-    )
-    return Dpda(k=p.k, lp=p.lp, f=p.f, z=p.z, s=p.s, grid=grid)
+        return getattr(read, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,0 +1,125 @@
+"""Readers of the DPDA text format and its JSON mirror (see :mod:`dpda.core`).
+
+Both readers parse each distinct token once per call: a per-call dict maps
+every token seen so far to its one entry, so all the cells holding a token
+share one :class:`~dpda.core.Coded`, and a row of known tokens is looked up
+whole.  Malformed input raises :class:`~dpda.core.FormatError` with row and
+column coordinates; semantic conditions (C0-C4) are not checked here.
+
+This module loads on the first call of a reader, so runs that only build,
+bound or search arrays never compile it.  ``dpda.parse_dpda`` and
+``dpda.core.parse_dpda`` (likewise ``dpda_from_json``) name the same
+functions.
+"""
+
+from __future__ import annotations
+
+import re
+from itertools import filterfalse
+from typing import Mapping, Sequence
+
+from .core import STAR, Coded, Dpda, Entry, FormatError, _count
+
+__all__ = ["parse_dpda", "dpda_from_json"]
+
+_DIGITS = re.compile(r"[0-9]+")
+_CODED_TOKEN = re.compile(r"([0-9]+)\^([0-9]+)")
+
+
+def _parse_int(digits: str, where: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"{where}: {len(digits)}-digit integer is too long") from exc
+
+
+def _parse_token(tok: str, r: int, c: int) -> Coded:
+    m = _CODED_TOKEN.fullmatch(tok)
+    if m is None:
+        raise FormatError(f"row {r}, column {c}: bad token {tok!r}")
+    try:
+        return Coded(int(m[1]), int(m[2]))
+    except ValueError:  # more digits than int() converts: parse again to name the field
+        where = f"row {r}, column {c}"
+        return Coded(_parse_int(m[1], where), _parse_int(m[2], where))
+
+
+def _parse_row(toks: Sequence[str], r: int, memo: dict[str, Entry]) -> tuple[Entry, ...]:
+    """Row ``r``'s entries; ``memo`` maps each token seen so far to its one entry,
+    and gains the row's new tokens, parsed in column order."""
+    for tok in filterfalse(memo.__contains__, toks):
+        memo[tok] = _parse_token(tok, r, toks.index(tok))
+    return tuple(map(memo.__getitem__, toks))
+
+
+def parse_dpda(text: str | bytes) -> Dpda:
+    """Parse the DPDA text format into a structurally well-formed array.
+
+    Semantic conditions (C0-C4) are *not* checked here.  Raises
+    :class:`FormatError` with row/column coordinates on malformed input.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"input is not UTF-8: {exc}") from exc
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise FormatError("empty input")
+    header = lines[0].split()
+    if len(header) != 6 or header[0] != "DPDA":
+        raise FormatError(f"malformed header: {lines[0]!r}")
+    fields = {}
+    for part, key in zip(header[1:], ("K", "L'", "F", "Z", "S")):
+        prefix = key + "="
+        if not part.startswith(prefix) or not _DIGITS.fullmatch(part, len(prefix)):
+            raise FormatError(f"malformed header field {part!r} (expected {prefix}<int>)")
+        fields[key] = _parse_int(part[len(prefix):], f"header field {key}")
+    k, lp, f, z, s = fields["K"], fields["L'"], fields["F"], fields["Z"], fields["S"]
+    body = lines[1:]
+    if lp < 1 or f < 1:
+        raise FormatError("header requires L' >= 1 and F >= 1")
+    if len(body) != lp * f:
+        raise FormatError(f"expected {_count(lp * f)} body rows (L'*F), got {len(body)}")
+    memo: dict[str, Entry] = {"*": STAR}
+    grid = []
+    for r, line in enumerate(body):
+        toks = line.split()
+        if len(toks) != k:
+            raise FormatError(f"row {r}: expected {k} tokens, got {len(toks)}")
+        grid.append(_parse_row(toks, r, memo))
+    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=tuple(grid))
+
+
+def dpda_from_json(obj: str | Mapping) -> Dpda:
+    """Parse the JSON mirror produced by :func:`~dpda.core.dpda_to_json`.
+
+    ``k, lp, f, z, s`` must be JSON integers and ``grid`` a list of lists of
+    tokens; malformed input raises :class:`FormatError`.
+    """
+    if isinstance(obj, (str, bytes)):
+        try:
+            import json  # only the JSON mirror needs it
+
+            obj = json.loads(obj)
+        except (ValueError, RecursionError) as exc:  # malformed, too long or too deep
+            raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, Mapping):
+        raise FormatError("JSON mirror must be an object")
+    try:
+        values = [obj[key] for key in ("k", "lp", "f", "z", "s")]
+        rows = obj["grid"]
+    except KeyError as exc:
+        raise FormatError(f"JSON mirror missing field: {exc}") from exc
+    if any(type(v) is not int for v in values):
+        raise FormatError(f"JSON mirror k, lp, f, z, s must be integers, got {values!r}")
+    k, lp, f, z, s = values
+    if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows):
+        raise FormatError("JSON mirror grid must be a list of rows")
+    memo: dict[str, Entry] = {"*": STAR}
+    try:
+        grid = tuple(_parse_row([*map(str, row)], r, memo) for r, row in enumerate(rows))
+    except RecursionError as exc:  # str() of a token nested too deep
+        raise FormatError(f"JSON mirror grid token nests too deep: {exc}") from exc
+    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=grid)

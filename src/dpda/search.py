@@ -24,11 +24,6 @@ Pruning never changes answers, only node counts:
 
 A hard cell-count guard (default 24, overridable per call) makes refusals
 explicit instead of silently partial.
-
-``canonicalize`` computes the exact orbit representative of a small L'=1
-array under row permutation, column permutation with sender relabeling and
-slot-id bijection: the arrangement whose entry sequence (stars before coded
-entries, then by slot label and sender) is lexicographically least.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from math import comb
 from typing import Iterable, Iterator
 
-from .core import STAR, Coded, Dpda, Entry, _Record, _permuted_grid, serialize_dpda
+from .core import STAR, Coded, Dpda, Entry, _Record, serialize_dpda
 
 __all__ = [
     "DEFAULT_CELLS_LIMIT",
@@ -45,11 +40,9 @@ __all__ = [
     "SearchResult",
     "exists_dpda",
     "search_min_s",
-    "canonicalize",
 ]
 
 DEFAULT_CELLS_LIMIT = 24
-_CANON_CELLS_LIMIT = 36
 _Rows = tuple[tuple[bool, ...], ...]  # star pattern: a star flag per cell, row-major
 
 
@@ -261,71 +254,3 @@ def search_min_s(k: int, f: int, z: int, s_max: int, *,
                 )
             return SearchResult(True, s, res.witness, nodes, True)
     return SearchResult(False, None, None, nodes, True)
-
-
-def _row_key(row: tuple[Entry, ...], slot_map: dict[int, int]
-             ) -> tuple[tuple[tuple[int, int, int], ...], dict[int, int]]:
-    """Keys of ``row``'s entries, and a copy of ``slot_map`` that labels its new slots."""
-    trial_map = dict(slot_map)
-    key = tuple((0, 0, 0) if e is None
-                else (1, trial_map.setdefault(e.slot, len(trial_map)), e.sender)
-                for e in row)
-    return key, trial_map
-
-
-def canonicalize(p: Dpda, *, cells_limit: int = _CANON_CELLS_LIMIT) -> Dpda:
-    """Exact orbit representative of a valid L'=1 array.
-
-    Minimizes the row-major entry sequence over row permutations, column
-    permutations (senders relabeled along), and slot bijections; entries
-    compare star-first, then by (slot label, sender).  Idempotent, and
-    constant on each symmetry orbit.
-    """
-    if p.lp != 1:
-        raise ValueError(f"canonicalization handles L'=1 arrays, got L'={p.lp}")
-    if p.f * p.k > cells_limit or p.k > 8:
-        raise SearchSpaceError(
-            f"instance too large for exact canonicalization "
-            f"({p.f}x{p.k} cells, guard {cells_limit}, K <= 8)"
-        )
-    best: list[tuple] | None = None
-
-    def descend(rows: tuple[tuple[Entry, ...], ...], used: list[bool],
-                slot_map: dict[int, int], acc: list[tuple]) -> None:
-        nonlocal best
-        depth = len(acc)
-        if depth == len(rows):
-            if best is None or acc < best:
-                best = list(acc)
-            return
-        candidates = []
-        for idx, row in enumerate(rows):
-            if used[idx]:
-                continue
-            key, trial_map = _row_key(row, slot_map)
-            candidates.append((key, idx, trial_map))
-        # only rows achieving the minimal key can start the lex-min
-        # completion; equal keys may bind slot labels differently, so ties
-        # all branch
-        low = min(c[0] for c in candidates)
-        acc.append(low)
-        if best is not None and acc > best[:depth + 1]:
-            acc.pop()
-            return
-        for key, idx, trial_map in candidates:
-            if key != low:
-                continue
-            used[idx] = True
-            descend(rows, used, trial_map, acc)
-            used[idx] = False
-        acc.pop()
-
-    for perm in permutations(range(p.k)):
-        descend(_permuted_grid(p.grid, perm), [False] * p.f, {}, [])
-
-    assert best is not None
-    grid = tuple(
-        tuple(STAR if kind == 0 else Coded(label, sender) for kind, label, sender in row_key)
-        for row_key in best
-    )
-    return Dpda(k=p.k, lp=1, f=p.f, z=p.z, s=p.s, grid=grid)

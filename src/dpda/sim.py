@@ -138,6 +138,8 @@ class Demand(_Record):
 
 
 def _check_demand(dem: Demand, k: int, n: int, l: int, lp: int) -> None:
+    if l < lp:
+        raise ValueError(f"need L >= L', got L={l}, L'={lp}")
     if len(dem.d) != k:
         raise ValueError(f"demand is for {len(dem.d)} users, array has {k}")
     for j, (dj, bj) in enumerate(zip(dem.d, dem.b)):

@@ -19,11 +19,10 @@ from dpda import (
     construct_jcm,
     construct_odd,
     lift,
-    permute_band_rows,
-    permute_columns,
-    relabel_slots,
     slot_cells,
 )
+
+from symmetry import permute_band_rows, permute_columns, relabel_slots
 
 
 def random_well_formed(rng: random.Random) -> Dpda:

@@ -421,16 +421,18 @@ def test_unexpected_exception_is_internal_error(monkeypatch, tmp_path, capsys, e
 
 def test_subcommand_runs_only_its_modules(tmp_path):
     # A library module that a subcommand does not call is never executed:
-    # it stays an unloaded stub in sys.modules (see dpda/__init__.py).
+    # it stays an unloaded stub in sys.modules (see dpda/__init__.py).  The
+    # readers in dpda.read run only for the verbs that read an array file.
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
     expected = {
         ("construct", "--family", "even", "--q", "2"): ["construct"],
-        ("validate", str(f)): ["validation"],
+        ("validate", str(f)): ["read", "validation"],
         ("bounds", "--k", "6", "--case", "2/K"): ["bounds"],
-        ("bounds", "--from", str(f)): ["bounds", "validation"],
-        ("compare", str(f)): ["bounds", "validation"],
-        ("simulate", str(f), "--files", "4", "--blocks", "2", "--trials", "3", "--json"): ["sim"],
+        ("bounds", "--from", str(f)): ["bounds", "read", "validation"],
+        ("compare", str(f)): ["bounds", "read", "validation"],
+        ("simulate", str(f), "--files", "4", "--blocks", "2", "--trials", "3", "--json"):
+            ["read", "sim"],
         ("search", "--k", "3", "--f", "3", "--z", "1"): ["search"],
     }
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -499,6 +501,27 @@ def test_startup_profile_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("$ dpda search --k 2 --f 2 --z 1  [exit 0]\n")
     assert "dpda.cli\n" in proc.stdout and "argparse" not in proc.stdout
+    # the last row totals the dpda modules the run compiled; search reads no array
+    assert proc.stdout.splitlines()[-1].endswith("  total over 4 modules")
+
+
+def test_readers_load_on_first_use_under_every_name():
+    # dpda.core answers for the readers that live in dpda.read, and importing
+    # dpda.core alone does not execute dpda.read
+    script = (
+        "import sys, types\n"
+        "import dpda.core\n"
+        "print(type(sys.modules['dpda.read']) is types.ModuleType)\n"
+        "import dpda, dpda.read\n"
+        "print([getattr(dpda, n) is getattr(dpda.core, n) is getattr(dpda.read, n)\n"
+        "       for n in ('parse_dpda', 'dpda_from_json')])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n[True, True]\n"
+    with pytest.raises(AttributeError, match="no attribute 'parse'"):
+        dpda.core.parse
 
 
 def test_star_import_binds_every_public_name():

@@ -161,7 +161,7 @@ def test_round_trip_seeded_fuzz():
 
 
 def test_transform_argument_validation():
-    from dpda import permute_band_rows, permute_columns, relabel_slots
+    from symmetry import permute_band_rows, permute_columns, relabel_slots
 
     p = parse_dpda(P4_TEXT)
     with pytest.raises(ValueError, match="permutation"):

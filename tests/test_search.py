@@ -12,14 +12,12 @@ from dpda import (
     Dpda,
     STAR,
     SearchSpaceError,
-    canonicalize,
     construct_even,
     construct_grid,
     construct_jcm,
     construct_odd,
     exists_dpda,
     parse_dpda,
-    permute_columns,
     search_min_s,
     validate,
 )
@@ -27,6 +25,7 @@ from dpda import (
 import search_reference
 from fuzz import random_symmetry_action, valid_corpus
 from golden import P4_TEXT
+from symmetry import canonicalize, permute_columns
 
 # arrays small enough for exact canonicalization under the default guard
 _small_valid = st.sampled_from(

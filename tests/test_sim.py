@@ -170,6 +170,13 @@ class TestDeliver:
         with pytest.raises(ValueError, match="array has 4"):
             deliver(p, caches, lib, Demand(d=(0,), b=(0,)))
 
+    def test_library_shorter_than_request_is_named(self):
+        # L < L' is named before any user's demand is read
+        q = parse_dpda(Q_LIFTED_P4_TEXT)
+        lib = make_library(2, 1, 4, 8)
+        with pytest.raises(ValueError, match=r"^need L >= L', got L=1, L'=2$"):
+            deliver(q, place(q, lib), lib, Demand(d=(0, 0, 0, 0), b=(0, 0, 0, 0)))
+
 
 class TestDecode:
     def test_worked_scenario_user0(self):
