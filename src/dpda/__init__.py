@@ -9,9 +9,13 @@ Submodules load on first use: importing the package runs none of them, and
 ``from dpda import X`` runs only the module that defines ``X``.  The readers
 ``parse_dpda`` and ``dpda_from_json`` live in :mod:`dpda.read`, apart from
 the model and writers in :mod:`dpda.core`, so a run that reads no array
-never compiles them.  The records are plain frozen classes on one small base
-in :mod:`dpda.core` that generates no code, and ``json`` loads only where
-JSON is read or written.
+never compiles them.  Likewise the one-demand protocol steps (``deliver``,
+``decode`` and their records) live in :mod:`dpda.steps`, apart from the
+trial engine :mod:`dpda.sim`, so a ``simulate`` run never compiles them;
+``dpda.core`` and ``dpda.sim`` still answer for the names they gave away.
+Each CLI verb's handler lives in the module it adapts.  The records are
+plain frozen classes on one small base in :mod:`dpda.core` that generates
+no code, and ``json`` loads only where JSON is read or written.
 """
 
 import importlib.util
@@ -30,8 +34,8 @@ _EXPORTS = {
     "bounds": ("rate_lower_bound", "min_f_bound", "jcm_params", "JcmParams",
                "compare_to_jcm", "JcmComparison", "BoundsReport",
                "bounds_for_case", "bounds_for_array"),
-    "sim": ("Library", "Caches", "Demand", "Signal", "SimReport", "SimulationError",
-            "make_library", "place", "user_cache_bytes", "deliver", "decode", "simulate"),
+    "sim": ("Library", "Caches", "Demand", "SimReport", "make_library", "place", "simulate"),
+    "steps": ("Signal", "SimulationError", "user_cache_bytes", "deliver", "decode"),
     "search": ("SearchResult", "SearchSpaceError", "exists_dpda", "search_min_s"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 from typing import Callable
 
 from . import validation
@@ -262,3 +263,40 @@ def format_table(headers: list[str], rows: list[list[object]]) -> str:
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
+
+
+def _cmd_bounds(args: SimpleNamespace) -> int:
+    from .cli import _emit, _json_dumps, _load
+
+    if args.from_path is not None:
+        report = bounds_for_array(_load(args.from_path))
+    else:
+        if args.k is None or args.case is None:
+            raise ValueError("provide --k and --case, or --from FILE")
+        report = bounds_for_case(args.k, args.case)
+    if args.json:
+        _emit(_json_dumps(report.to_json()), None)
+        return 0
+    j = report.to_json()
+    rows = [[key, j[key]] for key in j if key != "notes" and j[key] is not None]
+    text = format_table(["field", "value"], rows)
+    for note in report.notes:
+        text += f"note: {note}\n"
+    _emit(text, None)
+    return 0
+
+
+def _cmd_compare(args: SimpleNamespace) -> int:
+    from .cli import _emit, _json_dumps, _load
+
+    comparison = compare_to_jcm(_load(args.path))
+    if args.json:
+        _emit(_json_dumps(comparison.to_json()), None)
+    else:
+        text = format_table(
+            ["k", "t", "f_ours", "f_jcm", "ratio", "rate"],
+            [[comparison.k, comparison.t, comparison.f_ours, comparison.f_jcm,
+              comparison.ratio, comparison.rate]],
+        )
+        _emit(text, None)
+    return 0

@@ -7,24 +7,30 @@ true, 1 verdict false or failed run, 2 usage or input error, 3 internal
 error (a failed assertion or any other unexpected exception).  Identical
 invocations on identical inputs produce byte-identical output.
 
-No domain logic lives here; every subcommand is a thin adapter over the
-library modules.  Those load on first use (see :mod:`dpda`), so a run pays
-only for the modules its subcommand calls.
+No domain logic lives here.  Each verb's handler, ``_cmd_<verb>``, is a
+thin adapter that lives beside the code it adapts (``dpda.sim._cmd_simulate``,
+as ``tarfile.main`` lives beside ``tarfile``) and takes ``_emit``, ``_load``
+and ``_json_dumps`` from this module when it runs.  The library modules load
+on first use (see :mod:`dpda`), and ``main`` looks a handler up only once the
+argv is read, so a run compiles only the modules its verb calls, and help
+and usage errors compile none.
 
-``_VERBS`` is the one grammar of the command line.  A plain well-formed argv
-is read straight from it by ``_fast_args``; ``argparse``, built from the same
-table, loads only for help, usage errors and the argv forms the fast path
-leaves to it (abbreviations, ``--opt=value``, values starting with ``-``).
+``_VERBS`` is the one grammar of the command line, and names each verb's
+handler.  A plain well-formed argv is read straight from it by
+``_fast_args``; ``argparse``, built from the same table, loads only for
+help, usage errors and the argv forms the fast path leaves to it
+(abbreviations, ``--opt=value``, values starting with ``-``).
 """
 
 from __future__ import annotations
 
 import sys
+from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import bounds, construct, read, search, sim, validation
-from .core import Dpda, FormatError, dpda_to_json, serialize_dpda
+from . import read
+from .core import Dpda, FormatError
 
 __all__ = ["main"]
 
@@ -51,135 +57,15 @@ def _json_dumps(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _cmd_construct(args: SimpleNamespace) -> int:
-    if args.family == "jcm":
-        if args.k is None or args.t is None:
-            raise ValueError("--family jcm requires --k and --t")
-        p = construct.construct_jcm(args.k, args.t)
-    else:
-        if args.q is None:
-            raise ValueError(f"--family {args.family} requires --q")
-        builder = {"grid": construct.construct_grid, "even": construct.construct_even,
-                   "odd": construct.construct_odd}
-        p = builder[args.family](args.q)
-    if args.lift is not None:
-        p = construct.lift(p, args.lift)
-    text = _json_dumps(dpda_to_json(p)) if args.json else serialize_dpda(p)
-    _emit(text, args.out)
-    return 0
-
-
-def _cmd_validate(args: SimpleNamespace) -> int:
-    report = validation.validate(_load(args.path))
-    ok = report.valid
-    payload: dict = {"validation": report.to_json()}
-    lines = [
-        f"{name}: {'ok' if getattr(report, name).passed else 'FAIL ' + repr(getattr(report, name).witness)}"
-        for name in validation.CONDITION_ORDER
-    ]
-    if args.optimal:
-        opt = report.rate_optimality
-        if opt is not None:
-            payload["rate_optimality"] = opt.to_json()
-            payload["broadcast_counts"] = list(report.broadcast_counts)
-            lines.append(f"rate_is_minimal: {'ok' if opt.rate_is_minimal else 'FAIL'}")
-            ok = opt.rate_is_minimal
-        else:
-            payload["rate_optimality"] = None
-            lines.append("rate_is_minimal: skipped (invalid array)")
-    lines.append(f"verdict: {'valid' if ok else 'invalid'}")
-    _emit(_json_dumps(payload) if args.json else "\n".join(lines) + "\n", None)
-    return 0 if ok else 1
-
-
-def _cmd_bounds(args: SimpleNamespace) -> int:
-    if args.from_path is not None:
-        report = bounds.bounds_for_array(_load(args.from_path))
-    else:
-        if args.k is None or args.case is None:
-            raise ValueError("provide --k and --case, or --from FILE")
-        report = bounds.bounds_for_case(args.k, args.case)
-    if args.json:
-        _emit(_json_dumps(report.to_json()), None)
-        return 0
-    j = report.to_json()
-    rows = [[key, j[key]] for key in j if key != "notes" and j[key] is not None]
-    text = bounds.format_table(["field", "value"], rows)
-    for note in report.notes:
-        text += f"note: {note}\n"
-    _emit(text, None)
-    return 0
-
-
-def _parse_demand(literal: str) -> sim.Demand:
-    try:
-        d_part, b_part = literal.split(";")
-        d = tuple(int(x) for x in d_part.split(","))
-        b = tuple(int(x) for x in b_part.split(","))
-    except ValueError as exc:
-        raise ValueError(f"demand literal must be 'd0,d1,...;b0,b1,...': {exc}") from exc
-    return sim.Demand(d=d, b=b)
-
-
-def _cmd_simulate(args: SimpleNamespace) -> int:
-    if (args.demand is None) == (args.trials is None):
-        raise ValueError("provide exactly one of --demand or --trials")
-    p = _load(args.path)
-    demand = None if args.demand is None else _parse_demand(args.demand)
-    if demand is not None:
-        sim._check_demand(demand, p.k, args.files, args.blocks, p.lp)
-    report = sim.simulate(p, args.files, args.blocks, args.packet_size,
-                          demand=demand, trials=args.trials, seed=args.seed)
-    if args.json:
-        _emit(_json_dumps(report.to_json()), None)
-    else:
-        j = report.to_json()
-        _emit("".join(f"{key}: {j[key]}\n" for key in j), None)
-    return 0 if report.success else 1
-
-
-def _cmd_search(args: SimpleNamespace) -> int:
-    s_max = args.max_s if args.max_s is not None else (args.f - args.z) * args.k
-    try:
-        result = search.search_min_s(args.k, args.f, args.z, s_max,
-                                     cells_limit=args.cells_limit)
-    except search.SearchSpaceError as exc:
-        raise ValueError(str(exc)) from exc
-    if args.json:
-        _emit(_json_dumps(result.to_json()), None)
-    else:
-        if result.feasible:
-            _emit(f"minimal S = {result.minimal_s} "
-                  f"(nodes explored: {result.nodes_explored})\n"
-                  + serialize_dpda(result.witness), None)
-        else:
-            _emit(f"no array with S <= {s_max} "
-                  f"(nodes explored: {result.nodes_explored})\n", None)
-    return 0 if result.feasible else 1
-
-
-def _cmd_compare(args: SimpleNamespace) -> int:
-    comparison = bounds.compare_to_jcm(_load(args.path))
-    if args.json:
-        _emit(_json_dumps(comparison.to_json()), None)
-    else:
-        text = bounds.format_table(
-            ["k", "t", "f_ours", "f_jcm", "ratio", "rate"],
-            [[comparison.k, comparison.t, comparison.f_ours, comparison.f_jcm,
-              comparison.ratio, comparison.rate]],
-        )
-        _emit(text, None)
-    return 0
-
-
 _JSON = {"action": "store_true"}
 _PATH = {"help": "array file ('-' for stdin)"}
 _REQUIRED_INT = {"type": int, "required": True}
 
-# The grammar: verb -> (help, handler name, argument -> add_argument keywords),
-# in help order.  Handlers are looked up by name when a run dispatches.
+# The grammar: verb -> (help, "<module>._cmd_<verb>", argument -> add_argument
+# keywords), in help order.  ``main`` resolves the handler's name in
+# ``dpda.<module>`` when it dispatches, so reading an argv loads no module.
 _VERBS = {
-    "construct": ("build a family array", "_cmd_construct", {
+    "construct": ("build a family array", "construct._cmd_construct", {
         "--family": {"required": True, "choices": ["jcm", "grid", "even", "odd"]},
         "--q": {"type": int, "help": "size parameter for grid/even/odd"},
         "--k": {"type": int, "help": "user count for jcm"},
@@ -188,18 +74,18 @@ _VERBS = {
         "--out": {"help": "output path (default stdout)"},
         "--json": _JSON,
     }),
-    "validate": ("check the DPDA conditions", "_cmd_validate", {
+    "validate": ("check the DPDA conditions", "validation._cmd_validate", {
         "path": _PATH,
         "--optimal": {"action": "store_true", "help": "also require the minimal-rate conditions"},
         "--json": _JSON,
     }),
-    "bounds": ("rate/packet-number lower bounds", "_cmd_bounds", {
+    "bounds": ("rate/packet-number lower bounds", "bounds._cmd_bounds", {
         "--k": {"type": int},
         "--case": {"choices": _MEMORY_CASES},
         "--from": {"dest": "from_path", "help": "score an array file instead"},
         "--json": _JSON,
     }),
-    "simulate": ("run the protocol on synthetic packets", "_cmd_simulate", {
+    "simulate": ("run the protocol on synthetic packets", "sim._cmd_simulate", {
         "path": _PATH,
         "--files": {"type": int, "required": True, "help": "library size N"},
         "--blocks": {"type": int, "required": True, "help": "blocks per file L"},
@@ -209,7 +95,7 @@ _VERBS = {
         "--seed": {"type": int, "default": 0},
         "--json": _JSON,
     }),
-    "search": ("exhaustive minimum-S search", "_cmd_search", {
+    "search": ("exhaustive minimum-S search", "search._cmd_search", {
         "--k": _REQUIRED_INT,
         "--f": _REQUIRED_INT,
         "--z": _REQUIRED_INT,
@@ -217,7 +103,7 @@ _VERBS = {
         "--cells-limit": {"type": int, "help": "override the search guard"},
         "--json": _JSON,
     }),
-    "compare": ("packet-number ratio against the baseline", "_cmd_compare",
+    "compare": ("packet-number ratio against the baseline", "bounds._cmd_compare",
                 {"path": _PATH, "--json": _JSON}),
 }
 
@@ -234,7 +120,7 @@ def _fast_args(argv: list[str]) -> SimpleNamespace | None:
     if not argv or argv[0] not in _VERBS:
         return None
     _help, handler, grammar = _VERBS[argv[0]]
-    values = {"command": argv[0], "func": globals()[handler]}
+    values = {"command": argv[0], "func": handler}
     dests, positionals, given = {}, [], []
     for name, kw in grammar.items():
         if name[0] == "-":
@@ -283,7 +169,7 @@ def _parser():
         p = sub.add_parser(verb, help=help_text)
         for name, kw in grammar.items():
             p.add_argument(name, **kw)
-        p.set_defaults(func=globals()[handler])
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -291,8 +177,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _fast_args(argv) or SimpleNamespace(**vars(_parser().parse_args(argv)))
+    module, _, name = args.func.partition(".")
     try:
-        return args.func(args)
+        return getattr(import_module(f"{__package__}.{module}"), name)(args)
     except (FormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
-from .core import STAR, Coded, Dpda, Entry
+from .core import STAR, Coded, Dpda, Entry, dpda_to_json, serialize_dpda
 
 __all__ = [
     "construct_jcm",
@@ -184,3 +185,22 @@ def lift(p: Dpda, lp_new: int) -> Dpda:
                 e if e is None else Coded(e.slot + shift, e.sender) for e in row
             ))
     return Dpda(k=p.k, lp=lp_new, f=p.f, z=p.z, s=lp_new * p.s, grid=tuple(grid))
+
+
+def _cmd_construct(args: SimpleNamespace) -> int:
+    from .cli import _emit, _json_dumps
+
+    if args.family == "jcm":
+        if args.k is None or args.t is None:
+            raise ValueError("--family jcm requires --k and --t")
+        p = construct_jcm(args.k, args.t)
+    else:
+        if args.q is None:
+            raise ValueError(f"--family {args.family} requires --q")
+        builder = {"grid": construct_grid, "even": construct_even, "odd": construct_odd}
+        p = builder[args.family](args.q)
+    if args.lift is not None:
+        p = lift(p, args.lift)
+    text = _json_dumps(dpda_to_json(p)) if args.json else serialize_dpda(p)
+    _emit(text, args.out)
+    return 0

@@ -14,16 +14,12 @@ functions.
 
 from __future__ import annotations
 
-import re
 from itertools import filterfalse
 from typing import Mapping, Sequence
 
 from .core import STAR, Coded, Dpda, Entry, FormatError, _count
 
 __all__ = ["parse_dpda", "dpda_from_json"]
-
-_DIGITS = re.compile(r"[0-9]+")
-_CODED_TOKEN = re.compile(r"([0-9]+)\^([0-9]+)")
 
 
 def _parse_int(digits: str, where: str) -> int:
@@ -34,14 +30,15 @@ def _parse_int(digits: str, where: str) -> int:
 
 
 def _parse_token(tok: str, r: int, c: int) -> Coded:
-    m = _CODED_TOKEN.fullmatch(tok)
-    if m is None:
+    # ASCII digits on both sides of one caret: what [0-9]+^[0-9]+ matches
+    slot, caret, sender = tok.partition("^")
+    if not (caret and tok.isascii() and slot.isdigit() and sender.isdigit()):
         raise FormatError(f"row {r}, column {c}: bad token {tok!r}")
     try:
-        return Coded(int(m[1]), int(m[2]))
+        return Coded(int(slot), int(sender))
     except ValueError:  # more digits than int() converts: parse again to name the field
         where = f"row {r}, column {c}"
-        return Coded(_parse_int(m[1], where), _parse_int(m[2], where))
+        return Coded(_parse_int(slot, where), _parse_int(sender, where))
 
 
 def _parse_row(toks: Sequence[str], r: int, memo: dict[str, Entry]) -> tuple[Entry, ...]:
@@ -72,9 +69,10 @@ def parse_dpda(text: str | bytes) -> Dpda:
     fields = {}
     for part, key in zip(header[1:], ("K", "L'", "F", "Z", "S")):
         prefix = key + "="
-        if not part.startswith(prefix) or not _DIGITS.fullmatch(part, len(prefix)):
+        value = part[len(prefix):]
+        if not (part.startswith(prefix) and value.isascii() and value.isdigit()):
             raise FormatError(f"malformed header field {part!r} (expected {prefix}<int>)")
-        fields[key] = _parse_int(part[len(prefix):], f"header field {key}")
+        fields[key] = _parse_int(value, f"header field {key}")
     k, lp, f, z, s = fields["K"], fields["L'"], fields["F"], fields["Z"], fields["S"]
     body = lines[1:]
     if lp < 1 or f < 1:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 from .core import STAR, Coded, Dpda, Entry, _Record, serialize_dpda
@@ -254,3 +255,24 @@ def search_min_s(k: int, f: int, z: int, s_max: int, *,
                 )
             return SearchResult(True, s, res.witness, nodes, True)
     return SearchResult(False, None, None, nodes, True)
+
+
+def _cmd_search(args: SimpleNamespace) -> int:
+    from .cli import _emit, _json_dumps
+
+    s_max = args.max_s if args.max_s is not None else (args.f - args.z) * args.k
+    try:
+        result = search_min_s(args.k, args.f, args.z, s_max, cells_limit=args.cells_limit)
+    except SearchSpaceError as exc:
+        raise ValueError(str(exc)) from exc
+    if args.json:
+        _emit(_json_dumps(result.to_json()), None)
+    else:
+        if result.feasible:
+            _emit(f"minimal S = {result.minimal_s} "
+                  f"(nodes explored: {result.nodes_explored})\n"
+                  + serialize_dpda(result.witness), None)
+        else:
+            _emit(f"no array with S <= {s_max} "
+                  f"(nodes explored: {result.nodes_explored})\n", None)
+    return 0 if result.feasible else 1

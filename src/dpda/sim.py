@@ -20,8 +20,13 @@ demands are in range).  Trials run in chunks that fit a byte budget, in
 trial order: a cell's packets for every trial of a chunk sit side by side in
 one little-endian integer, so a chunk XORs each slot, strips each user's
 side packets and compares each recovered integer with the expected one
-once.  :func:`deliver` and :func:`decode` run the same core on a one-trial
-chunk; decoders never read a signal's audit-only ``constituents``.
+once.
+
+This module is the trial engine.  The one-demand steps, ``deliver``,
+``decode``, ``user_cache_bytes``, ``Signal`` and ``SimulationError``, run
+the same core from :mod:`dpda.steps`, which a ``simulate`` run never
+compiles; this module still answers for those names.  ``_cmd_simulate`` is
+the ``dpda simulate`` handler of :mod:`dpda.cli`.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 from operator import xor
+from types import SimpleNamespace
 from typing import Callable, Container, Mapping, Sequence
 
 from .core import Dpda, _Record, _set, slot_cells
@@ -39,22 +45,13 @@ __all__ = [
     "Library",
     "Caches",
     "Demand",
-    "Signal",
     "SimReport",
-    "SimulationError",
     "make_library",
     "place",
-    "user_cache_bytes",
-    "deliver",
-    "decode",
     "simulate",
 ]
 
 PacketId = tuple[int, int, int]  # (file, block, packet)
-
-
-class SimulationError(RuntimeError):
-    """Protocol execution hit a state only an invalid array can produce."""
 
 
 class Library(_Record):
@@ -116,12 +113,6 @@ def place(p: Dpda, lib: Library) -> Caches:
     ))
 
 
-def user_cache_bytes(lib: Library, caches: Caches, k: int) -> dict[PacketId, bytes]:
-    """The cached content of user ``k``; values are the library's shared packets."""
-    return {(i, block, h): lib.packet(i, block, h) for i in range(lib.n)
-            for block in range(lib.l) for h in caches.users[k]}
-
-
 class Demand(_Record):
     """Per-user requests: file indices ``d`` and start blocks ``b``."""
 
@@ -161,15 +152,6 @@ def _draw_demand(getrandbits: Callable[[int], int], bounds: list[tuple[int, int]
             x = getrandbits(bits)
         values.append(x)
     return Demand(values[:k], values[k:])
-
-
-class Signal(_Record):
-    """One broadcast: XOR payload for a slot, plus an audit-only constituent list."""
-
-    slot: int
-    sender: int
-    payload: bytes
-    constituents: tuple[PacketId, ...]
 
 
 # Demand-free plans, derived from the array once per run and shared by every
@@ -305,49 +287,6 @@ def _recover(rows: list[_Row], ints: Sequence[int],
     return got
 
 
-def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
-    """Produce the S broadcast signals for a demand, in slot order.
-
-    Signal s XORs, over every cell (i, j) carrying slot s, the packet
-    (d_j, b_j + i//F, i mod F).  Every constituent must already sit in the
-    sender's cache; a miss means the array is not a valid DPDA and raises
-    :class:`SimulationError`.
-    """
-    _check_demand(dem, p.k, lib.n, lib.l, p.lp)
-    cells = slot_cells(p)
-    mix, senders, fault = _slot_plan(p, cells, caches)
-    if fault is not None:
-        raise SimulationError(_say(fault, dem, p.f))
-    return [Signal(slot=s, sender=senders[s], payload=x.to_bytes(lib.packet_size, "little"),
-                   constituents=tuple(_pid(dem, p.f, i, j) for i, j in cells[s]))
-            for s, x in enumerate(_payloads(mix, _packets(lib, p.lp, p.f, [dem], {})))]
-
-
-def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal],
-           dem: Demand, k: int) -> dict[PacketId, bytes]:
-    """Recover user ``k``'s requested packets (d_k, b_k + l, h) for l in
-    [0, L'), h in [0, F).
-
-    Uses only the array, the demand, the user's own cached bytes and the
-    signal payloads; constituent ids are re-derived from the array, never
-    read from the signals' audit lists.
-    """
-    f, nrows = p.f, p.rows
-    cached = [cache_k.get(_pid(dem, f, i, j)) for j in range(p.k) for i in range(nrows)]
-    by_slot = {sig.slot: sig.payload for sig in signals}
-    plan = _user_plan(p, slot_cells(p), k, lambda i, j: cached[j * nrows + i] is not None,
-                      by_slot)
-    message = _refusal(plan, dem, k, f)
-    if message:
-        raise SimulationError(message)
-    rows = plan[2]  # (slot, side cells) per row
-    ints = [0 if v is None else int.from_bytes(v, "little") for v in cached]
-    got = _recover(rows, ints, {s: int.from_bytes(v, "little") for s, v in by_slot.items()}, k)
-    return {_pid(dem, f, i, k): cached[k * nrows + i] if slot is None
-            else x.to_bytes(len(by_slot[slot]), "little")
-            for i, ((slot, _sides), x) in enumerate(zip(rows, got))}
-
-
 def _run_chunk(first: int, dems: list[Demand], plans: list, mix: list[tuple[int, ...]],
                f: int, size: int, ints: list[int]) -> list[dict]:
     """Deliver and decode trials ``first``, ``first + 1``, ... with demands
@@ -456,3 +395,40 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
         failures=tuple(failures),
         memory_files=Fraction(p.z * n, p.f),
     )
+
+
+def __getattr__(name: str):
+    if name in ("Signal", "SimulationError", "user_cache_bytes", "deliver", "decode"):
+        from . import steps
+
+        return getattr(steps, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _parse_demand(literal: str) -> Demand:
+    try:
+        d_part, b_part = literal.split(";")
+        d = tuple(int(x) for x in d_part.split(","))
+        b = tuple(int(x) for x in b_part.split(","))
+    except ValueError as exc:
+        raise ValueError(f"demand literal must be 'd0,d1,...;b0,b1,...': {exc}") from exc
+    return Demand(d=d, b=b)
+
+
+def _cmd_simulate(args: SimpleNamespace) -> int:
+    from .cli import _emit, _json_dumps, _load
+
+    if (args.demand is None) == (args.trials is None):
+        raise ValueError("provide exactly one of --demand or --trials")
+    p = _load(args.path)
+    demand = None if args.demand is None else _parse_demand(args.demand)
+    if demand is not None:
+        _check_demand(demand, p.k, args.files, args.blocks, p.lp)
+    report = simulate(p, args.files, args.blocks, args.packet_size,
+                      demand=demand, trials=args.trials, seed=args.seed)
+    if args.json:
+        _emit(_json_dumps(report.to_json()), None)
+    else:
+        j = report.to_json()
+        _emit("".join(f"{key}: {j[key]}\n" for key in j), None)
+    return 0 if report.success else 1

@@ -27,6 +27,7 @@ rounded.
 from __future__ import annotations
 
 from itertools import combinations
+from types import SimpleNamespace
 
 from .core import Dpda, _Record, slot_cells
 
@@ -296,3 +297,28 @@ def validate(p: Dpda) -> ValidationReport:
         broadcast_counts=counts,
         rate_optimality=opt,
     )
+
+
+def _cmd_validate(args: SimpleNamespace) -> int:
+    from .cli import _emit, _json_dumps, _load
+
+    report = validate(_load(args.path))
+    ok = report.valid
+    payload: dict = {"validation": report.to_json()}
+    lines = [
+        f"{name}: {'ok' if getattr(report, name).passed else 'FAIL ' + repr(getattr(report, name).witness)}"
+        for name in CONDITION_ORDER
+    ]
+    if args.optimal:
+        opt = report.rate_optimality
+        if opt is not None:
+            payload["rate_optimality"] = opt.to_json()
+            payload["broadcast_counts"] = list(report.broadcast_counts)
+            lines.append(f"rate_is_minimal: {'ok' if opt.rate_is_minimal else 'FAIL'}")
+            ok = opt.rate_is_minimal
+        else:
+            payload["rate_optimality"] = None
+            lines.append("rate_is_minimal: skipped (invalid array)")
+    lines.append(f"verdict: {'valid' if ok else 'invalid'}")
+    _emit(_json_dumps(payload) if args.json else "\n".join(lines) + "\n", None)
+    return 0 if ok else 1

@@ -411,7 +411,7 @@ def test_unexpected_exception_is_internal_error(monkeypatch, tmp_path, capsys, e
     def handler(args):
         raise exc
 
-    monkeypatch.setattr(cli, "_cmd_compare", handler)
+    monkeypatch.setattr(dpda.bounds, "_cmd_compare", handler)  # the handler's home
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
     code, out, err = run(capsys, "compare", str(f))
@@ -450,6 +450,31 @@ def test_subcommand_runs_only_its_modules(tmp_path):
         ran[argv] = proc.stdout.splitlines()[-1]
     assert ran == {argv: f"0 {sorted(['cli', 'core'] + mods)}"
                    for argv, mods in expected.items()}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0),
+    (["simulate", "--help"], 0),
+    (["search", "--k", "3"], 2),  # a usage error
+])
+def test_help_and_usage_errors_run_no_library_module(argv, code):
+    # _VERBS names each handler, which main resolves only once an argv is
+    # read, so building the parser for help or an error executes no handler's
+    # module
+    script = (
+        "import sys, types\n"
+        "from dpda.cli import main\n"
+        "try:\n"
+        f"    main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, sorted(n[5:] for n, m in sys.modules.items()"
+        " if n.startswith('dpda.') and type(m) is types.ModuleType))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == f"{code} ['cli', 'core']"
 
 
 @pytest.mark.parametrize("argv", [
@@ -501,8 +526,18 @@ def test_startup_profile_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("$ dpda search --k 2 --f 2 --z 1  [exit 0]\n")
     assert "dpda.cli\n" in proc.stdout and "argparse" not in proc.stdout
-    # the last row totals the dpda modules the run compiled; search reads no array
-    assert proc.stdout.splitlines()[-1].endswith("  total over 4 modules")
+    lines = proc.stdout.splitlines()
+    header = lines.index("compile_ms  lines  nodes  uncalled  module")
+    # one row per dpda module the run compiled, then their totals; search
+    # reads no array
+    rows = [line.split() for line in lines[header + 1:]]
+    assert [row[4:] for row in rows] == [["dpda"], ["dpda.cli"], ["dpda.core"], ["dpda.search"],
+                                         ["total", "over", "4", "modules"]]
+    # lines, nodes and the nodes of functions never entered add up, and
+    # search never enters the other verbs' code or the readers
+    counts = [[int(x) for x in row[1:4]] for row in rows]
+    assert [sum(column) for column in zip(*counts[:-1])] == counts[-1]
+    assert all(0 < uncalled < nodes for _lines, nodes, uncalled in counts)
 
 
 def test_readers_load_on_first_use_under_every_name():
@@ -522,6 +557,28 @@ def test_readers_load_on_first_use_under_every_name():
     assert proc.stdout == "False\n[True, True]\n"
     with pytest.raises(AttributeError, match="no attribute 'parse'"):
         dpda.core.parse
+
+
+def test_steps_load_on_first_use_under_every_name():
+    # dpda.sim answers for the one-demand steps that live in dpda.steps, and
+    # running dpda.sim executes neither dpda.steps nor the CLI
+    script = (
+        "import sys, types\n"
+        "import dpda.sim\n"
+        "dpda.sim.simulate\n"
+        "print([n for n in ('dpda.sim', 'dpda.steps', 'dpda.cli')\n"
+        "       if type(sys.modules.get(n)) is types.ModuleType])\n"
+        "import dpda, dpda.steps\n"
+        "print([getattr(dpda, n) is getattr(dpda.sim, n) is getattr(dpda.steps, n)\n"
+        "       for n in ('deliver', 'decode', 'Signal', 'SimulationError',"
+        " 'user_cache_bytes')])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "['dpda.sim']\n[True, True, True, True, True]\n"
+    with pytest.raises(AttributeError, match="no attribute 'delivery'"):
+        dpda.sim.delivery
 
 
 def test_star_import_binds_every_public_name():

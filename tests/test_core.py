@@ -295,3 +295,26 @@ def test_parsers_match_reference_and_share_entries():
         tokens = {tok for line in text.splitlines()[1:] for tok in line.split()} - {"*"}
         assert len({id(e) for row in got.grid for e in row if e is not None}) == len(tokens)
     assert errors > 300  # the corrupted texts reach the error paths
+
+
+# Digit strings that str.isdigit(), int() and the reference's [0-9]+ read
+# differently: non-ASCII digits, int()'s underscore and sign, extra or
+# missing carets, zero padding, and more digits than int() converts.
+_DIGIT_EDGES = ("\u0663", "\u00b2", "1_0", "+1", "", "0003", "1" * 5000)
+_TOKEN_EDGES = ("\u0663^1", "\u00b2^1", "1_0^2", "+1^2", "1^2^3", "^1", "1^", "0003^1",
+                "1" * 5000 + "^1", "1^" + "1" * 5000)
+
+
+def test_readers_match_reference_on_digit_edges():
+    texts = [f"DPDA K={v} L'=1 F=1 Z=1 S=0\n* * *\n" for v in _DIGIT_EDGES]
+    texts += [f"DPDA K=2 L'=1 F=1 Z=1 S=4\n{tok} *\n" for tok in _TOKEN_EDGES]
+    outcomes = []
+    for text in texts:
+        outcomes.append(_outcome(parse_dpda, text))
+        assert outcomes[-1] == _outcome(core_reference.parse_dpda, text), text
+    for tok in _TOKEN_EDGES:
+        mirror = {"k": 2, "lp": 1, "f": 1, "z": 1, "s": 4, "grid": [[tok, "*"]]}
+        assert _outcome(dpda_from_json, mirror) == _outcome(core_reference.dpda_from_json, mirror)
+    # "0003^1" and the zero-padded header value parse; every other edge is refused
+    assert [type(o) is Dpda for o in outcomes] == [
+        v == "0003" for v in _DIGIT_EDGES] + [tok == "0003^1" for tok in _TOKEN_EDGES]
