@@ -6,16 +6,19 @@ search exhaustively for minimum-slot arrays at tiny sizes, and execute the
 full placement/XOR-delivery/decode protocol on byte-level packets.
 
 Submodules load on first use: importing the package runs none of them, and
-``from dpda import X`` runs only the module that defines ``X``.  The readers
-``parse_dpda`` and ``dpda_from_json`` live in :mod:`dpda.read`, apart from
-the model and writers in :mod:`dpda.core`, so a run that reads no array
-never compiles them.  Likewise the one-demand protocol steps (``deliver``,
-``decode`` and their records) live in :mod:`dpda.steps`, apart from the
-trial engine :mod:`dpda.sim`, so a ``simulate`` run never compiles them;
-``dpda.core`` and ``dpda.sim`` still answer for the names they gave away.
+``from dpda import X`` runs only the module that defines ``X``.  The text
+reader ``parse_dpda`` lives in :mod:`dpda.read`, apart from the model and
+text writer in :mod:`dpda.core`, so a run that reads no array never
+compiles it; the JSON mirror's ``dpda_to_json`` and ``dpda_from_json``
+live in :mod:`dpda.mirror`, which only ``construct --json`` executes.
+Likewise the one-demand protocol steps (``deliver``, ``decode`` and their
+records) live in :mod:`dpda.steps`, apart from the trial engine
+:mod:`dpda.sim`, so a ``simulate`` run never compiles them; ``dpda.core``,
+``dpda.read`` and ``dpda.sim`` still answer for the names they gave away.
 Each CLI verb's handler lives in the module it adapts.  The records are
 plain frozen classes on one small base in :mod:`dpda.core` that generates
-no code, and ``json`` loads only where JSON is read or written.
+no code.  ``--json`` output is written by :mod:`dpda.cli` itself, so
+``json`` loads only for ``dpda_from_json`` of JSON text.
 """
 
 import importlib.util
@@ -25,9 +28,9 @@ __version__ = "0.1.0"
 
 # Submodule -> the public names it gives the package, in ``__all__`` order.
 _EXPORTS = {
-    "core": ("STAR", "Coded", "Dpda", "Entry", "FormatError",
-             "serialize_dpda", "dpda_to_json", "slot_cells"),
-    "read": ("parse_dpda", "dpda_from_json"),
+    "core": ("STAR", "Coded", "Dpda", "Entry", "FormatError", "serialize_dpda", "slot_cells"),
+    "read": ("parse_dpda",),
+    "mirror": ("dpda_to_json", "dpda_from_json"),
     "validation": ("ConditionCheck", "ValidationReport", "RateOptimality", "validate"),
     "construct": ("construct_jcm", "construct_grid", "construct_even", "construct_odd",
                   "lift"),

@@ -27,7 +27,8 @@ from itertools import combinations
 from math import comb
 from types import SimpleNamespace
 
-from .core import STAR, Coded, Dpda, Entry, dpda_to_json, serialize_dpda
+from . import mirror
+from .core import STAR, Coded, Dpda, Entry, serialize_dpda
 
 __all__ = [
     "construct_jcm",
@@ -201,6 +202,6 @@ def _cmd_construct(args: SimpleNamespace) -> int:
         p = builder[args.family](args.q)
     if args.lift is not None:
         p = lift(p, args.lift)
-    text = _json_dumps(dpda_to_json(p)) if args.json else serialize_dpda(p)
+    text = _json_dumps(mirror.dpda_to_json(p)) if args.json else serialize_dpda(p)
     _emit(text, args.out)
     return 0

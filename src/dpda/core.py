@@ -24,11 +24,13 @@ Canonical text format (byte-stable)::
 A JSON mirror with keys ``k, lp, f, z, s, grid`` (the grid holding the same
 tokens) is provided for machine consumers.
 
-This module holds the model and the writers.  The readers,
-``parse_dpda`` and ``dpda_from_json``, live in :mod:`dpda.read`, which loads
-on their first use; this module still answers for both names.  Both check
-structural well-formedness only (dimensions, entry ranges, one sender per
-slot); the semantic conditions C0-C4 live in :mod:`dpda.validation`.
+This module holds the model and the text writer.  The text reader
+``parse_dpda`` lives in :mod:`dpda.read`, and the JSON mirror's writer and
+reader, ``dpda_to_json`` and ``dpda_from_json``, in :mod:`dpda.mirror`;
+each loads on first use, and this module still answers for all three
+names.  The readers check structural well-formedness only (dimensions,
+entry ranges, one sender per slot); the semantic conditions C0-C4 live in
+:mod:`dpda.validation`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "Dpda",
     "FormatError",
     "serialize_dpda",
-    "dpda_to_json",
     "slot_cells",
 ]
 
@@ -205,18 +206,6 @@ def serialize_dpda(p: Dpda) -> str:
     return "\n".join(out) + "\n"
 
 
-def dpda_to_json(p: Dpda) -> dict:
-    """JSON mirror of the text format (stable key order)."""
-    return {
-        "k": p.k,
-        "lp": p.lp,
-        "f": p.f,
-        "z": p.z,
-        "s": p.s,
-        "grid": [[_entry_token(e) for e in row] for row in p.grid],
-    }
-
-
 def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
     """Map each slot id to its (row, column) occurrences in row-major order."""
     cells: dict[int, list[tuple[int, int]]] = {}
@@ -228,8 +217,12 @@ def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
 
 
 def __getattr__(name: str):
-    if name in ("parse_dpda", "dpda_from_json"):
+    if name == "parse_dpda":
         from . import read
 
-        return getattr(read, name)
+        return read.parse_dpda
+    if name in ("dpda_to_json", "dpda_from_json"):
+        from . import mirror
+
+        return getattr(mirror, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

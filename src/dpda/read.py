@@ -1,25 +1,27 @@
-"""Readers of the DPDA text format and its JSON mirror (see :mod:`dpda.core`).
+"""Reader of the DPDA text format (see :mod:`dpda.core`).
 
-Both readers parse each distinct token once per call: a per-call dict maps
-every token seen so far to its one entry, so all the cells holding a token
-share one :class:`~dpda.core.Coded`, and a row of known tokens is looked up
-whole.  Malformed input raises :class:`~dpda.core.FormatError` with row and
-column coordinates; semantic conditions (C0-C4) are not checked here.
+``parse_dpda`` parses each distinct token once per call: a per-call dict
+maps every token seen so far to its one entry, so all the cells holding a
+token share one :class:`~dpda.core.Coded`, and a row of known tokens is
+looked up whole.  The JSON mirror's reader in :mod:`dpda.mirror` shares
+that memo through ``_parse_row``.  Malformed input raises
+:class:`~dpda.core.FormatError` with row and column coordinates; semantic
+conditions (C0-C4) are not checked here.
 
 This module loads on the first call of a reader, so runs that only build,
 bound or search arrays never compile it.  ``dpda.parse_dpda`` and
-``dpda.core.parse_dpda`` (likewise ``dpda_from_json``) name the same
-functions.
+``dpda.core.parse_dpda`` name the same function; this module still answers
+for ``dpda_from_json``, which loads from :mod:`dpda.mirror` on first use.
 """
 
 from __future__ import annotations
 
 from itertools import filterfalse
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import STAR, Coded, Dpda, Entry, FormatError, _count
 
-__all__ = ["parse_dpda", "dpda_from_json"]
+__all__ = ["parse_dpda"]
 
 
 def _parse_int(digits: str, where: str) -> int:
@@ -89,35 +91,9 @@ def parse_dpda(text: str | bytes) -> Dpda:
     return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=tuple(grid))
 
 
-def dpda_from_json(obj: str | Mapping) -> Dpda:
-    """Parse the JSON mirror produced by :func:`~dpda.core.dpda_to_json`.
+def __getattr__(name: str):
+    if name == "dpda_from_json":
+        from . import mirror
 
-    ``k, lp, f, z, s`` must be JSON integers and ``grid`` a list of lists of
-    tokens; malformed input raises :class:`FormatError`.
-    """
-    if isinstance(obj, (str, bytes)):
-        try:
-            import json  # only the JSON mirror needs it
-
-            obj = json.loads(obj)
-        except (ValueError, RecursionError) as exc:  # malformed, too long or too deep
-            raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, Mapping):
-        raise FormatError("JSON mirror must be an object")
-    try:
-        values = [obj[key] for key in ("k", "lp", "f", "z", "s")]
-        rows = obj["grid"]
-    except KeyError as exc:
-        raise FormatError(f"JSON mirror missing field: {exc}") from exc
-    if any(type(v) is not int for v in values):
-        raise FormatError(f"JSON mirror k, lp, f, z, s must be integers, got {values!r}")
-    k, lp, f, z, s = values
-    if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in rows):
-        raise FormatError("JSON mirror grid must be a list of rows")
-    memo: dict[str, Entry] = {"*": STAR}
-    try:
-        grid = tuple(_parse_row([*map(str, row)], r, memo) for r, row in enumerate(rows))
-    except RecursionError as exc:  # str() of a token nested too deep
-        raise FormatError(f"JSON mirror grid token nests too deep: {exc}") from exc
-    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=grid)
+        return mirror.dpda_from_json
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -303,22 +303,24 @@ def _cmd_validate(args: SimpleNamespace) -> int:
     from .cli import _emit, _json_dumps, _load
 
     report = validate(_load(args.path))
-    ok = report.valid
-    payload: dict = {"validation": report.to_json()}
-    lines = [
-        f"{name}: {'ok' if getattr(report, name).passed else 'FAIL ' + repr(getattr(report, name).witness)}"
-        for name in CONDITION_ORDER
-    ]
-    if args.optimal:
-        opt = report.rate_optimality
+    opt = report.rate_optimality if args.optimal else None
+    ok = opt.rate_is_minimal if opt is not None else report.valid
+    if args.json:
+        payload: dict = {"validation": report.to_json()}
         if opt is not None:
             payload["rate_optimality"] = opt.to_json()
             payload["broadcast_counts"] = list(report.broadcast_counts)
-            lines.append(f"rate_is_minimal: {'ok' if opt.rate_is_minimal else 'FAIL'}")
-            ok = opt.rate_is_minimal
-        else:
+        elif args.optimal:
             payload["rate_optimality"] = None
-            lines.append("rate_is_minimal: skipped (invalid array)")
-    lines.append(f"verdict: {'valid' if ok else 'invalid'}")
-    _emit(_json_dumps(payload) if args.json else "\n".join(lines) + "\n", None)
+        text = _json_dumps(payload)
+    else:
+        checks = [(name, getattr(report, name)) for name in CONDITION_ORDER]
+        lines = [f"{name}: {'ok' if check.passed else 'FAIL ' + repr(check.witness)}"
+                 for name, check in checks]
+        if args.optimal:
+            lines.append("rate_is_minimal: skipped (invalid array)" if opt is None
+                         else f"rate_is_minimal: {'ok' if opt.rate_is_minimal else 'FAIL'}")
+        lines.append(f"verdict: {'valid' if ok else 'invalid'}")
+        text = "\n".join(lines) + "\n"
+    _emit(text, None)
     return 0 if ok else 1

@@ -10,12 +10,30 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dpda
-from dpda import cli, construct_grid, construct_jcm, lift, parse_dpda, serialize_dpda, validate
+from dpda import (
+    bounds_for_array,
+    bounds_for_case,
+    cli,
+    compare_to_jcm,
+    construct_grid,
+    construct_jcm,
+    dpda_to_json,
+    jcm_params,
+    lift,
+    parse_dpda,
+    search_min_s,
+    serialize_dpda,
+    simulate,
+    validate,
+)
 from dpda.bounds import MEMORY_CASES
 from dpda.cli import main
 
+from fuzz import differential_corpus
 from golden import P4_TEXT, Q_LIFTED_P4_TEXT
 from search_reference import instances
 
@@ -422,18 +440,25 @@ def test_unexpected_exception_is_internal_error(monkeypatch, tmp_path, capsys, e
 def test_subcommand_runs_only_its_modules(tmp_path):
     # A library module that a subcommand does not call is never executed:
     # it stays an unloaded stub in sys.modules (see dpda/__init__.py).  The
-    # readers in dpda.read run only for the verbs that read an array file.
+    # reader in dpda.read runs only for the verbs that read an array file,
+    # and the JSON mirror in dpda.mirror only for `construct --json`.
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
     expected = {
         ("construct", "--family", "even", "--q", "2"): ["construct"],
+        ("construct", "--family", "even", "--q", "2", "--json"): ["construct", "mirror"],
         ("validate", str(f)): ["read", "validation"],
+        ("validate", str(f), "--optimal", "--json"): ["read", "validation"],
         ("bounds", "--k", "6", "--case", "2/K"): ["bounds"],
+        ("bounds", "--k", "6", "--case", "2/K", "--json"): ["bounds"],
         ("bounds", "--from", str(f)): ["bounds", "read", "validation"],
+        ("bounds", "--from", str(f), "--json"): ["bounds", "read", "validation"],
         ("compare", str(f)): ["bounds", "read", "validation"],
+        ("compare", str(f), "--json"): ["bounds", "read", "validation"],
         ("simulate", str(f), "--files", "4", "--blocks", "2", "--trials", "3", "--json"):
             ["read", "sim"],
         ("search", "--k", "3", "--f", "3", "--z", "1"): ["search"],
+        ("search", "--k", "3", "--f", "3", "--z", "1", "--json"): ["search"],
     }
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     ran = {}
@@ -483,27 +508,27 @@ def test_help_and_usage_errors_run_no_library_module(argv, code):
     ["bounds", "--from", "{path}"],
     ["compare", "{path}"],
     ["simulate", "{path}", "--files", "4", "--blocks", "2", "--trials", "3"],
-    ["search", "--k", "3", "--f", "3", "--z", "1", "--json"],
+    ["search", "--k", "3", "--f", "3", "--z", "1"],
 ], ids=lambda argv: argv[0])
 def test_subcommand_skips_heavy_stdlib_imports(tmp_path, argv):
     # The records need no `dataclasses` (which pulls in inspect, ast and dis),
-    # `json` loads only for JSON input or output, and `argparse` (with
-    # gettext and locale) only for help and usage errors.
+    # `--json` output is written without `json`, which loads only to read JSON
+    # text, and `argparse` (with gettext and locale) loads only for help and
+    # usage errors.  The argv runs without --json, then with it.
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
-    heavy = {"dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "locale"}
-    if "--json" not in argv:
-        heavy.add("json")
+    heavy = {"dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "locale", "json"}
+    argv = [a.format(path=f) for a in argv]
     script = (
         "import sys\n"
         "from dpda.cli import main\n"
-        f"code = main({[a.format(path=f) for a in argv]!r})\n"
-        f"print(code, sorted(set(sys.modules).intersection({sorted(heavy)!r})))\n"
+        f"codes = main({argv!r}), main({argv + ['--json']!r})\n"
+        f"print(*codes, sorted(set(sys.modules).intersection({sorted(heavy)!r})))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "0 0 []"
 
 
 @pytest.mark.parametrize("script, args", [
@@ -541,22 +566,32 @@ def test_startup_profile_runs():
 
 
 def test_readers_load_on_first_use_under_every_name():
-    # dpda.core answers for the readers that live in dpda.read, and importing
-    # dpda.core alone does not execute dpda.read
+    # dpda.core answers for the text reader in dpda.read and for the JSON
+    # mirror's writer and reader in dpda.mirror, and dpda.read for the
+    # mirror's reader; importing dpda.core alone executes neither module, and
+    # reading text does not execute dpda.mirror
     script = (
         "import sys, types\n"
         "import dpda.core\n"
-        "print(type(sys.modules['dpda.read']) is types.ModuleType)\n"
-        "import dpda, dpda.read\n"
-        "print([getattr(dpda, n) is getattr(dpda.core, n) is getattr(dpda.read, n)\n"
-        "       for n in ('parse_dpda', 'dpda_from_json')])\n"
+        "ran = lambda: [n[5:] for n in ('dpda.read', 'dpda.mirror')\n"
+        "               if type(sys.modules[n]) is types.ModuleType]\n"
+        "print(ran())\n"
+        "dpda.core.parse_dpda(\"DPDA K=1 L'=1 F=1 Z=1 S=0\\n*\\n\")\n"
+        "print(ran())\n"
+        "import dpda, dpda.read, dpda.mirror\n"
+        "print(dpda.parse_dpda is dpda.core.parse_dpda is dpda.read.parse_dpda,\n"
+        "      dpda.dpda_to_json is dpda.core.dpda_to_json is dpda.mirror.dpda_to_json,\n"
+        "      dpda.dpda_from_json is dpda.core.dpda_from_json is dpda.read.dpda_from_json\n"
+        "      is dpda.mirror.dpda_from_json)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == "False\n[True, True]\n"
+    assert proc.stdout == "[]\n['read']\nTrue True True\n"
     with pytest.raises(AttributeError, match="no attribute 'parse'"):
         dpda.core.parse
+    with pytest.raises(AttributeError, match="no attribute 'dpda_to_json'"):
+        dpda.read.dpda_to_json
 
 
 def test_steps_load_on_first_use_under_every_name():
@@ -734,3 +769,50 @@ def test_byte_identical_reruns(capsys):
     a = run(capsys, "construct", "--family", "odd", "--q", "2")
     b = run(capsys, "construct", "--family", "odd", "--q", "2")
     assert a == b
+
+
+# JSON documents of the shapes the package's to_json methods return, over
+# strings drawn from every code point (controls, DEL, quotes, backslashes,
+# non-ASCII, astral characters and lone surrogates), huge negative ints,
+# bools and None
+_json_strings = st.text(st.characters(exclude_categories=())
+                        | st.sampled_from('"\\\b\t\n\f\r\x00\x1f\x7f\xe9\ud800\udfff\U0001f600'))
+_json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(max_value=-2**64) | _json_strings,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(_json_strings, inner)),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None)
+@given(_json_docs)
+def test_json_writer_matches_json_dumps(doc):
+    assert cli._json_dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_writer_matches_json_dumps_on_every_record():
+    # what every to_json and dpda_to_json returns, on the differential corpus
+    docs = [bounds_for_case(k, case).to_json() for k in range(4, 10) for case in MEMORY_CASES]
+    docs += [jcm_params(k, t).to_json() for k in range(2, 9) for t in range(1, k)]
+    docs += [search_min_s(k, f, z, (f - z) * k).to_json() for k, f, z in instances(12)]
+    for p in differential_corpus():
+        report = validate(p)
+        docs += [dpda_to_json(p), report.to_json()]
+        if report.rate_optimality is not None:
+            docs.append(report.rate_optimality.to_json())
+        if report.valid:
+            docs.append(bounds_for_array(p).to_json())
+            if p.k * p.z % p.f == 0 and 0 < p.z < p.f:
+                docs.append(compare_to_jcm(p).to_json())
+        docs.append(simulate(p, 3, 3, 4, trials=2).to_json())  # 3 blocks: every L' <= 3
+    for doc in docs:
+        assert cli._json_dumps(doc) == json.dumps(doc, indent=2) + "\n"
+    assert len(docs) > 10_000
+
+
+@pytest.mark.parametrize("doc", [1.5, {1, 2}, {1: "a"}, {"a": [{("k",): None}]}, b"x"],
+                         ids=["float", "set", "int key", "nested tuple key", "bytes"])
+def test_json_writer_rejects_what_to_json_never_returns(doc):
+    with pytest.raises(TypeError):
+        cli._json_dumps(doc)
