@@ -17,8 +17,9 @@ records) live in :mod:`dpda.steps`, apart from the trial engine
 ``dpda.read`` and ``dpda.sim`` still answer for the names they gave away.
 Each CLI verb's handler lives in the module it adapts.  The records are
 plain frozen classes on one small base in :mod:`dpda.core` that generates
-no code.  ``--json`` output is written by :mod:`dpda.cli` itself, so
-``json`` loads only for ``dpda_from_json`` of JSON text.
+no code.  ``--json`` output is written by :mod:`dpda.jsonout`, which only
+``--json`` runs execute, so ``json`` loads only for ``dpda_from_json`` of
+JSON text.
 """
 
 import importlib.util

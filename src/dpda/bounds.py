@@ -266,7 +266,7 @@ def format_table(headers: list[str], rows: list[list[object]]) -> str:
 
 
 def _cmd_bounds(args: SimpleNamespace) -> int:
-    from .cli import _emit, _json_dumps, _load
+    from .cli import _emit, _load
 
     if args.from_path is not None:
         report = bounds_for_array(_load(args.from_path))
@@ -275,7 +275,9 @@ def _cmd_bounds(args: SimpleNamespace) -> int:
             raise ValueError("provide --k and --case, or --from FILE")
         report = bounds_for_case(args.k, args.case)
     if args.json:
-        _emit(_json_dumps(report.to_json()), None)
+        from .jsonout import dumps
+
+        _emit(dumps(report.to_json()), None)
         return 0
     j = report.to_json()
     rows = [[key, j[key]] for key in j if key != "notes" and j[key] is not None]
@@ -287,11 +289,13 @@ def _cmd_bounds(args: SimpleNamespace) -> int:
 
 
 def _cmd_compare(args: SimpleNamespace) -> int:
-    from .cli import _emit, _json_dumps, _load
+    from .cli import _emit, _load
 
     comparison = compare_to_jcm(_load(args.path))
     if args.json:
-        _emit(_json_dumps(comparison.to_json()), None)
+        from .jsonout import dumps
+
+        _emit(dumps(comparison.to_json()), None)
     else:
         text = format_table(
             ["k", "t", "f_ours", "f_jcm", "ratio", "rate"],

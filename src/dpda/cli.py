@@ -9,13 +9,12 @@ invocations on identical inputs produce byte-identical output.
 
 No domain logic lives here.  Each verb's handler, ``_cmd_<verb>``, is a
 thin adapter that lives beside the code it adapts (``dpda.sim._cmd_simulate``,
-as ``tarfile.main`` lives beside ``tarfile``) and takes ``_emit``, ``_load``
-and ``_json_dumps`` from this module when it runs.  The library modules load
-on first use (see :mod:`dpda`), and ``main`` looks a handler up only once the
-argv is read, so a run compiles only the modules its verb calls, and help
-and usage errors compile none.  ``_json_dumps`` writes the ``--json`` text
-itself, the same as ``json.dumps(obj, indent=2)``, so no run loads ``json``
-to print one small document.
+as ``tarfile.main`` lives beside ``tarfile``) and takes ``_emit`` and
+``_load`` from this module when it runs.  The library modules load on first
+use (see :mod:`dpda`), and ``main`` looks a handler up only once the argv is
+read, so a run compiles only the modules its verb calls, and help and usage
+errors compile none.  Under ``--json`` a handler writes its document with
+:func:`dpda.jsonout.dumps`, which only ``--json`` runs compile.
 
 ``_VERBS`` is the one grammar of the command line, and names each verb's
 handler.  A plain well-formed argv is read straight from it by
@@ -32,7 +31,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import read
-from .core import Dpda, FormatError
+from .core import Dpda
 
 __all__ = ["main"]
 
@@ -51,65 +50,6 @@ def _emit(text: str, out: str | None) -> None:
 def _load(path: str) -> Dpda:
     data = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return read.parse_dpda(data)
-
-
-class _Escapes(dict):
-    """``str.translate`` table from each code point to its form in
-    ``json.dumps`` (``ensure_ascii``): printable ASCII stays as it is, and
-    every other code point not given a short escape is written ``\\uXXXX``,
-    as a surrogate pair past the BMP."""
-
-    def __missing__(self, o: int) -> str:
-        if o < 0x10000:
-            return f"\\u{o:04x}"
-        o -= 0x10000
-        return f"\\u{0xd800 | o >> 10:04x}\\u{0xdc00 | o & 0x3ff:04x}"
-
-
-_ESCAPES = _Escapes({o: chr(o) for o in range(0x20, 0x7f)})
-_ESCAPES.update(str.maketrans({'"': '\\"', "\\": "\\\\", "\b": "\\b", "\t": "\\t",
-                               "\n": "\\n", "\f": "\\f", "\r": "\\r"}))
-
-
-def _json_dumps(obj: object) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"`` for what the package's
-    ``to_json`` methods and ``dpda_to_json`` return: dicts with str keys,
-    lists, tuples, str, int, bool and None.  Anything else, a float or a
-    non-str key included, raises ``TypeError``.  ``json`` stays unloaded."""
-    return _dump(obj, "\n") + "\n"
-
-
-def _dump(obj: object, newline: str) -> str:
-    """``obj`` as ``json.dumps(..., indent=2)`` writes it at the depth whose
-    line breaks are ``newline``."""
-    if isinstance(obj, str):
-        return '"' + obj.translate(_ESCAPES) + '"'
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        "".join(obj)  # raises TypeError unless every key is a str
-        items = [f"{_dump(key, inner)}: {_dump(value, inner)}" for key, value in obj.items()]
-        brackets = "{}"
-    elif isinstance(obj, (list, tuple)):
-        try:
-            flat = "".join(obj)
-        except TypeError:  # not only strings
-            flat = ""
-        if flat and flat.translate(_ESCAPES) == flat:  # strings that need no escapes
-            items = ['"' + ('",' + inner + '"').join(obj) + '"']
-        else:
-            items = [_dump(item, inner) for item in obj]
-        brackets = "[]"
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 _JSON = {"action": "store_true"}
@@ -235,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     module, _, name = args.func.partition(".")
     try:
         return getattr(import_module(f"{__package__}.{module}"), name)(args)
-    except (FormatError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -17,8 +17,9 @@ requests at unchanged rate.
 
 Symbolic slot labels (subsets, super combinations) are numbered by
 lexicographic subset rank, read from one ``combinations`` table per builder
-call; the chosen bijections are fixed so
-outputs are bit-reproducible.
+call; the chosen bijections are fixed so outputs are bit-reproducible.
+Every builder makes one :class:`~dpda.core.Coded` entry per slot, which all
+the cells of that slot share, and ``lift`` one per copy and slot.
 """
 
 from __future__ import annotations
@@ -50,24 +51,26 @@ def construct_jcm(k: int, t: int) -> Dpda:
     """
     if not 1 <= t < k:
         raise ValueError(f"t must satisfy 1 <= t < K, got t={t}, K={k}")
+    # slots[x][bitmask of U]: the one entry of the slot that user x sends for U
+    slots: list[dict[int, Coded]] = [{} for _ in range(k)]
+    for i, u in enumerate(combinations(range(k), t + 1)):
+        mask = sum(1 << x for x in u)
+        for position, x in enumerate(u):
+            slots[x][mask] = Coded((t + 1) * i + position, x)
     tsubsets = list(combinations(range(k), t))
-    u_rank = {u: i for i, u in enumerate(combinations(range(k), t + 1))}
-    grid: list[tuple[Entry, ...]] = []
-    for j in range(t):
-        for tset in tsubsets:
-            sender, row = tset[j], [STAR] * k
-            for c in range(k):
-                if c not in tset:
-                    u = tuple(sorted(tset + (c,)))
-                    row[c] = Coded((t + 1) * u_rank[u] + u.index(sender), sender)
-            grid.append(tuple(row))
+    # per T, the bitmask of T + {c} in each column c; in T's own columns it
+    # is T's bitmask, which names no slot, so the lookup gives a star
+    masks = [[m | 1 << c for c in range(k)] for m in (sum(1 << x for x in tset)
+                                                         for tset in tsubsets)]
+    grid = tuple(tuple(map(slots[tset[j]].get, row_masks))
+                 for j in range(t) for tset, row_masks in zip(tsubsets, masks))
     return Dpda(
         k=k,
         lp=1,
         f=t * comb(k, t),
         z=t * comb(k - 1, t - 1),
         s=(t + 1) * comb(k, t + 1),
-        grid=tuple(grid),
+        grid=grid,
     )
 
 
@@ -83,38 +86,36 @@ def construct_grid(q: int) -> Dpda:
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
     pair_count = comb(q, 2)
-    pair_rank = {pair: i for i, pair in enumerate(combinations(range(q), 2))}
-    grid: list[tuple[Entry, ...]] = []
-    for i in range(q * q):
-        i1, i0 = divmod(i, q)
-        row: list[Entry] = []
-        for col in range(2 * q):
-            k1, k0 = divmod(col, q)
-            digit = i0 if k1 == 0 else i1
-            if digit == k0:
-                row.append(STAR)
-                continue
-            if k1 == 0:
-                b, x, pair, sender = 0, i1, (min(i0, k0), max(i0, k0)), q + i1
-            else:
-                b, x, pair, sender = 1, i0, (min(i1, k0), max(i1, k0)), i0
-            slot = b * q * pair_count + x * pair_count + pair_rank[pair]
-            row.append(Coded(slot, sender))
-        grid.append(tuple(row))
-    return Dpda(k=2 * q, lp=1, f=q * q, z=q, s=q**3 - q**2, grid=tuple(grid))
+    # rank[a][b]: the rank of the pair {a, b}; at a == b, the star's index
+    rank = [[pair_count] * q for _ in range(q)]
+    for i, (y, z) in enumerate(combinations(range(q), 2)):
+        rank[y][z] = rank[z][y] = i
+    # block[b*q + x]: one entry per slot ((b, x), pair) in pair rank order,
+    # then a star; user q + x sends the b = 0 slots, user x the b = 1 slots
+    block = [[Coded(bx * pair_count + i, (bx + q) % (2 * q)) for i in range(pair_count)]
+             + [STAR] for bx in range(2 * q)]
+    grid = tuple((*map(block[i1].__getitem__, rank[i0]),
+                  *map(block[q + i0].__getitem__, rank[i1]))
+                 for i1 in range(q) for i0 in range(q))
+    return Dpda(k=2 * q, lp=1, f=q * q, z=q, s=q**3 - q**2, grid=grid)
 
+
+# The base arrays' entries, one per slot: in the even base user u sends
+# slot u, in the odd base slots 2u and 2u+1.
+_E = [Coded(s, s) for s in range(4)]
+_O = [Coded(s, s // 2) for s in range(6)]
 
 _EVEN_BASE: tuple[tuple[Entry, ...], ...] = (
-    (Coded(2, 2), STAR, STAR, Coded(1, 1)),
-    (STAR, Coded(2, 2), STAR, Coded(0, 0)),
-    (Coded(3, 3), STAR, Coded(1, 1), STAR),
-    (STAR, Coded(3, 3), Coded(0, 0), STAR),
+    (_E[2], STAR, STAR, _E[1]),
+    (STAR, _E[2], STAR, _E[0]),
+    (_E[3], STAR, _E[1], STAR),
+    (STAR, _E[3], _E[0], STAR),
 )
 
 _ODD_BASE: tuple[tuple[Entry, ...], ...] = (
-    (STAR, Coded(0, 0), Coded(1, 0)),
-    (Coded(3, 1), STAR, Coded(2, 1)),
-    (Coded(4, 2), Coded(5, 2), STAR),
+    (STAR, _O[0], _O[1]),
+    (_O[3], STAR, _O[2]),
+    (_O[4], _O[5], STAR),
 )
 
 
@@ -150,8 +151,7 @@ def construct_even(q: int) -> Dpda:
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    grid = _grow(_EVEN_BASE, [[Coded(1, 1), Coded(0, 0), Coded(3, 3), Coded(2, 2)]],
-                 2 * q)
+    grid = _grow(_EVEN_BASE, [[_E[1], _E[0], _E[3], _E[2]]], 2 * q)
     return Dpda(k=2 * q, lp=1, f=2 * q * (q - 1), z=2 * (q - 1) ** 2, s=2 * q, grid=grid)
 
 
@@ -163,8 +163,7 @@ def construct_odd(q: int) -> Dpda:
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    grid = _grow(_ODD_BASE, [[Coded(2, 1), Coded(4, 2), Coded(0, 0)],
-                             [Coded(5, 2), Coded(1, 0), Coded(3, 1)]], 2 * q + 1)
+    grid = _grow(_ODD_BASE, [[_O[2], _O[4], _O[0]], [_O[5], _O[1], _O[3]]], 2 * q + 1)
     return Dpda(k=2 * q + 1, lp=1, f=4 * q * q - 1, z=(2 * q - 1) ** 2, s=4 * q + 2, grid=grid)
 
 
@@ -172,24 +171,25 @@ def lift(p: Dpda, lp_new: int) -> Dpda:
     """Stack ``lp_new`` copies of an L'=1 array, shifting copy i's slots by i*S.
 
     Senders are unchanged; the result serves L'-block requests with S' =
-    lp_new * S slots at the identical rate S/F.
+    lp_new * S slots at the identical rate S/F.  Each copy holds one entry
+    per slot, shared by all the cells of that slot.
     """
     if p.lp != 1:
         raise ValueError(f"lift requires an L'=1 array, got L'={p.lp}")
     if lp_new < 1:
         raise ValueError(f"lift factor must be >= 1, got {lp_new}")
+    slot_rows = [[None if e is None else e.slot for e in row] for row in p.grid]
+    senders = {e.slot: e.sender for row in p.grid for e in row if e is not None}
     grid: list[tuple[Entry, ...]] = []
     for copy in range(lp_new):
         shift = copy * p.s
-        for row in p.grid:
-            grid.append(tuple(
-                e if e is None else Coded(e.slot + shift, e.sender) for e in row
-            ))
+        entry = {slot: Coded(slot + shift, sender) for slot, sender in senders.items()}
+        grid += [tuple(map(entry.get, row)) for row in slot_rows]  # a star's None finds none
     return Dpda(k=p.k, lp=lp_new, f=p.f, z=p.z, s=lp_new * p.s, grid=tuple(grid))
 
 
 def _cmd_construct(args: SimpleNamespace) -> int:
-    from .cli import _emit, _json_dumps
+    from .cli import _emit
 
     if args.family == "jcm":
         if args.k is None or args.t is None:
@@ -202,6 +202,11 @@ def _cmd_construct(args: SimpleNamespace) -> int:
         p = builder[args.family](args.q)
     if args.lift is not None:
         p = lift(p, args.lift)
-    text = _json_dumps(mirror.dpda_to_json(p)) if args.json else serialize_dpda(p)
+    if args.json:
+        from .jsonout import dumps
+
+        text = dumps(mirror.dpda_to_json(p))
+    else:
+        text = serialize_dpda(p)
     _emit(text, args.out)
     return 0

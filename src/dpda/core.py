@@ -187,8 +187,8 @@ class Dpda(_Record):
         return self.lp * self.f
 
 
-def _entry_token(e: Entry) -> str:
-    return "*" if e is None else f"{e.slot}^{e.sender}"
+def _row_tokens(row: Sequence[Entry]) -> list[str]:
+    return ["*" if e is None else f"{e.slot}^{e.sender}" for e in row]
 
 
 def _count(n: int) -> str:
@@ -201,9 +201,8 @@ def _count(n: int) -> str:
 
 def serialize_dpda(p: Dpda) -> str:
     """Render ``p`` in the canonical text format (byte-stable, round-trips)."""
-    out = [f"DPDA K={p.k} L'={p.lp} F={p.f} Z={p.z} S={p.s}"]
-    out.extend(" ".join(_entry_token(e) for e in row) for row in p.grid)
-    return "\n".join(out) + "\n"
+    header = f"DPDA K={p.k} L'={p.lp} F={p.f} Z={p.z} S={p.s}"
+    return "\n".join([header, *map(" ".join, map(_row_tokens, p.grid)), ""])
 
 
 def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:

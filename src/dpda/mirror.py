@@ -3,7 +3,7 @@
 The mirror is an object with keys ``k, lp, f, z, s, grid``, the grid
 holding the same tokens as the text format, for machine consumers.
 :func:`dpda_to_json` writes it and :func:`dpda_from_json` reads it back,
-sharing the text reader's per-call token memo (:mod:`dpda.read`).
+converting its tokens through the text reader's bulk pass (:mod:`dpda.read`).
 
 This module loads on the first call of either function, so only
 ``construct --json`` and library callers compile it.  ``dpda.core``
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import read
-from .core import STAR, Dpda, Entry, FormatError, _entry_token
+from .core import Dpda, FormatError, _row_tokens
 
 __all__ = ["dpda_to_json", "dpda_from_json"]
 
@@ -28,7 +28,7 @@ def dpda_to_json(p: Dpda) -> dict:
         "f": p.f,
         "z": p.z,
         "s": p.s,
-        "grid": [[_entry_token(e) for e in row] for row in p.grid],
+        "grid": [_row_tokens(row) for row in p.grid],
     }
 
 
@@ -58,9 +58,8 @@ def dpda_from_json(obj: str | Mapping) -> Dpda:
     if not isinstance(rows, (list, tuple)) or not all(
             isinstance(row, (list, tuple)) for row in rows):
         raise FormatError("JSON mirror grid must be a list of rows")
-    memo: dict[str, Entry] = {"*": STAR}
     try:
-        grid = tuple(read._parse_row([*map(str, row)], r, memo) for r, row in enumerate(rows))
+        tokens = [[*map(str, row)] for row in rows]
     except RecursionError as exc:  # str() of a token nested too deep
         raise FormatError(f"JSON mirror grid token nests too deep: {exc}") from exc
-    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=grid)
+    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=read._grid(tokens))

@@ -258,7 +258,7 @@ def search_min_s(k: int, f: int, z: int, s_max: int, *,
 
 
 def _cmd_search(args: SimpleNamespace) -> int:
-    from .cli import _emit, _json_dumps
+    from .cli import _emit
 
     s_max = args.max_s if args.max_s is not None else (args.f - args.z) * args.k
     try:
@@ -266,7 +266,9 @@ def _cmd_search(args: SimpleNamespace) -> int:
     except SearchSpaceError as exc:
         raise ValueError(str(exc)) from exc
     if args.json:
-        _emit(_json_dumps(result.to_json()), None)
+        from .jsonout import dumps
+
+        _emit(dumps(result.to_json()), None)
     else:
         if result.feasible:
             _emit(f"minimal S = {result.minimal_s} "

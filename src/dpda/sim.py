@@ -416,7 +416,7 @@ def _parse_demand(literal: str) -> Demand:
 
 
 def _cmd_simulate(args: SimpleNamespace) -> int:
-    from .cli import _emit, _json_dumps, _load
+    from .cli import _emit, _load
 
     if (args.demand is None) == (args.trials is None):
         raise ValueError("provide exactly one of --demand or --trials")
@@ -427,7 +427,9 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
     report = simulate(p, args.files, args.blocks, args.packet_size,
                       demand=demand, trials=args.trials, seed=args.seed)
     if args.json:
-        _emit(_json_dumps(report.to_json()), None)
+        from .jsonout import dumps
+
+        _emit(dumps(report.to_json()), None)
     else:
         j = report.to_json()
         _emit("".join(f"{key}: {j[key]}\n" for key in j), None)

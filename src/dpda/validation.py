@@ -14,12 +14,12 @@ A structurally well-formed array is a DPDA when it satisfies:
 Two housekeeping checks the delivery protocol relies on are verified
 explicitly: one sender per slot, and slot ids contiguous from 0.
 
-:func:`validate` is the one entry point.  It makes one pass over the rows
-(star bitmasks, C3, the unique sender), one transpose (C1, the column star
-counts) and one walk over the slot index in id order (C2, C4, contiguity,
-the occurrence and broadcast counts), and derives from them every verdict,
-witness and counting diagnostic, plus the rate-optimality verdicts of a
-valid array.
+:func:`validate` is the one entry point.  It makes one walk over the cells
+(star bitmasks, C3, the unique sender, the slot index), one transpose (C1,
+the column star counts) and one walk over the slot index in id order (C2,
+C4, contiguity, the occurrence and broadcast counts), and derives from them
+every verdict, witness and counting diagnostic, plus the rate-optimality
+verdicts of a valid array.
 All arithmetic is exact; a non-integer target makes a verdict false, never
 rounded.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 from types import SimpleNamespace
 
-from .core import Dpda, _Record, slot_cells
+from .core import Dpda, _Record
 
 __all__ = [
     "CONDITION_ORDER",
@@ -82,50 +82,54 @@ def _c1(p: Dpda, stars: tuple[int, ...]) -> ConditionCheck:
     return _OK
 
 
-def _row_pass(p: Dpda) -> tuple[tuple[int, ...], ConditionCheck, ConditionCheck]:
-    """One pass over the cells: each row's star mask, C3 and the unique-sender check."""
+def _cell_walk(p: Dpda) -> tuple:
+    """One walk over the cells: each row's star mask, C3, the unique-sender
+    check, each used slot's first sender, and the slot index: each slot id's
+    cells, in row-major order (every id lies in [0, S))."""
     masks, senders, c3, unique = [], {}, _OK, _OK
+    first, bits = senders.setdefault, [1 << c for c in range(p.k)]
+    cells: list[list[tuple[int, int]]] = [[] for _ in range(p.s)]
     for r, row in enumerate(p.grid):
         mask = 0
         for c, e in enumerate(row):
             if e is None:
-                mask |= 1 << c
+                mask |= bits[c]
                 continue
-            if row[e.sender] is not None and c3.passed:
-                c3 = ConditionCheck(False, (r, c, e.slot, e.sender))
-            if senders.setdefault(e.slot, e.sender) != e.sender and unique.passed:
-                unique = ConditionCheck(False, (r, c, e.slot))
+            slot, sender = e.slot, e.sender
+            if row[sender] is not None and c3.passed:
+                c3 = ConditionCheck(False, (r, c, slot, sender))
+            if first(slot, sender) != sender and unique.passed:
+                unique = ConditionCheck(False, (r, c, slot))
+            cells[slot].append((r, c))
         masks.append(mask)
-    return tuple(masks), c3, unique
+    return tuple(masks), c3, unique, senders, cells
 
 
-def _slot_walk(p: Dpda, cells: dict[int, list[tuple[int, int]]]) -> tuple:
+def _slot_walk(p: Dpda, senders: dict[int, int], cells: list[list[tuple[int, int]]]) -> tuple:
     """C2, C4a, C4b, contiguity, the occurrence and the broadcast counts, from
-    one walk over the slot ids in order.  Every id lies in [0, S), so the used
-    ids have a gap iff the lowest missing id is below their number."""
+    the slot index.  C4 takes the slots in id order and stops once both have
+    failed.  The used ids have a gap iff the lowest missing id is below their
+    number."""
+    occurrences = tuple(map(len, cells))
+    missing = occurrences.index(0) if 0 in occurrences else p.s
+    counts = [0] * p.k
+    for sender in senders.values():
+        counts[sender] += 1
     c4a = c4b = _OK
-    missing = p.s
-    occurrences, counts = [], [0] * p.k
-    for s in range(p.s):
-        occ = cells.get(s, ())
-        occurrences.append(len(occ))
-        if not occ:
-            missing = min(missing, s)
-            continue
-        r, c = occ[0]
-        counts[p.grid[r][c].sender] += 1
+    grid = p.grid
+    for s, occ in enumerate(cells):
         if not (c4a.passed or c4b.passed):
-            continue
+            break
         for (r1, c1), (r2, c2) in combinations(occ, 2):
             if r1 == r2 or c1 == c2:
                 if c4a.passed:
                     c4a = ConditionCheck(False, (s, r1, c1, r2, c2))
-            elif p.grid[r1][c2] is not None or p.grid[r2][c1] is not None:
+            elif grid[r1][c2] is not None or grid[r2][c1] is not None:
                 if c4b.passed:
                     c4b = ConditionCheck(False, (s, r1, c1, r2, c2))
     c2 = ConditionCheck(False, (missing,)) if missing < p.s else _OK
-    contiguity = c2 if missing < len(cells) else _OK
-    return c2, c4a, c4b, contiguity, tuple(occurrences), tuple(counts)
+    contiguity = c2 if missing < len(senders) else _OK
+    return c2, c4a, c4b, contiguity, occurrences, tuple(counts)
 
 
 class RateOptimality(_Record):
@@ -269,11 +273,11 @@ def validate(p: Dpda) -> ValidationReport:
     equally often, m_k*K*Z == L'*F*(F-Z).  A violation would mean a checker
     bug and raises ``AssertionError``.
     """
-    masks, c3, unique = _row_pass(p)
+    masks, c3, unique, senders, cells = _cell_walk(p)
     cols = tuple(zip(*p.grid))  # a Coded entry is always truthy, a star never
     col_stars = tuple(len(col) - sum(map(bool, col)) for col in cols)
     band0 = col_stars if p.lp == 1 else tuple(p.f - sum(map(bool, c[:p.f])) for c in cols)
-    c2, c4a, c4b, contiguity, occurrences, counts = _slot_walk(p, slot_cells(p))
+    c2, c4a, c4b, contiguity, occurrences, counts = _slot_walk(p, senders, cells)
     checks = {
         "c0": _c0(p, masks),
         "c1": _c1(p, band0),
@@ -300,19 +304,21 @@ def validate(p: Dpda) -> ValidationReport:
 
 
 def _cmd_validate(args: SimpleNamespace) -> int:
-    from .cli import _emit, _json_dumps, _load
+    from .cli import _emit, _load
 
     report = validate(_load(args.path))
     opt = report.rate_optimality if args.optimal else None
     ok = opt.rate_is_minimal if opt is not None else report.valid
     if args.json:
+        from .jsonout import dumps
+
         payload: dict = {"validation": report.to_json()}
         if opt is not None:
             payload["rate_optimality"] = opt.to_json()
             payload["broadcast_counts"] = list(report.broadcast_counts)
         elif args.optimal:
             payload["rate_optimality"] = None
-        text = _json_dumps(payload)
+        text = dumps(payload)
     else:
         checks = [(name, getattr(report, name)) for name in CONDITION_ORDER]
         lines = [f"{name}: {'ok' if check.passed else 'FAIL ' + repr(check.witness)}"

@@ -1,10 +1,15 @@
-"""Reference parsers for differential tests of :mod:`dpda.core`.
+"""Reference parsers and structural check for differential tests of
+:mod:`dpda.core` and :mod:`dpda.read`.
 
-These are the wire-format readers' earlier per-cell paths: every cell's
-token is matched and converted on its own, so a token held by many cells is
-parsed once per cell.  ``dpda.core.parse_dpda`` and ``dpda_from_json`` parse
-each distinct token once per call; on every input they must return an equal
-array or raise the same exception with the same message.
+The readers are the wire-format readers' earlier per-cell paths: every
+cell's token is matched and converted on its own, so a token held by many
+cells is parsed once per cell.  ``dpda.core.parse_dpda`` and
+``dpda_from_json`` convert each distinct token once per call; on every input
+they must return an equal array or raise the same exception with the same
+message.  :func:`check_dpda` is ``Dpda``'s structural check as a plain
+per-cell walk, which both reference readers run before they build the
+array; ``Dpda(...)`` must accept what it accepts and otherwise raise the
+same exception with the same message.
 """
 
 from __future__ import annotations
@@ -42,6 +47,45 @@ def _parse_token(tok: str, r: int, c: int) -> Entry:
     return Coded(slot=_parse_int(m.group(1), where), sender=_parse_int(m.group(2), where))
 
 
+def check_dpda(k, lp, f, z, s, grid) -> tuple:
+    """``Dpda``'s structural check, cell by cell; returns the grid as tuples."""
+    if k < 1 or lp < 1 or f < 1:
+        raise FormatError("K, L' and F must all be >= 1")
+    if z < 0 or s < 0:
+        raise FormatError("Z and S must be nonnegative")
+    grid = tuple(tuple(row) for row in grid)
+    if len(grid) != lp * f:
+        raise FormatError(f"expected {_count(lp * f)} rows (L'*F), got {len(grid)}")
+    senders: dict[int, tuple[int, int, int]] = {}
+    for r, row in enumerate(grid):
+        if len(row) != k:
+            raise FormatError(f"row {r}: expected {_count(k)} columns, got {len(row)}")
+        for c, e in enumerate(row):
+            if e is None:
+                continue
+            if not isinstance(e, Coded):
+                raise FormatError(f"row {r}, column {c}: not a star or coded entry")
+            if not 0 <= e.slot < s:
+                raise FormatError(f"row {r}, column {c}: slot {e.slot} out of range [0,{s})")
+            if not 0 <= e.sender < k:
+                raise FormatError(
+                    f"row {r}, column {c}: sender {e.sender} out of range [0,{k})"
+                )
+            seen = senders.get(e.slot)
+            if seen is None:
+                senders[e.slot] = (e.sender, r, c)
+            elif seen[0] != e.sender:
+                raise FormatError(
+                    f"row {r}, column {c}: slot {e.slot} has sender {e.sender}, "
+                    f"but row {seen[1]}, column {seen[2]} assigned sender {seen[0]}"
+                )
+    return grid
+
+
+def _dpda(k, lp, f, z, s, grid) -> Dpda:
+    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=check_dpda(k, lp, f, z, s, grid))
+
+
 def parse_dpda(text: str | bytes) -> Dpda:
     if isinstance(text, bytes):
         try:
@@ -72,7 +116,7 @@ def parse_dpda(text: str | bytes) -> Dpda:
         if len(toks) != k:
             raise FormatError(f"row {r}: expected {k} tokens, got {len(toks)}")
         grid.append(tuple(_parse_token(t, r, c) for c, t in enumerate(toks)))
-    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=tuple(grid))
+    return _dpda(k, lp, f, z, s, grid)
 
 
 def dpda_from_json(obj: str | Mapping) -> Dpda:
@@ -105,4 +149,4 @@ def dpda_from_json(obj: str | Mapping) -> Dpda:
         raise FormatError(f"JSON mirror grid must be a list of rows: {exc}") from exc
     except RecursionError as exc:
         raise FormatError(f"JSON mirror grid token nests too deep: {exc}") from exc
-    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=grid)
+    return _dpda(k, lp, f, z, s, grid)

@@ -30,6 +30,7 @@ from dpda import (
     simulate,
     validate,
 )
+from dpda import jsonout
 from dpda.bounds import MEMORY_CASES
 from dpda.cli import main
 
@@ -441,24 +442,26 @@ def test_subcommand_runs_only_its_modules(tmp_path):
     # A library module that a subcommand does not call is never executed:
     # it stays an unloaded stub in sys.modules (see dpda/__init__.py).  The
     # reader in dpda.read runs only for the verbs that read an array file,
-    # and the JSON mirror in dpda.mirror only for `construct --json`.
+    # the JSON mirror in dpda.mirror only for `construct --json`, and the
+    # JSON writer in dpda.jsonout only for `--json` runs.
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
     expected = {
         ("construct", "--family", "even", "--q", "2"): ["construct"],
-        ("construct", "--family", "even", "--q", "2", "--json"): ["construct", "mirror"],
+        ("construct", "--family", "even", "--q", "2", "--json"):
+            ["construct", "jsonout", "mirror"],
         ("validate", str(f)): ["read", "validation"],
-        ("validate", str(f), "--optimal", "--json"): ["read", "validation"],
+        ("validate", str(f), "--optimal", "--json"): ["jsonout", "read", "validation"],
         ("bounds", "--k", "6", "--case", "2/K"): ["bounds"],
-        ("bounds", "--k", "6", "--case", "2/K", "--json"): ["bounds"],
+        ("bounds", "--k", "6", "--case", "2/K", "--json"): ["bounds", "jsonout"],
         ("bounds", "--from", str(f)): ["bounds", "read", "validation"],
-        ("bounds", "--from", str(f), "--json"): ["bounds", "read", "validation"],
+        ("bounds", "--from", str(f), "--json"): ["bounds", "jsonout", "read", "validation"],
         ("compare", str(f)): ["bounds", "read", "validation"],
-        ("compare", str(f), "--json"): ["bounds", "read", "validation"],
+        ("compare", str(f), "--json"): ["bounds", "jsonout", "read", "validation"],
         ("simulate", str(f), "--files", "4", "--blocks", "2", "--trials", "3", "--json"):
-            ["read", "sim"],
+            ["jsonout", "read", "sim"],
         ("search", "--k", "3", "--f", "3", "--z", "1"): ["search"],
-        ("search", "--k", "3", "--f", "3", "--z", "1", "--json"): ["search"],
+        ("search", "--k", "3", "--f", "3", "--z", "1", "--json"): ["jsonout", "search"],
     }
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     ran = {}
@@ -544,25 +547,29 @@ def test_scripts_golden_stdout(script, args):
 
 
 def test_startup_profile_runs():
-    # its timings vary from run to run, so only the shape is checked
-    proc = subprocess.run([sys.executable, str(SRC.parent / "scripts" / "startup_profile.py"),
-                           "search", "--k", "2", "--f", "2", "--z", "1"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("$ dpda search --k 2 --f 2 --z 1  [exit 0]\n")
-    assert "dpda.cli\n" in proc.stdout and "argparse" not in proc.stdout
-    lines = proc.stdout.splitlines()
-    header = lines.index("compile_ms  lines  nodes  uncalled  module")
-    # one row per dpda module the run compiled, then their totals; search
-    # reads no array
-    rows = [line.split() for line in lines[header + 1:]]
-    assert [row[4:] for row in rows] == [["dpda"], ["dpda.cli"], ["dpda.core"], ["dpda.search"],
-                                         ["total", "over", "4", "modules"]]
-    # lines, nodes and the nodes of functions never entered add up, and
-    # search never enters the other verbs' code or the readers
-    counts = [[int(x) for x in row[1:4]] for row in rows]
-    assert [sum(column) for column in zip(*counts[:-1])] == counts[-1]
-    assert all(0 < uncalled < nodes for _lines, nodes, uncalled in counts)
+    # its timings vary from run to run, so only the shape is checked; search
+    # reads no array, and only --json compiles the JSON writer
+    for flags, modules in [
+        ([], ["dpda", "dpda.cli", "dpda.core", "dpda.search"]),
+        (["--json"], ["dpda", "dpda.cli", "dpda.core", "dpda.jsonout", "dpda.search"]),
+    ]:
+        argv = ["search", "--k", "2", "--f", "2", "--z", "1", *flags]
+        proc = subprocess.run([sys.executable, str(SRC.parent / "scripts" / "startup_profile.py"),
+                               *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"$ dpda {' '.join(argv)}  [exit 0]\n")
+        assert "dpda.cli\n" in proc.stdout and "argparse" not in proc.stdout
+        lines = proc.stdout.splitlines()
+        header = lines.index("compile_ms  lines  nodes  uncalled  module")
+        # one row per dpda module the run compiled, then their totals
+        rows = [line.split() for line in lines[header + 1:]]
+        assert [row[4:] for row in rows] == [[name] for name in modules] + [
+            ["total", "over", str(len(modules)), "modules"]]
+        # lines, nodes and the nodes of functions never entered add up, and
+        # search never enters the other verbs' code or the readers
+        counts = [[int(x) for x in row[1:4]] for row in rows]
+        assert [sum(column) for column in zip(*counts[:-1])] == counts[-1]
+        assert all(0 < uncalled < nodes for _lines, nodes, uncalled in counts)
 
 
 def test_readers_load_on_first_use_under_every_name():
@@ -788,7 +795,7 @@ _json_docs = st.recursive(
 @settings(deadline=None)
 @given(_json_docs)
 def test_json_writer_matches_json_dumps(doc):
-    assert cli._json_dumps(doc) == json.dumps(doc, indent=2) + "\n"
+    assert jsonout.dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_json_writer_matches_json_dumps_on_every_record():
@@ -807,7 +814,7 @@ def test_json_writer_matches_json_dumps_on_every_record():
                 docs.append(compare_to_jcm(p).to_json())
         docs.append(simulate(p, 3, 3, 4, trials=2).to_json())  # 3 blocks: every L' <= 3
     for doc in docs:
-        assert cli._json_dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        assert jsonout.dumps(doc) == json.dumps(doc, indent=2) + "\n"
     assert len(docs) > 10_000
 
 
@@ -815,4 +822,4 @@ def test_json_writer_matches_json_dumps_on_every_record():
                          ids=["float", "set", "int key", "nested tuple key", "bytes"])
 def test_json_writer_rejects_what_to_json_never_returns(doc):
     with pytest.raises(TypeError):
-        cli._json_dumps(doc)
+        jsonout.dumps(doc)

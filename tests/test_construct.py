@@ -11,6 +11,7 @@ import pytest
 
 from dpda import (
     Coded,
+    construct,
     construct_even,
     construct_grid,
     construct_jcm,
@@ -22,6 +23,7 @@ from dpda import (
     validate,
 )
 
+import construct_reference
 from fuzz import slot_senders
 from golden import (
     GRID_Q3_TEXT,
@@ -32,6 +34,14 @@ from golden import (
     P6_TEXT,
     Q_LIFTED_P4_TEXT,
 )
+
+
+def _digests(family: str) -> dict[str, str]:
+    """construct.sha256's text digests of ``family``, by "family params..." name."""
+    path = Path(__file__).parent / "golden_cli" / "construct.sha256"
+    return {name: digest for digest, name in
+            (line.split("  ") for line in path.read_text().splitlines())
+            if name.split()[0] == family}
 
 
 class TestGoldenArrays:
@@ -62,16 +72,39 @@ class TestGoldenArrays:
         # grid q 2-16, even q 2-20 and odd q 1-10; pins every slot id
         builder = {"jcm": construct_jcm, "grid": construct_grid,
                    "even": construct_even, "odd": construct_odd}[family]
-        path = Path(__file__).parent / "golden_cli" / "construct.sha256"
-        expected = {name: digest for digest, name in
-                    (line.split("  ") for line in path.read_text().splitlines())
-                    if name.split()[0] == family}
+        expected = _digests(family)
         actual = {}
         for name in expected:
             text = serialize_dpda(builder(*map(int, name.split()[1:])))
             actual[name] = hashlib.sha256(text.encode()).hexdigest()
         assert len(expected) == {"jcm": 46, "grid": 15, "even": 19, "odd": 10}[family]
         assert actual == expected
+
+
+def _distinct_entries(p) -> int:
+    return len({id(e) for row in p.grid for e in row if e is not None})
+
+
+class TestOneEntryPerSlot:
+    @pytest.mark.parametrize("family", ["jcm", "grid", "even", "odd"])
+    def test_builders_equal_the_per_cell_reference(self, family):
+        # each array holds exactly one Coded object per slot
+        for name in _digests(family):
+            params = tuple(map(int, name.split()[1:]))
+            p = getattr(construct, f"construct_{family}")(*params)
+            assert p == getattr(construct_reference, f"construct_{family}")(*params), params
+            assert _distinct_entries(p) == p.s, params
+
+    @pytest.mark.parametrize("lp", [1, 2, 3])
+    def test_lift_equals_the_per_cell_reference(self, lp):
+        # one entry per (copy, slot), whether or not the input shares its
+        # entries: a parsed array, a built one, and one with an entry per cell
+        bases = [parse_dpda(P5_TEXT), construct_grid(3), construct_jcm(5, 2),
+                 construct_reference.construct_jcm(5, 3)]
+        for base in bases:
+            p = lift(base, lp)
+            assert p == construct_reference.lift(base, lp)
+            assert _distinct_entries(p) == lp * base.s
 
 
 class TestParameterLaws:

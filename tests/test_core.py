@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,8 @@ from dpda import (
     FormatError,
     STAR,
     construct_even,
+    construct_grid,
+    construct_jcm,
     dpda_from_json,
     dpda_to_json,
     parse_dpda,
@@ -318,3 +321,125 @@ def test_readers_match_reference_on_digit_edges():
     # "0003^1" and the zero-padded header value parse; every other edge is refused
     assert [type(o) is Dpda for o in outcomes] == [
         v == "0003" for v in _DIGIT_EDGES] + [tok == "0003^1" for tok in _TOKEN_EDGES]
+
+
+# Cells that are neither a star nor a Coded entry: falsy ones, which a
+# truthiness test would take for stars, and other objects.
+_NON_ENTRIES = (0, "", False, (), [], 1, True, "0^0", (0, 0), 0.0, object())
+
+
+@pytest.mark.parametrize("cell", _NON_ENTRIES, ids=repr)
+def test_dpda_refuses_non_entries(cell):
+    p = parse_dpda(P4_TEXT)
+    grid = [list(row) for row in p.grid]
+    grid[2][1] = cell  # a star's cell, after coded cells in rows 0-1
+    with pytest.raises(FormatError) as raised:
+        Dpda(p.k, p.lp, p.f, p.z, p.s, grid)
+    assert str(raised.value) == "row 2, column 1: not a star or coded entry"
+    assert _outcome(lambda g: core_reference.check_dpda(4, 1, 4, 2, 4, g), grid) == (
+        FormatError, str(raised.value))
+
+
+def _faulty_grids(rng: random.Random):
+    """Copies of the lifted corpus, each with one to three seeded faults: a
+    row one cell short or long, a non-entry, a slot or sender out of range,
+    or a coded cell handed to the next user (two senders for its slot)."""
+    for p in lifted_corpus():
+        for _ in range(30):
+            grid = [list(row) for row in p.grid]
+            for _ in range(rng.randint(1, 3)):
+                r = rng.randrange(len(grid))
+                row = grid[r]
+                c = rng.randrange(len(row)) if row else 0
+                kind = rng.randrange(6)
+                if kind == 0:
+                    del row[-1:]
+                elif kind == 1:
+                    row.append(rng.choice([STAR, Coded(0, 0)]))
+                elif kind == 2 and row:
+                    row[c] = rng.choice(_NON_ENTRIES)
+                elif kind == 3 and row:
+                    row[c] = rng.choice([Coded(p.s, 0), Coded(-1, 0), Coded(0, p.k),
+                                         Coded(0, -1)])
+                elif row and row[c] is not None and isinstance(row[c], Coded):
+                    row[c] = Coded(row[c].slot, (row[c].sender + 1) % p.k)
+            yield (p.k, p.lp, p.f, p.z, p.s, grid)
+
+
+def test_dpda_check_matches_reference_on_faulty_grids():
+    # the first fault in row-major order wins, a wrong row length before the
+    # row's cells, with the reference check's exception and message
+    errors = 0
+    for args in _faulty_grids(random.Random(20261019)):
+        got = _outcome(lambda a: Dpda(*a).grid, args)
+        assert got == _outcome(lambda a: core_reference.check_dpda(*a), args), args
+        errors += got[0] is FormatError  # else got is the grid
+    assert errors > 300
+
+
+def _text_with(p: Dpda, *edits: tuple[int, int | None, str]) -> str:
+    """``p``'s text with each (row, column, token) edit; a column of None
+    drops the row's last token instead."""
+    lines = serialize_dpda(p).splitlines()
+    for r, c, tok in edits:
+        toks = lines[r + 1].split()
+        if c is None:
+            toks.pop()
+        else:
+            toks[c] = tok
+        lines[r + 1] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("short, message", [
+    (4, "row 4: expected 10 tokens, got 9"),
+    (5, "row 5: expected 10 tokens, got 9"),
+    (6, "row 5, column 3: bad token 'x'"),
+])
+def test_reader_names_the_first_fault_in_row_order(short, message):
+    # a bad token in row 5, with a short row before, at or after it
+    p = construct_jcm(10, 5)
+    text = _text_with(p, (5, 3, "x"), (short, None, ""))
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_dpda(text)
+    assert _outcome(core_reference.parse_dpda, text) == (FormatError, message)
+
+
+def test_reader_counts_carets_per_token():
+    # two carets in one token and none in another add up to one caret per
+    # token; the bulk pass must still refuse the first of them
+    p = construct_jcm(6, 3)
+    c = next(c for c, e in enumerate(p.grid[1]) if e is not None)
+    text = _text_with(p, (1, c, "1^2^3"), (4, 0, "4"))
+    message = f"row 1, column {c}: bad token '1^2^3'"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_dpda(text)
+    assert _outcome(core_reference.parse_dpda, text) == (FormatError, message)
+
+
+def test_reader_names_a_long_token_late_in_a_large_array():
+    p = construct_jcm(10, 5)
+    r = p.rows - 2
+    c = next(c for c, e in enumerate(p.grid[r]) if e is not None)
+    text = _text_with(p, (r, c, "9" * 5000 + f"^{p.grid[r][c].sender}"))
+    message = f"row {r}, column {c}: 5000-digit integer is too long"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        parse_dpda(text)
+    assert _outcome(core_reference.parse_dpda, text) == (FormatError, message)
+
+
+def test_reader_names_a_two_sender_slot_first_seen_in_a_later_row():
+    # the slot's tokens all parse; Dpda's check names its first cell with
+    # the other sender, and where the slot's first sender was set
+    p = construct_grid(6)
+    cells = [(r, c) for r, row in enumerate(p.grid) for c, e in enumerate(row)
+             if e is not None and e.slot == 7]
+    (r0, c0), (r, c) = cells[0], cells[-1]
+    sender = p.grid[r][c].sender
+    text = _text_with(p, (r, c, f"7^{(sender + 1) % p.k}"))
+    message = (f"row {r}, column {c}: slot 7 has sender {(sender + 1) % p.k}, "
+               f"but row {r0}, column {c0} assigned sender {sender}")
+    assert r > r0
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_dpda(text)
+    assert _outcome(core_reference.parse_dpda, text) == (FormatError, message)
