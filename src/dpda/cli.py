@@ -10,11 +10,13 @@ invocations on identical inputs produce byte-identical output.
 No domain logic lives here.  Each verb's handler, ``_cmd_<verb>``, is a
 thin adapter that lives beside the code it adapts (``dpda.sim._cmd_simulate``,
 as ``tarfile.main`` lives beside ``tarfile``) and takes ``_emit`` and
-``_load`` from this module when it runs.  The library modules load on first
-use (see :mod:`dpda`), and ``main`` looks a handler up only once the argv is
+``_load`` from this module when it runs; ``_load`` reads an array file
+through :func:`dpda.core.parse_dpda`.  The library modules load on first use
+(see :mod:`dpda`), and ``main`` looks a handler up only once the argv is
 read, so a run compiles only the modules its verb calls, and help and usage
-errors compile none.  Under ``--json`` a handler writes its document with
-:func:`dpda.jsonout.dumps`, which only ``--json`` runs compile.
+errors compile none, not even :mod:`dpda.core`.  Under ``--json`` a handler
+writes its document with :func:`dpda.jsonout.dumps`, which only ``--json``
+runs compile.
 
 ``_VERBS`` is the one grammar of the command line, and names each verb's
 handler.  A plain well-formed argv is read straight from it by
@@ -30,8 +32,7 @@ from importlib import import_module
 from pathlib import Path
 from types import SimpleNamespace
 
-from . import read
-from .core import Dpda
+from . import core
 
 __all__ = ["main"]
 
@@ -47,9 +48,9 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _load(path: str) -> Dpda:
+def _load(path: str) -> core.Dpda:
     data = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return read.parse_dpda(data)
+    return core.parse_dpda(data)
 
 
 _JSON = {"action": "store_true"}

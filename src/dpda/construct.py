@@ -28,8 +28,7 @@ from itertools import combinations
 from math import comb
 from types import SimpleNamespace
 
-from . import mirror
-from .core import STAR, Coded, Dpda, Entry, serialize_dpda
+from .core import STAR, Coded, Dpda, Entry, dpda_to_json, serialize_dpda
 
 __all__ = [
     "construct_jcm",
@@ -205,7 +204,7 @@ def _cmd_construct(args: SimpleNamespace) -> int:
     if args.json:
         from .jsonout import dumps
 
-        text = dumps(mirror.dpda_to_json(p))
+        text = dumps(dpda_to_json(p))
     else:
         text = serialize_dpda(p)
     _emit(text, args.out)

@@ -1,4 +1,4 @@
-"""Data model and writers for D2D placement delivery arrays (DPDAs).
+"""Data model, readers and writers for D2D placement delivery arrays (DPDAs).
 
 A DPDA is an (L'*F) x K array over star entries and coded entries ``s^k``:
 a star marks a packet index cached by the column's user, while a coded entry
@@ -24,18 +24,21 @@ Canonical text format (byte-stable)::
 A JSON mirror with keys ``k, lp, f, z, s, grid`` (the grid holding the same
 tokens) is provided for machine consumers.
 
-This module holds the model and the text writer.  The text reader
-``parse_dpda`` lives in :mod:`dpda.read`, and the JSON mirror's writer and
-reader, ``dpda_to_json`` and ``dpda_from_json``, in :mod:`dpda.mirror`;
-each loads on first use, and this module still answers for all three
-names.  The readers check structural well-formedness only (dimensions,
-entry ranges, one sender per slot); the semantic conditions C0-C4 live in
-:mod:`dpda.validation`.
+``parse_dpda`` parses each distinct token once per call: ``_grid``
+collects the distinct tokens of the whole body and converts them in one
+bulk pass into a dict from token to entry, so all the cells holding a token
+share one :class:`Coded`, and each row is looked up whole.  Only when a row
+length or a token is wrong does it walk the rows in order to name the first
+fault.  ``dpda_from_json`` reads its tokens through ``_grid`` too.  The
+readers check structural well-formedness only (dimensions, entry ranges,
+one sender per slot) and raise :class:`FormatError` with row and column
+coordinates; the semantic conditions C0-C4 live in :mod:`dpda.validation`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain, repeat
+from typing import Mapping, Sequence
 
 __all__ = [
     "STAR",
@@ -43,7 +46,10 @@ __all__ = [
     "Entry",
     "Dpda",
     "FormatError",
+    "parse_dpda",
     "serialize_dpda",
+    "dpda_to_json",
+    "dpda_from_json",
     "slot_cells",
 ]
 
@@ -205,6 +211,133 @@ def serialize_dpda(p: Dpda) -> str:
     return "\n".join([header, *map(" ".join, map(_row_tokens, p.grid)), ""])
 
 
+def _parse_int(digits: str, where: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than int() converts
+        raise FormatError(f"{where}: {len(digits)}-digit integer is too long") from exc
+
+
+def _parse_token(tok: str, r: int, c: int) -> Coded:
+    # ASCII digits on both sides of one caret: what [0-9]+^[0-9]+ matches
+    slot, caret, sender = tok.partition("^")
+    if not (caret and tok.isascii() and slot.isdigit() and sender.isdigit()):
+        raise FormatError(f"row {r}, column {c}: bad token {tok!r}")
+    where = f"row {r}, column {c}"
+    return Coded(_parse_int(slot, where), _parse_int(sender, where))
+
+
+def _grid(rows: list[list[str]], k: int | None = None) -> tuple[tuple[Entry, ...], ...]:
+    """The entries of ``rows``' tokens.  The distinct tokens are converted in
+    one bulk pass, and all the cells holding a token share its one entry.
+    Only if that pass fails, or a row does not hold ``k`` tokens (when ``k``
+    is given), are the rows walked in order to raise at the first fault."""
+    memo: dict[str, Entry] = {"*": STAR}
+    tokens = dict.fromkeys(chain.from_iterable(rows))
+    tokens.pop("*", None)
+    # every token one caret (at least one each, 2n fields in all) between runs
+    # of ASCII digits: what [0-9]+^[0-9]+ matches, as int() refuses an empty run
+    fields = "^".join(tokens).split("^")
+    digits = "".join(fields)
+    sound = ((k is None or not set(map(len, rows)) - {k}) and len(fields) == 2 * len(tokens)
+             and digits.isascii() and digits.isdigit()
+             and all(map(str.__contains__, tokens, repeat("^"))))
+    if sound:
+        try:
+            values = [*map(int, fields)]
+        except ValueError:  # an empty run, or more digits than int() converts
+            sound = False
+        else:
+            memo.update(zip(tokens, map(Coded, values[0::2], values[1::2])))
+    if not sound:  # walk the rows to raise at the first fault (or no token is coded)
+        for r, toks in enumerate(rows):
+            if k is not None and len(toks) != k:
+                raise FormatError(f"row {r}: expected {k} tokens, got {len(toks)}")
+            for c, tok in enumerate(toks):
+                if tok not in memo:
+                    memo[tok] = _parse_token(tok, r, c)
+    return tuple(tuple(map(memo.__getitem__, toks)) for toks in rows)
+
+
+def parse_dpda(text: str | bytes) -> Dpda:
+    """Parse the DPDA text format into a structurally well-formed array.
+
+    Semantic conditions (C0-C4) are *not* checked here.  Raises
+    :class:`FormatError` with row/column coordinates on malformed input.
+    """
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"input is not UTF-8: {exc}") from exc
+    lines = [*filter(None, map(str.strip, text.splitlines()))]
+    if not lines:
+        raise FormatError("empty input")
+    header = lines[0].split()
+    if len(header) != 6 or header[0] != "DPDA":
+        raise FormatError(f"malformed header: {lines[0]!r}")
+    values = []
+    for part, key in zip(header[1:], ("K", "L'", "F", "Z", "S")):
+        prefix = key + "="
+        value = part[len(prefix):]
+        if not (part.startswith(prefix) and value.isascii() and value.isdigit()):
+            raise FormatError(f"malformed header field {part!r} (expected {prefix}<int>)")
+        values.append(_parse_int(value, f"header field {key}"))
+    k, lp, f, z, s = values
+    body = lines[1:]
+    if lp < 1 or f < 1:
+        raise FormatError("header requires L' >= 1 and F >= 1")
+    if len(body) != lp * f:
+        raise FormatError(f"expected {_count(lp * f)} body rows (L'*F), got {len(body)}")
+    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=_grid([line.split() for line in body], k))
+
+
+
+def dpda_to_json(p: Dpda) -> dict:
+    """JSON mirror of the text format (stable key order)."""
+    return {
+        "k": p.k,
+        "lp": p.lp,
+        "f": p.f,
+        "z": p.z,
+        "s": p.s,
+        "grid": [_row_tokens(row) for row in p.grid],
+    }
+
+
+def dpda_from_json(obj: str | Mapping) -> Dpda:
+    """Parse the JSON mirror produced by :func:`dpda_to_json`.
+
+    ``k, lp, f, z, s`` must be JSON integers and ``grid`` a list of lists of
+    tokens; malformed input raises :class:`FormatError`.
+    """
+    if isinstance(obj, (str, bytes)):
+        try:
+            import json  # only JSON text needs it
+
+            obj = json.loads(obj)
+        except (ValueError, RecursionError) as exc:  # malformed, too long or too deep
+            raise FormatError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, Mapping):
+        raise FormatError("JSON mirror must be an object")
+    try:
+        values = [obj[key] for key in ("k", "lp", "f", "z", "s")]
+        rows = obj["grid"]
+    except KeyError as exc:
+        raise FormatError(f"JSON mirror missing field: {exc}") from exc
+    if any(type(v) is not int for v in values):
+        raise FormatError(f"JSON mirror k, lp, f, z, s must be integers, got {values!r}")
+    k, lp, f, z, s = values
+    if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows):
+        raise FormatError("JSON mirror grid must be a list of rows")
+    try:
+        tokens = [[*map(str, row)] for row in rows]
+    except RecursionError as exc:  # str() of a token nested too deep
+        raise FormatError(f"JSON mirror grid token nests too deep: {exc}") from exc
+    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=_grid(tokens))
+
+
 def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
     """Map each slot id to its (row, column) occurrences in row-major order."""
     cells: dict[int, list[tuple[int, int]]] = {}
@@ -214,14 +347,3 @@ def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
                 cells.setdefault(e.slot, []).append((r, c))
     return cells
 
-
-def __getattr__(name: str):
-    if name == "parse_dpda":
-        from . import read
-
-        return read.parse_dpda
-    if name in ("dpda_to_json", "dpda_from_json"):
-        from . import mirror
-
-        return getattr(mirror, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

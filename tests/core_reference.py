@@ -1,5 +1,5 @@
 """Reference parsers and structural check for differential tests of
-:mod:`dpda.core` and :mod:`dpda.read`.
+:mod:`dpda.core`.
 
 The readers are the wire-format readers' earlier per-cell paths: every
 cell's token is matched and converted on its own, so a token held by many

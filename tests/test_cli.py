@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import random
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -441,25 +444,22 @@ def test_unexpected_exception_is_internal_error(monkeypatch, tmp_path, capsys, e
 def test_subcommand_runs_only_its_modules(tmp_path):
     # A library module that a subcommand does not call is never executed:
     # it stays an unloaded stub in sys.modules (see dpda/__init__.py).  The
-    # reader in dpda.read runs only for the verbs that read an array file,
-    # the JSON mirror in dpda.mirror only for `construct --json`, and the
-    # JSON writer in dpda.jsonout only for `--json` runs.
+    # JSON writer in dpda.jsonout runs only for `--json` runs.
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
     expected = {
         ("construct", "--family", "even", "--q", "2"): ["construct"],
-        ("construct", "--family", "even", "--q", "2", "--json"):
-            ["construct", "jsonout", "mirror"],
-        ("validate", str(f)): ["read", "validation"],
-        ("validate", str(f), "--optimal", "--json"): ["jsonout", "read", "validation"],
+        ("construct", "--family", "even", "--q", "2", "--json"): ["construct", "jsonout"],
+        ("validate", str(f)): ["validation"],
+        ("validate", str(f), "--optimal", "--json"): ["jsonout", "validation"],
         ("bounds", "--k", "6", "--case", "2/K"): ["bounds"],
         ("bounds", "--k", "6", "--case", "2/K", "--json"): ["bounds", "jsonout"],
-        ("bounds", "--from", str(f)): ["bounds", "read", "validation"],
-        ("bounds", "--from", str(f), "--json"): ["bounds", "jsonout", "read", "validation"],
-        ("compare", str(f)): ["bounds", "read", "validation"],
-        ("compare", str(f), "--json"): ["bounds", "jsonout", "read", "validation"],
+        ("bounds", "--from", str(f)): ["bounds", "validation"],
+        ("bounds", "--from", str(f), "--json"): ["bounds", "jsonout", "validation"],
+        ("compare", str(f)): ["bounds", "validation"],
+        ("compare", str(f), "--json"): ["bounds", "jsonout", "validation"],
         ("simulate", str(f), "--files", "4", "--blocks", "2", "--trials", "3", "--json"):
-            ["jsonout", "read", "sim"],
+            ["jsonout", "sim"],
         ("search", "--k", "3", "--f", "3", "--z", "1"): ["search"],
         ("search", "--k", "3", "--f", "3", "--z", "1", "--json"): ["jsonout", "search"],
     }
@@ -487,8 +487,8 @@ def test_subcommand_runs_only_its_modules(tmp_path):
 ])
 def test_help_and_usage_errors_run_no_library_module(argv, code):
     # _VERBS names each handler, which main resolves only once an argv is
-    # read, so building the parser for help or an error executes no handler's
-    # module
+    # read, so building the parser for help or an error executes no library
+    # module, not even dpda.core
     script = (
         "import sys, types\n"
         "from dpda.cli import main\n"
@@ -502,7 +502,7 @@ def test_help_and_usage_errors_run_no_library_module(argv, code):
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == f"{code} ['cli', 'core']"
+    assert proc.stdout.splitlines()[-1] == f"{code} ['cli']"
 
 
 @pytest.mark.parametrize("argv", [
@@ -572,46 +572,69 @@ def test_startup_profile_runs():
         assert all(0 < uncalled < nodes for _lines, nodes, uncalled in counts)
 
 
+def test_each_name_has_one_home():
+    # Every public name is bound in the module _EXPORTS names for it, and no
+    # submodule answers for a name through a module __getattr__, so the
+    # tracer's lookups by module (bench/tracing.py's LAYERS) find plain
+    # attributes there.
+    modules = [importlib.import_module(f"dpda.{info.name}")
+               for info in pkgutil.iter_modules(dpda.__path__)]
+    for module, names in dpda._EXPORTS.items():
+        own = vars(getattr(dpda, module))
+        assert [n for n in names if n not in own or own[n] is not getattr(dpda, n)] == []
+    assert [m.__name__ for m in modules if "__getattr__" in vars(m)] == []
+    layers = runpy.run_path(str(SRC.parent / "bench" / "tracing.py"))["LAYERS"]
+    defined = {name for m in modules for name in vars(m)}
+    assert [f"{module}.{name}" for module, names in layers.values() for name in names
+            if name in defined and name not in vars(sys.modules[module])] == []
+    with pytest.raises(AttributeError, match="no attribute 'parse'"):
+        dpda.core.parse
+    with pytest.raises(AttributeError, match="no attribute 'delivery'"):
+        dpda.sim.delivery
+
+
 def test_readers_load_on_first_use_under_every_name():
-    # dpda.core answers for the text reader in dpda.read and for the JSON
-    # mirror's writer and reader in dpda.mirror, and dpda.read for the
-    # mirror's reader; importing dpda.core alone executes neither module, and
-    # reading text does not execute dpda.mirror
+    # The text reader and the JSON mirror live in dpda.core, which importing
+    # the package does not execute; the first reader call executes dpda.core
+    # alone, and only reading JSON text loads json.  dpda.core is the one
+    # module path: dpda.read and dpda.mirror are gone.
     script = (
         "import sys, types\n"
-        "import dpda.core\n"
-        "ran = lambda: [n[5:] for n in ('dpda.read', 'dpda.mirror')\n"
-        "               if type(sys.modules[n]) is types.ModuleType]\n"
+        "import dpda\n"
+        "ran = lambda: [n for n in sorted(sys.modules) if n.startswith('dpda.')\n"
+        "               and type(sys.modules[n]) is types.ModuleType]\n"
         "print(ran())\n"
-        "dpda.core.parse_dpda(\"DPDA K=1 L'=1 F=1 Z=1 S=0\\n*\\n\")\n"
-        "print(ran())\n"
-        "import dpda, dpda.read, dpda.mirror\n"
-        "print(dpda.parse_dpda is dpda.core.parse_dpda is dpda.read.parse_dpda,\n"
-        "      dpda.dpda_to_json is dpda.core.dpda_to_json is dpda.mirror.dpda_to_json,\n"
-        "      dpda.dpda_from_json is dpda.core.dpda_from_json is dpda.read.dpda_from_json\n"
-        "      is dpda.mirror.dpda_from_json)\n"
+        "p = dpda.parse_dpda(\"DPDA K=1 L'=1 F=1 Z=1 S=0\\n*\\n\")\n"
+        "print(ran(), 'json' in sys.modules)\n"
+        "dpda.dpda_from_json(dpda.dpda_to_json(p))\n"
+        "print(ran(), 'json' in sys.modules)\n"
+        f"dpda.dpda_from_json({json.dumps(dpda.dpda_to_json(dpda.parse_dpda(P4_TEXT)))!r})\n"
+        "print(ran(), 'json' in sys.modules)\n"
+        "print(dpda.parse_dpda is dpda.core.parse_dpda,\n"
+        "      dpda.dpda_to_json is dpda.core.dpda_to_json,\n"
+        "      dpda.dpda_from_json is dpda.core.dpda_from_json)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == "[]\n['read']\nTrue True True\n"
-    with pytest.raises(AttributeError, match="no attribute 'parse'"):
-        dpda.core.parse
-    with pytest.raises(AttributeError, match="no attribute 'dpda_to_json'"):
-        dpda.read.dpda_to_json
+    assert proc.stdout == ("[]\n['dpda.core'] False\n['dpda.core'] False\n"
+                           "['dpda.core'] True\nTrue True True\n")
+    for gone in ("dpda.read", "dpda.mirror"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(gone)
 
 
 def test_steps_load_on_first_use_under_every_name():
-    # dpda.sim answers for the one-demand steps that live in dpda.steps, and
-    # running dpda.sim executes neither dpda.steps nor the CLI
+    # The one-demand steps live in dpda.sim, and running dpda.sim executes
+    # neither the CLI nor any other path for them: dpda.steps is gone.
     script = (
         "import sys, types\n"
         "import dpda.sim\n"
         "dpda.sim.simulate\n"
-        "print([n for n in ('dpda.sim', 'dpda.steps', 'dpda.cli')\n"
+        "print([n for n in ('dpda.sim', 'dpda.cli')\n"
         "       if type(sys.modules.get(n)) is types.ModuleType])\n"
-        "import dpda, dpda.steps\n"
-        "print([getattr(dpda, n) is getattr(dpda.sim, n) is getattr(dpda.steps, n)\n"
+        "import dpda\n"
+        "print([getattr(dpda, n) is vars(dpda.sim)[n]\n"
         "       for n in ('deliver', 'decode', 'Signal', 'SimulationError',"
         " 'user_cache_bytes')])\n"
     )
@@ -619,8 +642,8 @@ def test_steps_load_on_first_use_under_every_name():
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "['dpda.sim']\n[True, True, True, True, True]\n"
-    with pytest.raises(AttributeError, match="no attribute 'delivery'"):
-        dpda.sim.delivery
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("dpda.steps")
 
 
 def test_star_import_binds_every_public_name():

@@ -328,7 +328,8 @@ def test_readers_match_reference_on_digit_edges():
 _NON_ENTRIES = (0, "", False, (), [], 1, True, "0^0", (0, 0), 0.0, object())
 
 
-@pytest.mark.parametrize("cell", _NON_ENTRIES, ids=repr)
+@pytest.mark.parametrize("cell", _NON_ENTRIES,
+                         ids=lambda cell: "object()" if type(cell) is object else repr(cell))
 def test_dpda_refuses_non_entries(cell):
     p = parse_dpda(P4_TEXT)
     grid = [list(row) for row in p.grid]
