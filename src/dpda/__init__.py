@@ -8,10 +8,12 @@ full placement/XOR-delivery/decode protocol on byte-level packets.
 Submodules load on first use: importing the package runs none of them, and
 ``from dpda import X`` runs only the module that defines ``X``.  Each public
 name has one home, the module ``_EXPORTS`` names for it.  Each CLI verb's
-handler lives in the module it adapts.  The records are plain frozen
-classes on one small base in :mod:`dpda.core` that generates no code.
-``--json`` output is written by :mod:`dpda.jsonout`, which only ``--json``
-runs execute, so ``json`` loads only for ``dpda_from_json`` of JSON text.
+handler lives in the module it adapts and returns its output, which
+:func:`dpda.cli.main` alone writes.  The records are plain frozen classes on
+one small base in :mod:`dpda.core` that generates no code.  ``--json``
+output is rendered by :mod:`dpda.jsonout`, which only ``main`` imports and
+only for ``--json`` runs, so ``json`` loads only for ``dpda_from_json`` of
+JSON text.
 """
 
 import importlib.util

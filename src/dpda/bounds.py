@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 from . import validation
-from .core import Dpda, _Record
+from .core import Dpda, _load, _Record
 
 __all__ = [
     "MEMORY_CASES",
@@ -265,42 +265,21 @@ def format_table(headers: list[str], rows: list[list[object]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_bounds(args: SimpleNamespace) -> int:
-    from .cli import _emit, _load
-
+def _cmd_bounds(args: SimpleNamespace) -> tuple[str | dict, int]:
     if args.from_path is not None:
         report = bounds_for_array(_load(args.from_path))
     else:
         if args.k is None or args.case is None:
             raise ValueError("provide --k and --case, or --from FILE")
         report = bounds_for_case(args.k, args.case)
-    if args.json:
-        from .jsonout import dumps
-
-        _emit(dumps(report.to_json()), None)
-        return 0
     j = report.to_json()
+    if args.json:
+        return j, 0
     rows = [[key, j[key]] for key in j if key != "notes" and j[key] is not None]
     text = format_table(["field", "value"], rows)
-    for note in report.notes:
-        text += f"note: {note}\n"
-    _emit(text, None)
-    return 0
+    return text + "".join(f"note: {note}\n" for note in report.notes), 0
 
 
-def _cmd_compare(args: SimpleNamespace) -> int:
-    from .cli import _emit, _load
-
-    comparison = compare_to_jcm(_load(args.path))
-    if args.json:
-        from .jsonout import dumps
-
-        _emit(dumps(comparison.to_json()), None)
-    else:
-        text = format_table(
-            ["k", "t", "f_ours", "f_jcm", "ratio", "rate"],
-            [[comparison.k, comparison.t, comparison.f_ours, comparison.f_jcm,
-              comparison.ratio, comparison.rate]],
-        )
-        _emit(text, None)
-    return 0
+def _cmd_compare(args: SimpleNamespace) -> tuple[str | dict, int]:
+    j = compare_to_jcm(_load(args.path)).to_json()
+    return j if args.json else format_table(list(j), [list(j.values())]), 0

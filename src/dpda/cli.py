@@ -9,14 +9,15 @@ invocations on identical inputs produce byte-identical output.
 
 No domain logic lives here.  Each verb's handler, ``_cmd_<verb>``, is a
 thin adapter that lives beside the code it adapts (``dpda.sim._cmd_simulate``,
-as ``tarfile.main`` lives beside ``tarfile``) and takes ``_emit`` and
-``_load`` from this module when it runs; ``_load`` reads an array file
-through :func:`dpda.core.parse_dpda`.  The library modules load on first use
-(see :mod:`dpda`), and ``main`` looks a handler up only once the argv is
-read, so a run compiles only the modules its verb calls, and help and usage
-errors compile none, not even :mod:`dpda.core`.  Under ``--json`` a handler
-writes its document with :func:`dpda.jsonout.dumps`, which only ``--json``
-runs compile.
+as ``tarfile.main`` lives beside ``tarfile``); it reads an array file with
+:func:`dpda.core._load` and returns ``(doc, exit_code)`` without writing
+anything.  ``main`` is the one writer: ``doc`` is the text to print, or under
+``--json`` the document, which ``main`` renders with
+:func:`dpda.jsonout.dumps`, so only ``--json`` runs compile that module.  The
+library modules load on first use (see :mod:`dpda`), and ``main`` looks a
+handler up only once the argv is read, so a run compiles only the modules
+its verb calls, and help and usage errors compile none, not even
+:mod:`dpda.core`.
 
 ``_VERBS`` is the one grammar of the command line, and names each verb's
 handler.  A plain well-formed argv is read straight from it by
@@ -29,29 +30,13 @@ from __future__ import annotations
 
 import sys
 from importlib import import_module
-from pathlib import Path
 from types import SimpleNamespace
-
-from . import core
 
 __all__ = ["main"]
 
 # bounds.MEMORY_CASES, spelled out so that the grammar does not load
 # dpda.bounds for every subcommand; a test keeps the two equal.
 _MEMORY_CASES = ("1/K", "2/K", "(K-2)/K", "(K-1)/K")
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-def _load(path: str) -> core.Dpda:
-    data = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    return core.parse_dpda(data)
-
 
 _JSON = {"action": "store_true"}
 _PATH = {"help": "array file ('-' for stdin)"}
@@ -175,7 +160,18 @@ def main(argv: list[str] | None = None) -> int:
     args = _fast_args(argv) or SimpleNamespace(**vars(_parser().parse_args(argv)))
     module, _, name = args.func.partition(".")
     try:
-        return getattr(import_module(f"{__package__}.{module}"), name)(args)
+        doc, code = getattr(import_module(f"{__package__}.{module}"), name)(args)
+        if not isinstance(doc, str):
+            from .jsonout import dumps  # only --json runs compile the JSON writer
+
+            doc = dumps(doc)
+        out = getattr(args, "out", None)  # only construct has --out
+        if out is None or out == "-":
+            sys.stdout.write(doc)
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(doc)
+        return code
     except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

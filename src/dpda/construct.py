@@ -187,9 +187,7 @@ def lift(p: Dpda, lp_new: int) -> Dpda:
     return Dpda(k=p.k, lp=lp_new, f=p.f, z=p.z, s=lp_new * p.s, grid=tuple(grid))
 
 
-def _cmd_construct(args: SimpleNamespace) -> int:
-    from .cli import _emit
-
+def _cmd_construct(args: SimpleNamespace) -> tuple[str | dict, int]:
     if args.family == "jcm":
         if args.k is None or args.t is None:
             raise ValueError("--family jcm requires --k and --t")
@@ -201,11 +199,4 @@ def _cmd_construct(args: SimpleNamespace) -> int:
         p = builder[args.family](args.q)
     if args.lift is not None:
         p = lift(p, args.lift)
-    if args.json:
-        from .jsonout import dumps
-
-        text = dumps(dpda_to_json(p))
-    else:
-        text = serialize_dpda(p)
-    _emit(text, args.out)
-    return 0
+    return dpda_to_json(p) if args.json else serialize_dpda(p), 0

@@ -37,6 +37,7 @@ coordinates; the semantic conditions C0-C4 live in :mod:`dpda.validation`.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain, repeat
 from typing import Mapping, Sequence
 
@@ -67,8 +68,7 @@ class _Record:
     A subclass declares its fields as class annotations, in constructor
     order; a class attribute of the same name is that field's default.  The
     base gives it construction by position or keyword, ``==`` and ``hash``
-    over the field values (assign ``object.__eq__`` and ``object.__hash__``
-    for identity instead), a ``Name(field=value, ...)`` repr that leaves out
+    over the field values, a ``Name(field=value, ...)`` repr that leaves out
     fields named with a leading underscore, and ``AttributeError`` on any
     assignment or deletion.  A subclass built in a hot loop defines its own
     ``__init__`` that sets each field with ``object.__setattr__``.
@@ -291,6 +291,13 @@ def parse_dpda(text: str | bytes) -> Dpda:
         raise FormatError(f"expected {_count(lp * f)} body rows (L'*F), got {len(body)}")
     return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=_grid([line.split() for line in body], k))
 
+
+def _load(path: str) -> Dpda:
+    """:func:`parse_dpda` of the array file at ``path``, or of stdin for ``-``."""
+    if path == "-":
+        return parse_dpda(sys.stdin.read())
+    with open(path, encoding="utf-8") as fh:
+        return parse_dpda(fh.read())
 
 
 def dpda_to_json(p: Dpda) -> dict:

@@ -2,8 +2,9 @@
 
 :func:`dumps` returns what ``json.dumps(obj, indent=2) + "\\n"`` returns
 for the documents the package's ``to_json`` methods and ``dpda_to_json``
-build.  Each verb's handler imports this module only under ``--json``, so
-text runs, help and usage errors never compile it.
+build.  :func:`dpda.cli.main` is its one importer, and only when a verb's
+handler returns a document rather than text, so text runs, help and usage
+errors never compile it.
 """
 
 from __future__ import annotations

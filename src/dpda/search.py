@@ -238,13 +238,16 @@ def search_min_s(k: int, f: int, z: int, s_max: int, *,
     """Smallest S <= s_max admitting a (K, 1, F, Z, S) array, with witness.
 
     Scans S upward from zero over the canonical star patterns, enumerated
-    once, so every smaller value is certified infeasible by exhaustion.  A
-    minimum below the exact rate floor S*Z >= F*(F-Z) is unsound and raises.
+    once, so every smaller value is certified infeasible by exhaustion.  No S
+    above the (F-Z)*K coded cells has a witness, so the scan stops there and
+    counts every pattern for each S above it.  A minimum below the exact rate
+    floor S*Z >= F*(F-Z) is unsound and raises.
     """
     _check_instance(k, f, z, s_max, "s_max", cells_limit)
     patterns = _canonical_patterns(k, f, z)
+    cells = (f - z) * k
     nodes = 0
-    for s in range(s_max + 1):
+    for s in range(min(s_max, cells) + 1):
         res = _first_witness(k, f, z, s, patterns)
         nodes += res.nodes_explored
         if res.feasible:
@@ -254,27 +257,20 @@ def search_min_s(k: int, f: int, z: int, s_max: int, *,
                     f"(K,F,Z)=({k},{f},{z}); the search is unsound"
                 )
             return SearchResult(True, s, res.witness, nodes, True)
+    nodes += max(0, s_max - cells) * comb(f, z) ** k
     return SearchResult(False, None, None, nodes, True)
 
 
-def _cmd_search(args: SimpleNamespace) -> int:
-    from .cli import _emit
-
+def _cmd_search(args: SimpleNamespace) -> tuple[str | dict, int]:
     s_max = args.max_s if args.max_s is not None else (args.f - args.z) * args.k
     try:
         result = search_min_s(args.k, args.f, args.z, s_max, cells_limit=args.cells_limit)
     except SearchSpaceError as exc:
         raise ValueError(str(exc)) from exc
+    code = 0 if result.feasible else 1
     if args.json:
-        from .jsonout import dumps
-
-        _emit(dumps(result.to_json()), None)
-    else:
-        if result.feasible:
-            _emit(f"minimal S = {result.minimal_s} "
-                  f"(nodes explored: {result.nodes_explored})\n"
-                  + serialize_dpda(result.witness), None)
-        else:
-            _emit(f"no array with S <= {s_max} "
-                  f"(nodes explored: {result.nodes_explored})\n", None)
-    return 0 if result.feasible else 1
+        return result.to_json(), code
+    if result.feasible:
+        return (f"minimal S = {result.minimal_s} (nodes explored: {result.nodes_explored})\n"
+                + serialize_dpda(result.witness)), code
+    return f"no array with S <= {s_max} (nodes explored: {result.nodes_explored})\n", code

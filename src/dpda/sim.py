@@ -27,7 +27,9 @@ chunk core on a one-trial chunk and return what :func:`simulate` only
 checks: the signals with their payload bytes and the packets a user
 recovers.  Decoders never read a signal's audit-only ``constituents``; a
 state only an invalid array can produce raises :class:`SimulationError`.
-``_cmd_simulate`` is the ``dpda simulate`` handler of :mod:`dpda.cli`.
+``_cmd_simulate`` is the ``dpda simulate`` handler of :mod:`dpda.cli`: it
+returns the report, as text or as the ``--json`` document, for ``main`` to
+write.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from operator import xor
 from types import SimpleNamespace
 from typing import Callable, Container, Mapping, Sequence
 
-from .core import Dpda, _Record, _set, slot_cells
+from .core import Dpda, _load, _Record, _set, slot_cells
 
 __all__ = [
     "PacketId",
@@ -64,8 +66,8 @@ class Library(_Record):
     """Deterministic packetized corpus: n files, l blocks, f packets per block.
 
     A packet is fixed by its first byte b: it is ``_ramp[b:b + packet_size]``
-    of the ramp 0, 1, ..., 255, 0, 1, ...  Each is sliced on first request and
-    shared by every id starting with b, so at most min(256, N*L*F) are held.
+    of the ramp 0, 1, ..., 255, 0, 1, ...  The ramp is all the library
+    stores; each request slices its packet afresh.
     """
 
     n: int
@@ -73,23 +75,12 @@ class Library(_Record):
     f: int
     packet_size: int
     _ramp: bytes
-    _packets: dict[int, bytes]
-
-    __eq__ = object.__eq__  # identity: each library owns its packet memo
-    __hash__ = object.__hash__
-
-    def __init__(self, n: int, l: int, f: int, packet_size: int, _ramp: bytes,
-                 _packets: dict[int, bytes] | None = None) -> None:
-        super().__init__(n, l, f, packet_size, _ramp, {} if _packets is None else _packets)
 
     def packet(self, i: int, block: int, h: int) -> bytes:
         if not (0 <= i < self.n and 0 <= block < self.l and 0 <= h < self.f):
             raise ValueError(f"packet id {(i, block, h)} outside the library")
         first = (i * 31 + block * 17 + h * 7) % 256  # fixes the packet
-        pkt = self._packets.get(first)
-        if pkt is None:
-            pkt = self._packets[first] = self._ramp[first:first + self.packet_size]
-        return pkt
+        return self._ramp[first:first + self.packet_size]
 
 
 def make_library(n: int, l: int, f: int, packet_size: int = 64) -> Library:
@@ -104,9 +95,6 @@ class Caches(_Record):
     """Per-user star rows: user j caches packet (i, l, h) iff h is in ``users[j]``."""
 
     users: tuple[frozenset[int], ...]
-
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
 
 
 def place(p: Dpda, lib: Library) -> Caches:
@@ -417,7 +405,7 @@ class Signal(_Record):
 
 
 def user_cache_bytes(lib: Library, caches: Caches, k: int) -> dict[PacketId, bytes]:
-    """The cached content of user ``k``; values are the library's shared packets."""
+    """The cached content of user ``k``, one fresh packet per id."""
     return {(i, block, h): lib.packet(i, block, h) for i in range(lib.n)
             for block in range(lib.l) for h in caches.users[k]}
 
@@ -475,9 +463,7 @@ def _parse_demand(literal: str) -> Demand:
     return Demand(d=d, b=b)
 
 
-def _cmd_simulate(args: SimpleNamespace) -> int:
-    from .cli import _emit, _load
-
+def _cmd_simulate(args: SimpleNamespace) -> tuple[str | dict, int]:
     if (args.demand is None) == (args.trials is None):
         raise ValueError("provide exactly one of --demand or --trials")
     p = _load(args.path)
@@ -486,11 +472,6 @@ def _cmd_simulate(args: SimpleNamespace) -> int:
         _check_demand(demand, p.k, args.files, args.blocks, p.lp)
     report = simulate(p, args.files, args.blocks, args.packet_size,
                       demand=demand, trials=args.trials, seed=args.seed)
-    if args.json:
-        from .jsonout import dumps
-
-        _emit(dumps(report.to_json()), None)
-    else:
-        j = report.to_json()
-        _emit("".join(f"{key}: {j[key]}\n" for key in j), None)
-    return 0 if report.success else 1
+    j = report.to_json()
+    doc = j if args.json else "".join(f"{key}: {j[key]}\n" for key in j)
+    return doc, 0 if report.success else 1

@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 from types import SimpleNamespace
 
-from .core import Dpda, _Record
+from .core import Dpda, _load, _Record
 
 __all__ = [
     "CONDITION_ORDER",
@@ -303,30 +303,24 @@ def validate(p: Dpda) -> ValidationReport:
     )
 
 
-def _cmd_validate(args: SimpleNamespace) -> int:
-    from .cli import _emit, _load
-
+def _cmd_validate(args: SimpleNamespace) -> tuple[str | dict, int]:
     report = validate(_load(args.path))
     opt = report.rate_optimality if args.optimal else None
     ok = opt.rate_is_minimal if opt is not None else report.valid
+    code = 0 if ok else 1
     if args.json:
-        from .jsonout import dumps
-
         payload: dict = {"validation": report.to_json()}
         if opt is not None:
             payload["rate_optimality"] = opt.to_json()
             payload["broadcast_counts"] = list(report.broadcast_counts)
         elif args.optimal:
             payload["rate_optimality"] = None
-        text = dumps(payload)
-    else:
-        checks = [(name, getattr(report, name)) for name in CONDITION_ORDER]
-        lines = [f"{name}: {'ok' if check.passed else 'FAIL ' + repr(check.witness)}"
-                 for name, check in checks]
-        if args.optimal:
-            lines.append("rate_is_minimal: skipped (invalid array)" if opt is None
-                         else f"rate_is_minimal: {'ok' if opt.rate_is_minimal else 'FAIL'}")
-        lines.append(f"verdict: {'valid' if ok else 'invalid'}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, None)
-    return 0 if ok else 1
+        return payload, code
+    checks = [(name, getattr(report, name)) for name in CONDITION_ORDER]
+    lines = [f"{name}: {'ok' if check.passed else 'FAIL ' + repr(check.witness)}"
+             for name, check in checks]
+    if args.optimal:
+        lines.append("rate_is_minimal: skipped (invalid array)" if opt is None
+                     else f"rate_is_minimal: {'ok' if opt.rate_is_minimal else 'FAIL'}")
+    lines.append(f"verdict: {'valid' if ok else 'invalid'}")
+    return "\n".join(lines) + "\n", code

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -439,6 +440,61 @@ def test_unexpected_exception_is_internal_error(monkeypatch, tmp_path, capsys, e
     code, out, err = run(capsys, "compare", str(f))
     assert (code, out) == (3, "")
     assert err == f"internal error: {exc!r}\n"
+
+
+def test_no_library_module_imports_the_cli_or_the_json_writer():
+    # main is the one writer: the handlers return their output, so only
+    # dpda.cli needs dpda.jsonout, and nothing reaches back into dpda.cli
+    found = []
+    for path in sorted((SRC / "dpda").glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = "dpda" if node.level else ""  # every module is in the package
+                base = ".".join(filter(None, [base, node.module]))
+                names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [(path.stem, name) for name in names if name in ("dpda.cli", "dpda.jsonout")]
+    assert found == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--family", "even", "--q", "2"],
+    ["construct", "--family", "even", "--q", "2", "--json", "--out", "{out}"],
+    ["validate", "{path}", "--optimal"],
+    ["validate", "{path}", "--json"],
+    ["bounds", "--k", "6", "--case", "2/K", "--json"],
+    ["bounds", "--from", "{path}"],
+    ["compare", "{path}"],
+    ["compare", "{path}", "--json"],
+    ["simulate", "{path}", "--files", "4", "--blocks", "2", "--trials", "3"],
+    ["simulate", "{path}", "--files", "4", "--blocks", "2", "--demand", "0,1,2,3;0,0,1,1",
+     "--json"],
+    ["search", "--k", "3", "--f", "3", "--z", "1"],
+    ["search", "--k", "2", "--f", "3", "--z", "1", "--max-s", "4", "--json"],
+], ids=lambda argv: "-".join(argv[:1] + [a[2:] for a in argv if a in ("--json", "--out")]))
+def test_handler_returns_what_main_writes(tmp_path, capsys, argv):
+    # a handler writes nothing, to stdout, stderr or --out, and returns
+    # (text, code), or (document, code) under --json; main writes the text,
+    # or jsonout.dumps of the document, to --out or else stdout
+    f, out = tmp_path / "p4.dpda", tmp_path / "out.dpda"
+    f.write_text(P4_TEXT)
+    argv = [a.format(path=f, out=out) for a in argv]
+    args = cli._fast_args(argv)
+    module, _, name = args.func.partition(".")
+    doc, code = getattr(importlib.import_module(f"dpda.{module}"), name)(args)
+    assert capsys.readouterr() == ("", "") and not out.exists()
+    assert type(doc) is (dict if "--json" in argv else str) and type(code) is int
+    text = doc if isinstance(doc, str) else jsonout.dumps(doc)
+    if "--out" in argv:
+        assert run(capsys, *argv) == (code, "", "")
+        assert out.read_text(encoding="utf-8") == text
+    else:
+        assert run(capsys, *argv) == (code, text, "")
 
 
 def test_subcommand_runs_only_its_modules(tmp_path):

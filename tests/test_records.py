@@ -73,8 +73,7 @@ RECORDS = [
      "SearchResult(feasible=True, minimal_s=0, "
      "witness=Dpda(k=1, lp=1, f=1, z=1, s=0, grid=((None,),)), nodes_explored=2, "
      "exhausted=True)"),
-    (Library, {"n": 1, "l": 2, "f": 3, "packet_size": 4, "_ramp": b"\x00\x01",
-               "_packets": {}}, ("_packets",),
+    (Library, {"n": 1, "l": 2, "f": 3, "packet_size": 4, "_ramp": b"\x00\x01"}, (),
      "Library(n=1, l=2, f=3, packet_size=4)"),
     (Caches, {"users": (frozenset({0}),)}, (), "Caches(users=(frozenset({0}),))"),
     (Demand, {"d": (0, 1), "b": (1, 0)}, (), "Demand(d=(0, 1), b=(1, 0))"),
@@ -85,7 +84,6 @@ RECORDS = [
      "SimReport(success=True, packets_sent=4, rate=Fraction(1, 1), trials=1, "
      "failures=(), memory_files=Fraction(1, 2))"),
 ]
-_BY_IDENTITY = (Library, Caches)
 
 
 @pytest.mark.parametrize("cls, fields, defaulted, expected_repr", RECORDS,
@@ -98,14 +96,10 @@ def test_record_contract(cls, fields, defaulted, expected_repr):
     for record in (keyword, defaults):
         assert [getattr(record, name) for name in fields] == list(fields.values())
     assert repr(positional) == repr(keyword) == repr(defaults) == expected_repr
-    if cls in _BY_IDENTITY:
-        assert positional == positional and positional != keyword
-        assert hash(positional) == object.__hash__(positional)
-    else:
-        assert positional == keyword == defaults
-        assert hash(positional) == hash(keyword) == hash(tuple(fields.values()))
-        assert positional != object()
-        assert copy.copy(positional) == pickle.loads(pickle.dumps(positional)) == positional
+    assert positional == keyword == defaults
+    assert hash(positional) == hash(keyword) == hash(tuple(fields.values()))
+    assert positional != object()
+    assert copy.copy(positional) == pickle.loads(pickle.dumps(positional)) == positional
     name = next(iter(fields))
     with pytest.raises(AttributeError):
         setattr(positional, name, fields[name])

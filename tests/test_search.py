@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from dpda import (
     Dpda,
     STAR,
+    SearchResult,
     SearchSpaceError,
     construct_even,
     construct_grid,
@@ -109,6 +112,30 @@ class TestMinS:
         assert not res.feasible
         assert res.minimal_s is None and res.witness is None
         assert res.exhausted
+
+    def test_s_above_the_coded_cells_is_counted_not_scanned(self):
+        # every pattern has (F-Z)*K coded cells, so no larger S has a
+        # witness and each such S tries all C(F,Z)^K patterns; the scan stops
+        # at the cell count and adds that many nodes per S above it
+        for k, f, z in search_reference.instances(12):
+            cells, patterns = (f - z) * k, comb(f, z) ** k
+            at_cells = search_min_s(k, f, z, cells)
+            for s in (cells + 1, cells + 2):
+                res = exists_dpda(k, f, z, s)
+                assert (res.feasible, res.nodes_explored) == (False, patterns), (k, f, z, s)
+            for extra in (1, 3):
+                res = search_min_s(k, f, z, cells + extra)
+                if at_cells.feasible:
+                    assert res == at_cells, (k, f, z)
+                else:
+                    assert res == SearchResult(
+                        False, None, None, at_cells.nodes_explored + extra * patterns, True)
+
+    def test_huge_s_max_returns_at_once(self):
+        start = time.perf_counter()
+        res = search_min_s(2, 3, 1, 10**9)
+        assert time.perf_counter() - start < 1
+        assert (res.feasible, res.nodes_explored) == (False, 9_000_000_009)
 
     def test_minimum_never_beats_rate_floor(self):
         for k, f, z in [(2, 2, 1), (3, 3, 1), (3, 3, 2), (3, 4, 2),

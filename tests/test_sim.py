@@ -406,8 +406,12 @@ class TestSimulate:
         # a chunk's trials fit CHUNK_BYTES however large the array: 100 trials
         # of 64-byte packets on grid(8), 1,024 cells and 448 slots, take less
         # than that beyond one trial's peak; chunks of 4096 // 64 trials took
-        # about 6.5 MB more
+        # about 6.5 MB more.  The first simulate in a process adds about 80 KB
+        # of one-time allocations to its peak, so an untraced warm-up run
+        # keeps the gap the same whichever tests ran before: it reads about
+        # 502,900 B, some 21 KB (4%) under the bound, on CPython 3.11
         p = construct_grid(8)
+        simulate(p, 4, 1, 64, trials=1, seed=1)
         peaks = []
         for trials in (1, 100):
             tracemalloc.start()
