@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 from . import validation
-from .core import Dpda, _load, _Record
+from .core import Dpda, _as_json, _load, _Record
 
 __all__ = [
     "MEMORY_CASES",
@@ -108,8 +108,7 @@ class JcmParams(_Record):
     s: int
     r: Fraction
 
-    def to_json(self) -> dict:
-        return {"f": self.f, "z": self.z, "s": self.s, "r": str(self.r)}
+    to_json = _as_json
 
 
 def jcm_params(k: int, t: int) -> JcmParams:
@@ -136,15 +135,15 @@ class JcmComparison(_Record):
     ratio: Fraction
     rate: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "f_ours": self.f_ours,
-            "f_jcm": self.f_jcm,
-            "ratio": str(self.ratio),
-            "rate": str(self.rate),
-        }
+    to_json = _as_json
+
+
+def _validated(p: Dpda) -> validation.ValidationReport:
+    """The validation report of ``p``; ``ValueError`` if ``p`` is not valid."""
+    report = validation.validate(p)
+    if not report.valid:
+        raise ValueError(f"array is not a valid DPDA (fails {report.first_failure})")
+    return report
 
 
 def compare_to_jcm(p: Dpda) -> JcmComparison:
@@ -153,9 +152,7 @@ def compare_to_jcm(p: Dpda) -> JcmComparison:
     Requires Z/F = t/K for an integer t in [1, K); otherwise the baseline
     has no instance at this memory ratio and ``ValueError`` is raised.
     """
-    report = validation.validate(p)
-    if not report.valid:
-        raise ValueError(f"array is not a valid DPDA (fails {report.first_failure})")
+    _validated(p)
     if (p.k * p.z) % p.f:
         raise ValueError(
             f"memory ratio Z/F = {p.z}/{p.f} is not of the form t/K for K = {p.k}"
@@ -193,17 +190,10 @@ class BoundsReport(_Record):
     meets_f_bound: bool | None = None
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "case": self.case,
-            "rate_bound": str(self.rate_bound),
-            "f_bound": self.f_bound if self.f_bound is not None else "not covered",
-            "notes": list(self.notes),
-            "achieved_rate": None if self.achieved_rate is None else str(self.achieved_rate),
-            "achieved_f": self.achieved_f,
-            "meets_rate_bound": self.meets_rate_bound,
-            "meets_f_bound": self.meets_f_bound,
-        }
+        j = _as_json(self)
+        if self.f_bound is None:
+            j["f_bound"] = "not covered"
+        return j
 
 
 def _notes(k: int, case: str) -> tuple[str, ...]:
@@ -230,9 +220,7 @@ def bounds_for_array(p: Dpda) -> BoundsReport:
     When several covered cases coincide at this (K, Z/F), the strongest
     (largest) packet-number floor is reported.
     """
-    report = validation.validate(p)
-    if not report.valid:
-        raise ValueError(f"array is not a valid DPDA (fails {report.first_failure})")
+    _validated(p)
     rate_bound = rate_lower_bound(p.f, p.z)
     achieved_rate = Fraction(p.s, p.lp * p.f)
     cases = applicable_cases(p.k, p.z, p.f)

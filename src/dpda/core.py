@@ -11,7 +11,9 @@ Stars are represented as :data:`STAR` (``None``); coded entries as
 shared between threads.  The package's records, here and in the other
 modules, share one private frozen base, ``_Record``: it derives each class's
 construction, equality, hash and repr from its field annotations without
-generating code or importing more of the standard library.
+generating code or importing more of the standard library, and
+``_as_json`` derives the JSON document of every report record from the
+same fields.
 
 Canonical text format (byte-stable)::
 
@@ -209,6 +211,24 @@ def serialize_dpda(p: Dpda) -> str:
     """Render ``p`` in the canonical text format (byte-stable, round-trips)."""
     header = f"DPDA K={p.k} L'={p.lp} F={p.f} Z={p.z} S={p.s}"
     return "\n".join([header, *map(" ".join, map(_row_tokens, p.grid)), ""])
+
+
+def _as_json(value: object) -> object:
+    """``value`` as a JSON document: a str, int, bool, None or dict as it is,
+    a tuple or list as the list of its converted items, a :class:`Dpda` as
+    its canonical text, any other record as the dict of the fields its repr
+    shows, in field order, and anything else (a ``Fraction``) as its str.
+    A report record's ``to_json`` is this rule."""
+    if value is None or isinstance(value, (str, int, dict)):
+        return value
+    if isinstance(value, (tuple, list)):
+        return [*map(_as_json, value)]
+    if isinstance(value, Dpda):
+        return serialize_dpda(value)
+    if isinstance(value, _Record):
+        return {field: _as_json(getattr(value, field))
+                for field in value._fields if not field.startswith("_")}
+    return str(value)
 
 
 def _parse_int(digits: str, where: str) -> int:

@@ -1,10 +1,10 @@
 """The ``--json`` output of the CLI, written without loading ``json``.
 
 :func:`dumps` returns what ``json.dumps(obj, indent=2) + "\\n"`` returns
-for the documents the package's ``to_json`` methods and ``dpda_to_json``
-build.  :func:`dpda.cli.main` is its one importer, and only when a verb's
-handler returns a document rather than text, so text runs, help and usage
-errors never compile it.
+for the documents built from the records' ``to_json`` and from
+``dpda_to_json``.  :func:`dpda.cli.main` is its one importer, and only
+when a verb's handler returns a document rather than text, so text runs,
+help and usage errors never compile it.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ _ESCAPES = _Escapes({o: chr(o) for o in range(0x20, 0x7f)} | str.maketrans(
 
 
 def dumps(obj: object) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"`` for what the package's
-    ``to_json`` methods and ``dpda_to_json`` return: dicts with str keys,
+    """``json.dumps(obj, indent=2) + "\\n"`` for what the records'
+    ``to_json`` and ``dpda_to_json`` return: dicts with str keys,
     lists, tuples, str, int, bool and None.  Anything else, a float or a
     non-str key included, raises ``TypeError``.  ``json`` stays unloaded."""
     return _dump(obj, "\n") + "\n"

@@ -33,7 +33,7 @@ from math import comb
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
-from .core import STAR, Coded, Dpda, Entry, _Record, serialize_dpda
+from .core import STAR, Coded, Dpda, Entry, _as_json, _Record, serialize_dpda
 
 __all__ = [
     "DEFAULT_CELLS_LIMIT",
@@ -68,14 +68,7 @@ class SearchResult(_Record):
     nodes_explored: int
     exhausted: bool
 
-    def to_json(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "minimal_s": self.minimal_s,
-            "witness": None if self.witness is None else serialize_dpda(self.witness),
-            "nodes_explored": self.nodes_explored,
-            "exhausted": self.exhausted,
-        }
+    to_json = _as_json
 
 
 def _pattern_canonical(lines: _Rows) -> bool:

@@ -41,7 +41,7 @@ from operator import xor
 from types import SimpleNamespace
 from typing import Callable, Container, Mapping, Sequence
 
-from .core import Dpda, _load, _Record, _set, slot_cells
+from .core import Dpda, _as_json, _load, _Record, _set, slot_cells
 
 __all__ = [
     "PacketId",
@@ -317,15 +317,7 @@ class SimReport(_Record):
     failures: tuple[dict, ...]
     memory_files: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "success": self.success,
-            "packets_sent": self.packets_sent,
-            "rate": str(self.rate),
-            "trials": self.trials,
-            "failures": list(self.failures),
-            "memory_files": str(self.memory_files),
-        }
+    to_json = _as_json
 
 
 def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,

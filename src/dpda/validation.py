@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 from types import SimpleNamespace
 
-from .core import Dpda, _load, _Record
+from .core import Dpda, _as_json, _load, _Record
 
 __all__ = [
     "CONDITION_ORDER",
@@ -148,11 +148,7 @@ class RateOptimality(_Record):
         return self.c2prime and self.c5
 
     def to_json(self) -> dict:
-        return {
-            "c2prime": self.c2prime,
-            "c5": self.c5,
-            "rate_is_minimal": self.rate_is_minimal,
-        }
+        return {**_as_json(self), "rate_is_minimal": self.rate_is_minimal}
 
 
 class ValidationReport(_Record):
@@ -212,21 +208,10 @@ class ValidationReport(_Record):
         return None
 
     def to_json(self) -> dict:
-        out: dict = {}
-        for name in CONDITION_ORDER:
-            check: ConditionCheck = getattr(self, name)
-            out[name] = {
-                "passed": check.passed,
-                "witness": list(check.witness) if check.witness else None,
-            }
-        out["valid"] = self.valid
-        out["diagnostics"] = {
-            "slot_occurrences": list(self.slot_occurrences),
-            "row_integer_counts": list(self.row_integer_counts),
-            "column_star_counts": list(self.column_star_counts),
-            "broadcast_counts": list(self.broadcast_counts),
-        }
-        return out
+        j = _as_json(self)
+        checks = {name: j.pop(name) for name in CONDITION_ORDER}
+        del j["rate_optimality"]
+        return {**checks, "valid": self.valid, "diagnostics": j}
 
 
 def _rate_optimality(

@@ -462,6 +462,33 @@ def test_no_library_module_imports_the_cli_or_the_json_writer():
     assert found == []
 
 
+def test_every_to_json_is_the_one_rule():
+    # a record's JSON form comes from dpda.core._as_json: to_json is bound to
+    # it, or calls it and adds only the record's one difference, so no
+    # to_json lists its record's fields by hand
+    found = {}
+    for path in sorted((SRC / "dpda").glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "to_json" for t in node.targets):
+                    bound = isinstance(node.value, ast.Name) and node.value.id == "_as_json"
+                    found[cls.name] = "bound" if bound else "other"
+                elif isinstance(node, ast.FunctionDef) and node.name == "to_json":
+                    calls = any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                                and call.func.id == "_as_json"
+                                and [getattr(a, "id", None) for a in call.args] == ["self"]
+                                for call in ast.walk(node))
+                    found[cls.name] = "calls" if calls else "other"
+    assert found == {
+        "JcmParams": "bound", "JcmComparison": "bound", "SearchResult": "bound",
+        "SimReport": "bound", "BoundsReport": "calls", "RateOptimality": "calls",
+        "ValidationReport": "calls",
+    }
+
+
 @pytest.mark.parametrize("argv", [
     ["construct", "--family", "even", "--q", "2"],
     ["construct", "--family", "even", "--q", "2", "--json", "--out", "{out}"],

@@ -1,4 +1,5 @@
-"""The contract of every public record: construction, equality, repr, immutability."""
+"""The contract of every public record: construction, equality, repr,
+immutability and JSON form."""
 
 from __future__ import annotations
 
@@ -30,24 +31,28 @@ from dpda import (
 
 _OK = ConditionCheck(True)
 _P1 = Dpda(k=1, lp=1, f=1, z=1, s=0, grid=((None,),))
+_P1_TEXT = "DPDA K=1 L'=1 F=1 Z=1 S=0\n*\n"
+_NO_CHECK = {"passed": True, "witness": None}
 
 # (class, every field by keyword in constructor order, the fields that may be
-# left to their defaults, the expected repr)
+# left to their defaults, the expected repr, the expected to_json() document
+# or None for a record without to_json)
 RECORDS = [
-    (Coded, {"slot": 3, "sender": 1}, (), "Coded(slot=3, sender=1)"),
+    (Coded, {"slot": 3, "sender": 1}, (), "Coded(slot=3, sender=1)", None),
     (Dpda, {"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": ((None,),)}, (),
-     "Dpda(k=1, lp=1, f=1, z=1, s=0, grid=((None,),))"),
+     "Dpda(k=1, lp=1, f=1, z=1, s=0, grid=((None,),))", None),
     (ConditionCheck, {"passed": True, "witness": None}, ("witness",),
-     "ConditionCheck(passed=True, witness=None)"),
+     "ConditionCheck(passed=True, witness=None)", None),
     (RateOptimality, {"c2prime": True, "c5": False}, (),
-     "RateOptimality(c2prime=True, c5=False)"),
+     "RateOptimality(c2prime=True, c5=False)",
+     {"c2prime": True, "c5": False, "rate_is_minimal": False}),
     (ValidationReport,
-     {"c0": _OK, "c1": _OK, "c2": _OK, "c3": _OK, "c4a": _OK, "c4b": _OK,
-      "unique_sender": _OK, "slot_contiguity": _OK, "slot_occurrences": (),
+     {"c0": _OK, "c1": ConditionCheck(False, (0, 2)), "c2": _OK, "c3": _OK, "c4a": _OK,
+      "c4b": _OK, "unique_sender": _OK, "slot_contiguity": _OK, "slot_occurrences": (),
       "row_integer_counts": (0,), "column_star_counts": (1,), "broadcast_counts": (0,),
-      "rate_optimality": None}, (),
+      "rate_optimality": RateOptimality(True, True)}, (),
      "ValidationReport(c0=ConditionCheck(passed=True, witness=None), "
-     "c1=ConditionCheck(passed=True, witness=None), "
+     "c1=ConditionCheck(passed=False, witness=(0, 2)), "
      "c2=ConditionCheck(passed=True, witness=None), "
      "c3=ConditionCheck(passed=True, witness=None), "
      "c4a=ConditionCheck(passed=True, witness=None), "
@@ -55,40 +60,77 @@ RECORDS = [
      "unique_sender=ConditionCheck(passed=True, witness=None), "
      "slot_contiguity=ConditionCheck(passed=True, witness=None), "
      "slot_occurrences=(), row_integer_counts=(0,), column_star_counts=(1,), "
-     "broadcast_counts=(0,), rate_optimality=None)"),
+     "broadcast_counts=(0,), rate_optimality=RateOptimality(c2prime=True, c5=True))",
+     {"c0": _NO_CHECK, "c1": {"passed": False, "witness": [0, 2]}, "c2": _NO_CHECK,
+      "c3": _NO_CHECK, "c4a": _NO_CHECK, "c4b": _NO_CHECK, "unique_sender": _NO_CHECK,
+      "slot_contiguity": _NO_CHECK, "valid": False,
+      "diagnostics": {"slot_occurrences": [], "row_integer_counts": [0],
+                      "column_star_counts": [1], "broadcast_counts": [0]}}),
     (JcmParams, {"f": 6, "z": 3, "s": 4, "r": Fraction(1)}, (),
-     "JcmParams(f=6, z=3, s=4, r=Fraction(1, 1))"),
+     "JcmParams(f=6, z=3, s=4, r=Fraction(1, 1))", {"f": 6, "z": 3, "s": 4, "r": "1"}),
     (JcmComparison, {"k": 4, "t": 2, "f_ours": 4, "f_jcm": 12, "ratio": Fraction(1, 3),
                      "rate": Fraction(1)}, (),
      "JcmComparison(k=4, t=2, f_ours=4, f_jcm=12, ratio=Fraction(1, 3), "
-     "rate=Fraction(1, 1))"),
+     "rate=Fraction(1, 1))",
+     {"k": 4, "t": 2, "f_ours": 4, "f_jcm": 12, "ratio": "1/3", "rate": "1"}),
     (BoundsReport, {"k": 4, "case": "2/K", "rate_bound": Fraction(1), "f_bound": 4,
                     "notes": (), "achieved_rate": None, "achieved_f": None,
                     "meets_rate_bound": None, "meets_f_bound": None},
      ("notes", "achieved_rate", "achieved_f", "meets_rate_bound", "meets_f_bound"),
      "BoundsReport(k=4, case='2/K', rate_bound=Fraction(1, 1), f_bound=4, notes=(), "
-     "achieved_rate=None, achieved_f=None, meets_rate_bound=None, meets_f_bound=None)"),
+     "achieved_rate=None, achieved_f=None, meets_rate_bound=None, meets_f_bound=None)",
+     {"k": 4, "case": "2/K", "rate_bound": "1", "f_bound": 4, "notes": [],
+      "achieved_rate": None, "achieved_f": None, "meets_rate_bound": None,
+      "meets_f_bound": None}),
     (SearchResult, {"feasible": True, "minimal_s": 0, "witness": _P1, "nodes_explored": 2,
                     "exhausted": True}, (),
      "SearchResult(feasible=True, minimal_s=0, "
      "witness=Dpda(k=1, lp=1, f=1, z=1, s=0, grid=((None,),)), nodes_explored=2, "
-     "exhausted=True)"),
+     "exhausted=True)",
+     {"feasible": True, "minimal_s": 0, "witness": _P1_TEXT, "nodes_explored": 2,
+      "exhausted": True}),
     (Library, {"n": 1, "l": 2, "f": 3, "packet_size": 4, "_ramp": b"\x00\x01"}, (),
-     "Library(n=1, l=2, f=3, packet_size=4)"),
-    (Caches, {"users": (frozenset({0}),)}, (), "Caches(users=(frozenset({0}),))"),
-    (Demand, {"d": (0, 1), "b": (1, 0)}, (), "Demand(d=(0, 1), b=(1, 0))"),
+     "Library(n=1, l=2, f=3, packet_size=4)", None),
+    (Caches, {"users": (frozenset({0}),)}, (), "Caches(users=(frozenset({0}),))", None),
+    (Demand, {"d": (0, 1), "b": (1, 0)}, (), "Demand(d=(0, 1), b=(1, 0))", None),
     (Signal, {"slot": 0, "sender": 1, "payload": b"\x07", "constituents": ((0, 0, 1),)}, (),
-     "Signal(slot=0, sender=1, payload=b'\\x07', constituents=((0, 0, 1),))"),
+     "Signal(slot=0, sender=1, payload=b'\\x07', constituents=((0, 0, 1),))", None),
     (SimReport, {"success": True, "packets_sent": 4, "rate": Fraction(1), "trials": 1,
                  "failures": (), "memory_files": Fraction(1, 2)}, (),
      "SimReport(success=True, packets_sent=4, rate=Fraction(1, 1), trials=1, "
-     "failures=(), memory_files=Fraction(1, 2))"),
+     "failures=(), memory_files=Fraction(1, 2))",
+     {"success": True, "packets_sent": 4, "rate": "1", "trials": 1, "failures": [],
+      "memory_files": "1/2"}),
+]
+_IDS = [r[0].__name__ for r in RECORDS]
+
+# the JSON forms a RECORDS row leaves out: (id, record, its to_json() document)
+MORE_JSON = [
+    ("BoundsReport-not-covered",
+     BoundsReport(k=3, case=None, rate_bound=Fraction(3, 2), f_bound=None,
+                  notes=("a note",), achieved_rate=Fraction(2), achieved_f=5,
+                  meets_rate_bound=False, meets_f_bound=None),
+     {"k": 3, "case": None, "rate_bound": "3/2", "f_bound": "not covered",
+      "notes": ["a note"], "achieved_rate": "2", "achieved_f": 5,
+      "meets_rate_bound": False, "meets_f_bound": None}),
+    ("SimReport-failures",
+     SimReport(success=False, packets_sent=4, rate=Fraction(1), trials=2,
+               failures=({"trial": 1, "user": 0, "packet": [0, 1], "error": "byte mismatch"},),
+               memory_files=Fraction(1, 2)),
+     {"success": False, "packets_sent": 4, "rate": "1", "trials": 2,
+      "failures": [{"trial": 1, "user": 0, "packet": [0, 1], "error": "byte mismatch"}],
+      "memory_files": "1/2"}),
+    ("SearchResult-no-witness",
+     SearchResult(feasible=False, minimal_s=None, witness=None, nodes_explored=9,
+                  exhausted=True),
+     {"feasible": False, "minimal_s": None, "witness": None, "nodes_explored": 9,
+      "exhausted": True}),
 ]
 
 
-@pytest.mark.parametrize("cls, fields, defaulted, expected_repr", RECORDS,
-                         ids=[r[0].__name__ for r in RECORDS])
-def test_record_contract(cls, fields, defaulted, expected_repr):
+@pytest.mark.parametrize("cls, fields, defaulted, expected_repr, expected_json", RECORDS,
+                         ids=_IDS)
+def test_record_contract(cls, fields, defaulted, expected_repr, expected_json):
     assert cls._defaults.keys() <= set(defaulted)  # slot descriptors are no defaults
     positional = cls(*fields.values())
     keyword = cls(**fields)
@@ -113,6 +155,19 @@ def test_record_contract(cls, fields, defaulted, expected_repr):
         cls(**fields, not_a_field=0)
     with pytest.raises(TypeError):
         cls()
+
+
+@pytest.mark.parametrize("record, expected", [
+    *((cls(**fields), expected) for cls, fields, _, _, expected in RECORDS),
+    *((record, expected) for _, record, expected in MORE_JSON),
+], ids=_IDS + [case[0] for case in MORE_JSON])
+def test_record_json(record, expected):
+    # the document each report's --json output is built from; the other
+    # records have no JSON form of their own
+    if expected is None:
+        assert not hasattr(record, "to_json")
+    else:
+        assert record.to_json() == expected
 
 
 def test_coded_is_slotted():
