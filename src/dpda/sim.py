@@ -319,6 +319,10 @@ class SimReport(_Record):
 
     to_json = _as_json
 
+    def __hash__(self) -> int:  # a failure is a dict, so only their number is hashed
+        return hash((self.success, self.packets_sent, self.rate, self.trials,
+                     len(self.failures), self.memory_files))
+
 
 def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
              demand: Demand | None = None, trials: int | None = None,

@@ -39,16 +39,6 @@ __all__ = [
     "validate",
 ]
 
-CONDITION_ORDER = (
-    "c0",
-    "c1",
-    "c2",
-    "c3",
-    "c4a",
-    "c4b",
-    "unique_sender",
-    "slot_contiguity",
-)
 
 class ConditionCheck(_Record):
     """Verdict for one condition; ``witness`` is the first violation found."""
@@ -154,7 +144,9 @@ class RateOptimality(_Record):
 class ValidationReport(_Record):
     """Per-condition verdicts plus the counting diagnostics of an array.
 
-    Each witness is the first violation found:
+    The field order is the condition order: the fields before
+    ``slot_occurrences`` are the conditions, and :data:`CONDITION_ORDER` is
+    read from them.  Each witness is the first violation found:
 
     * ``c0`` - (row, column) of a non-star cell whose in-band row is starred
       in another band: lowest column first, then in-band row, then band;
@@ -214,6 +206,9 @@ class ValidationReport(_Record):
         return {**checks, "valid": self.valid, "diagnostics": j}
 
 
+CONDITION_ORDER = ValidationReport._fields[:ValidationReport._fields.index("slot_occurrences")]
+
+
 def _rate_optimality(
     p: Dpda, occurrences: tuple[int, ...], row_ints: tuple[int, ...]
 ) -> RateOptimality:
@@ -263,23 +258,14 @@ def validate(p: Dpda) -> ValidationReport:
     col_stars = tuple(len(col) - sum(map(bool, col)) for col in cols)
     band0 = col_stars if p.lp == 1 else tuple(p.f - sum(map(bool, c[:p.f])) for c in cols)
     c2, c4a, c4b, contiguity, occurrences, counts = _slot_walk(p, senders, cells)
-    checks = {
-        "c0": _c0(p, masks),
-        "c1": _c1(p, band0),
-        "c2": c2,
-        "c3": c3,
-        "c4a": c4a,
-        "c4b": c4b,
-        "unique_sender": unique,
-        "slot_contiguity": contiguity,
-    }
+    checks = (_c0(p, masks), _c1(p, band0), c2, c3, c4a, c4b, unique, contiguity)
     row_ints = tuple(p.k - m.bit_count() for m in masks)
     opt = None
-    if all(checks.values()):
+    if all(checks):
         opt = _rate_optimality(p, occurrences, row_ints)
         _assert_laws(p, opt, counts)
     return ValidationReport(
-        **checks,
+        *checks,
         slot_occurrences=occurrences,
         row_integer_counts=row_ints,
         column_star_counts=col_stars,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import io
 import json
 import os
 import pkgutil
@@ -107,6 +108,11 @@ def test_construct_missing_params_is_usage_error(capsys):
     code, _, err = run(capsys, "construct", "--family", "jcm")
     assert code == 2
     assert "requires" in err
+
+
+def test_construct_q_family_without_q_is_usage_error(capsys):
+    code, out, err = run(capsys, "construct", "--family", "grid")
+    assert (code, out, err) == (2, "", "error: --family grid requires --q\n")
 
 
 def test_validate_ok(tmp_path, capsys):
@@ -276,6 +282,14 @@ def test_validate_missing_file_is_io_error(capsys):
     assert code == 2
 
 
+def test_validate_reads_stdin(tmp_path, monkeypatch, capsys):
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    expected = run(capsys, "validate", str(f), "--optimal")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(P4_TEXT))
+    assert run(capsys, "validate", "-", "--optimal") == expected
+
+
 def test_bounds_case(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "6", "--case", "2/K", "--json")
     assert code == 0
@@ -319,6 +333,13 @@ def test_bounds_text_table(capsys):
     assert "f_bound" in out and "9" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--k", "6"), ("--case", "2/K")],
+                         ids=["neither", "k_only", "case_only"])
+def test_bounds_without_case_or_array_is_usage_error(capsys, flags):
+    code, out, err = run(capsys, "bounds", *flags)
+    assert (code, out, err) == (2, "", "error: provide --k and --case, or --from FILE\n")
+
+
 def test_simulate_demand(tmp_path, capsys):
     f = tmp_path / "q.dpda"
     f.write_text(Q_LIFTED_P4_TEXT)
@@ -346,6 +367,16 @@ def test_simulate_bad_demand_literal(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", str(f), "--files", "4", "--blocks", "2",
                        "--demand", "0,1;0,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("demand", ["0,1", "a;b", "0,1;0,1;0"])
+def test_simulate_unparsable_demand_literal(tmp_path, capsys, demand):
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    code, out, err = run(capsys, "simulate", str(f), "--files", "4", "--blocks", "2",
+                         "--demand", demand)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: demand literal must be 'd0,d1,...;b0,b1,...': ")
 
 
 @pytest.mark.parametrize("text, blocks, demand, message", [
@@ -429,6 +460,27 @@ def test_compare(tmp_path, capsys):
     assert (j["f_ours"], j["f_jcm"], j["ratio"]) == (9, 30, "3/10")
 
 
+# fails C3 first: slot 1's sender, user 0, holds no star in rows 0 and 2
+_C3_FAULT_TEXT = "DPDA K=4 L'=1 F=4 Z=2 S=4\n2^2 * * 1^0\n* 2^2 * 0^0\n3^3 * 1^0 *\n* 3^3 0^0 *\n"
+
+
+@pytest.mark.parametrize("argv", [("bounds", "--from"), ("compare",)],
+                         ids=["bounds", "compare"])
+def test_bounds_and_compare_reject_an_invalid_array(tmp_path, capsys, argv):
+    f = tmp_path / "c3.dpda"
+    f.write_text(_C3_FAULT_TEXT)
+    code, out, err = run(capsys, *argv, str(f))
+    assert (code, out, err) == (2, "", "error: array is not a valid DPDA (fails c3)\n")
+
+
+def test_compare_rejects_a_memory_ratio_outside_the_baseline(tmp_path, capsys):
+    f = tmp_path / "f3.dpda"
+    f.write_text("DPDA K=2 L'=1 F=3 Z=2 S=2\n0^1 *\n* 1^0\n* *\n")
+    code, out, err = run(capsys, "compare", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: memory ratio Z/F = 2/3 is not of the form t/K for K = 2\n"
+
+
 @pytest.mark.parametrize("exc", [TypeError("bad\noperand"), RecursionError(), MemoryError()])
 def test_unexpected_exception_is_internal_error(monkeypatch, tmp_path, capsys, exc):
     def handler(args):
@@ -440,6 +492,17 @@ def test_unexpected_exception_is_internal_error(monkeypatch, tmp_path, capsys, e
     code, out, err = run(capsys, "compare", str(f))
     assert (code, out) == (3, "")
     assert err == f"internal error: {exc!r}\n"
+
+
+def test_failed_assertion_is_internal_error(monkeypatch, tmp_path, capsys):
+    def handler(args):
+        raise AssertionError("rate bound violated")
+
+    monkeypatch.setattr(dpda.validation, "_cmd_validate", handler)  # the handler's home
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    code, out, err = run(capsys, "validate", str(f))
+    assert (code, out, err) == (3, "", "internal assertion failed: rate bound violated\n")
 
 
 def test_no_library_module_imports_the_cli_or_the_json_writer():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import random
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,12 @@ from hypothesis import strategies as st
 
 from dpda import (
     Coded,
+    ConditionCheck,
     Dpda,
     STAR,
     lift,
     parse_dpda,
+    ValidationReport,
     validate,
 )
 from dpda.validation import CONDITION_ORDER
@@ -141,6 +146,20 @@ def test_validate_diagnostics_counts():
     assert report.row_integer_counts == (2, 2, 2, 2)
     assert report.column_star_counts == (2, 2, 2, 2)
     assert report.broadcast_counts == (1, 1, 1, 1)
+
+
+def test_conditions_are_declared_once():
+    # ValidationReport's ConditionCheck fields are the one list of the
+    # conditions: CONDITION_ORDER is read from them, and validate fills them
+    # by position without naming any
+    assert CONDITION_ORDER == ("c0", "c1", "c2", "c3", "c4a", "c4b", "unique_sender",
+                               "slot_contiguity")
+    hints = typing.get_type_hints(ValidationReport)
+    checks = tuple(name for name in ValidationReport._fields if hints[name] is ConditionCheck)
+    assert CONDITION_ORDER == checks == ValidationReport._fields[:len(checks)]
+    tree = ast.parse(inspect.getsource(validate))
+    assert [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in CONDITION_ORDER] == []
 
 
 def test_report_json_stable_key_order():
