@@ -6,8 +6,11 @@ scans S upward over them to certify the exact minimum.  The search is
 complete: star patterns (column star sets, exactly Z per column) are
 enumerated first, then the coded cells are partitioned into exactly S slot
 classes subject to the pair conditions and the existence of a sender column.
-A class keeps its rows, columns and feasible senders as bitmasks, and a cell
-joins it with one test against its row's and its column's star masks: every
+A star pattern is held as line masks, most significant bit first (bit K-1-c
+of a row is column c, bit F-1-r of a column is row r), and each canonical
+pattern's coded cells and masks are derived once, for every S.  A class
+keeps its rows, columns and feasible senders as masks too, and a cell joins
+it with one test against its row's and its column's star masks: every
 crossing cell is a star (C4, which also keeps a class's rows and columns
 distinct) and a sender column still holds a star in every class row (C3).
 
@@ -28,7 +31,7 @@ explicit instead of silently partial.
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from types import SimpleNamespace
 from typing import Iterable, Iterator
@@ -44,7 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_CELLS_LIMIT = 24
-_Rows = tuple[tuple[bool, ...], ...]  # star pattern: a star flag per cell, row-major
 
 
 class SearchSpaceError(RuntimeError):
@@ -71,33 +73,28 @@ class SearchResult(_Record):
     to_json = _as_json
 
 
-def _pattern_canonical(lines: _Rows) -> bool:
-    """True iff no permutation of the cells within every line, followed by
-    sorting the lines, gives a smaller tuple: the orbit's canonical member."""
-    return all(
-        lines <= tuple(sorted(tuple(line[i] for i in perm) for line in lines))
-        for perm in permutations(range(len(lines[0])))
-    )
+def _pattern_canonical(lines: tuple[int, ...], images: list[list[int]]) -> bool:
+    """True iff no table in ``images`` (each line's image under one permutation
+    of its cells), then sorting, makes ``lines`` smaller: its orbit's canonical member."""
+    return all(lines <= tuple(sorted(image[line] for line in lines)) for image in images)
 
 
-def _partition_cells(star: _Rows, f: int, k: int, z: int,
+def _partition_cells(pattern: tuple, f: int, k: int, z: int,
                      s_target: int, counter: list[int]) -> list[tuple] | None:
-    """Partition the non-star cells into exactly ``s_target`` slot classes.
+    """Partition a pattern's coded cells into exactly ``s_target`` slot classes.
 
-    A class is a ``(cells, rows, cols, senders)`` tuple whose last three
-    fields are bitmasks.  Cell (r, c) joins a class that is not full iff
-    row r holds stars in all the class's columns, column c holds stars in
-    all its rows, and row r holds a star in one of its senders: every
-    crossing cell is then a star, which also keeps the coded members off
-    row r and column c.  A new class's senders are row r's star columns.
-    Returns the classes in creation order, or None when no partition exists.
+    The pattern is as ``_canonical_patterns`` gives it; a class is a tuple of
+    its cells and its row, column and sender masks.  Cell (r, c) joins a
+    class that is not full iff row r holds stars in all the class's columns,
+    column c holds stars in all its rows, and row r holds a star in one of
+    its senders: every crossing cell is then a star, which also keeps the
+    coded members off row r and column c.  A new class's senders are row r's
+    star columns.  Returns the classes in creation order, or None if none.
     """
-    cells = [(r, c) for r in range(f) for c in range(k) if not star[r][c]]
+    cells, row_stars, col_stars = pattern
     if len(cells) < s_target:
         return None
     cap = min(f, k - 1, z) if cells else 0
-    row_stars = [sum(1 << c for c in range(k) if star[r][c]) for r in range(f)]
-    col_stars = [sum(1 << r for r in range(f) if star[r][c]) for c in range(k)]
     classes: list[tuple] = []
 
     def extend(idx: int) -> bool:
@@ -112,19 +109,20 @@ def _partition_cells(star: _Rows, f: int, k: int, z: int,
             return False
         r, c = cells[idx]
         in_row, in_col = row_stars[r], col_stars[c]
+        row_bit, col_bit = 1 << f - 1 - r, 1 << k - 1 - c
         for i, old in enumerate(classes):
             members, rows, cols, senders = old
             if (len(members) == cap or cols & ~in_row or rows & ~in_col
                     or not senders & in_row):
                 continue
             counter[0] += 1
-            classes[i] = (members + ((r, c),), rows | 1 << r, cols | 1 << c, senders & in_row)
+            classes[i] = (members + ((r, c),), rows | row_bit, cols | col_bit, senders & in_row)
             if extend(idx + 1):
                 return True
             classes[i] = old
         if len(classes) < s_target and in_row:
             counter[0] += 1
-            classes.append((((r, c),), 1 << r, 1 << c, in_row))
+            classes.append((((r, c),), row_bit, col_bit, in_row))
             if extend(idx + 1):
                 return True
             classes.pop()
@@ -149,24 +147,22 @@ def _check_instance(k: int, f: int, z: int, s: int, s_name: str,
         )
 
 
-def _sorted_rows(k: int, f: int, z: int) -> Iterator[_Rows]:
-    """Every sorted sequence of F rows of K star flags with Z stars in each
-    column.  Rows are chosen one at a time, and a branch is cut as soon as a
-    column holds more than Z stars or can no longer reach Z."""
-    types = list(product((False, True), repeat=k))  # column c is bit k-1-c of the index
-    bits = [1 << (k - 1 - c) for c in range(k)]
-    rows: list[tuple[bool, ...]] = []
+def _sorted_rows(k: int, f: int, z: int) -> Iterator[tuple[int, ...]]:
+    """Every sorted sequence of F row masks with Z stars in each column.
+    Rows are chosen one at a time, and a branch is cut as soon as a column
+    holds more than Z stars or can no longer reach Z."""
+    rows: list[int] = []
 
-    def extend(start: int, sums: tuple[int, ...]) -> Iterator[_Rows]:
+    def extend(start: int, sums: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         left = f - len(rows) - 1  # rows still to choose after this one
-        full = sum(bit for bit, n in zip(bits, sums) if n == z)
-        need = sum(bit for bit, n in zip(bits, sums) if n + left < z)
-        for i in range(start, len(types)):
-            if i & full or i & need != need:
+        full = sum(1 << b for b, n in enumerate(sums) if n == z)  # sums[b] counts bit b
+        need = sum(1 << b for b, n in enumerate(sums) if n + left < z)
+        for row in range(start, 1 << k):
+            if row & full or row & need != need:
                 continue
-            rows.append(types[i])
+            rows.append(row)
             if left:
-                yield from extend(i, tuple(n + star for n, star in zip(sums, types[i])))
+                yield from extend(row, tuple(n + (row >> b & 1) for b, n in enumerate(sums)))
             else:
                 yield tuple(rows)
             rows.pop()
@@ -174,42 +170,46 @@ def _sorted_rows(k: int, f: int, z: int) -> Iterator[_Rows]:
     return extend(0, (0,) * k)
 
 
-def _canonical_patterns(k: int, f: int, z: int) -> list[tuple[int, _Rows]]:
+def _canonical_patterns(k: int, f: int, z: int) -> list[tuple[int, tuple]]:
     """Canonical star patterns with their 1-based positions in ``product``
     order, sorted by position; only sorted line sequences (rows when K <= F,
-    else columns) with Z stars per column are generated."""
-    rank = {tuple(r in cs for r in range(f)): i
-            for i, cs in enumerate(combinations(range(f), z))}
+    else columns) with Z stars per column are generated.  A pattern is its
+    coded cells in row-major order with its row and column masks."""
+    rank = {sum(1 << f - 1 - r for r in cs): i for i, cs in enumerate(combinations(range(f), z))}
     by_rows = k <= f
+    width = k if by_rows else f
+    images = [[sum(1 << width - 1 - j for j, i in enumerate(perm) if line >> width - 1 - i & 1)
+               for line in range(1 << width)] for perm in permutations(range(width))]
     candidates = (_sorted_rows(k, f, z) if by_rows
                   else combinations_with_replacement(sorted(rank), k))
     found = []
     for lines in candidates:
-        cols = tuple(zip(*lines)) if by_rows else lines
-        if _pattern_canonical(lines):
-            pos = 1 + sum(rank[col] * len(rank) ** (k - 1 - c)
-                          for c, col in enumerate(cols))
-            found.append((pos, tuple(zip(*cols))))
+        if _pattern_canonical(lines, images):
+            crossing = tuple(sum(1 << len(lines) - 1 - i for i, line in enumerate(lines)
+                                 if line >> width - 1 - j & 1) for j in range(width))
+            rows, cols = (lines, crossing) if by_rows else (crossing, lines)
+            pos = 1 + sum(rank[col] * len(rank) ** (k - 1 - c) for c, col in enumerate(cols))
+            cells = tuple((r, c) for r in range(f) for c in range(k)
+                          if not rows[r] >> k - 1 - c & 1)
+            found.append((pos, (cells, rows, cols)))
     return sorted(found)
 
 
 def _first_witness(k: int, f: int, z: int, s: int,
-                   patterns: Iterable[tuple[int, _Rows]]) -> SearchResult:
+                   patterns: Iterable[tuple[int, tuple]]) -> SearchResult:
     """The first (K, 1, F, Z, S) array over ``patterns``, if any."""
     counter = [0]
-    for pos, star in patterns:
-        classes = _partition_cells(star, f, k, z, s, counter)
+    for pos, pattern in patterns:
+        classes = _partition_cells(pattern, f, k, z, s, counter)
         if classes is None:
             continue
-        # every non-star cell belongs to exactly one class, so filling the
-        # classes over an all-star grid yields the complete array
+        # the classes hold each coded cell once, so filling them completes an all-star grid
         grid: list[list[Entry]] = [[STAR] * k for _ in range(f)]
         for slot, (cells, _rows, _cols, senders) in enumerate(classes):
-            sender = (senders & -senders).bit_length() - 1  # the lowest feasible sender
+            entry = Coded(slot, k - senders.bit_length())  # the lowest feasible sender
             for r, c in cells:
-                grid[r][c] = Coded(slot, sender)
-        witness = Dpda(k=k, lp=1, f=f, z=z, s=s,
-                       grid=tuple(tuple(row) for row in grid))
+                grid[r][c] = entry
+        witness = Dpda(k=k, lp=1, f=f, z=z, s=s, grid=tuple(tuple(row) for row in grid))
         return SearchResult(True, None, witness, pos + counter[0], True)
     return SearchResult(False, None, None, comb(f, z) ** k + counter[0], True)
 

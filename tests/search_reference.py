@@ -19,16 +19,25 @@ pass: it walks all ``C(F,Z)^K`` patterns in ``product`` order and keeps
 those that pass a K!- or F!-permutation canonicity test.
 ``dpda.search._canonical_patterns`` generates only sorted line sequences
 and must return the same (position, pattern) list.
+
+``sorted_line_patterns`` is the search's earlier sorted-line generator on
+bool rows, with a canonicity test that permutes the cells of every line
+tuple by tuple.  ``dpda.search._canonical_patterns`` holds each line as an
+MSB-first mask and tests against a table of each line's image under each
+permutation, and must return the same patterns in the same order.
+``facts`` gives a bool-row pattern in the form ``dpda.search`` holds it.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 from typing import Iterator
 
 from dpda import STAR, Coded, Dpda
-from dpda.search import SearchResult, _Rows
+from dpda.search import SearchResult
+
+_Rows = tuple[tuple[bool, ...], ...]  # star pattern: a star flag per cell, row-major
 
 
 class _Class:
@@ -174,3 +183,68 @@ def search_min_s(k: int, f: int, z: int, s_max: int) -> SearchResult:
         if res.feasible:
             return SearchResult(True, s, res.witness, nodes, True)
     return SearchResult(False, None, None, nodes, True)
+
+
+def _mask(flags: tuple[bool, ...]) -> int:
+    """The flags as an int, the first flag most significant."""
+    return sum(flag << i for i, flag in enumerate(reversed(flags)))
+
+
+def facts(star: _Rows) -> tuple:
+    """``(cells, rows, cols)``: the coded cells in row-major order, then the
+    row and the column star masks, the first cell of a line most significant."""
+    cells = tuple((r, c) for r, row in enumerate(star) for c, flag in enumerate(row) if not flag)
+    return cells, tuple(map(_mask, star)), tuple(map(_mask, zip(*star)))
+
+
+def _lines_canonical(lines: _Rows) -> bool:
+    """True iff no permutation of the cells within every line, followed by
+    sorting the lines, gives a smaller tuple: the orbit's canonical member."""
+    return all(
+        lines <= tuple(sorted(tuple(line[i] for i in perm) for line in lines))
+        for perm in permutations(range(len(lines[0])))
+    )
+
+
+def _sorted_rows(k: int, f: int, z: int) -> Iterator[_Rows]:
+    """Every sorted sequence of F rows of K star flags with Z stars in each
+    column.  Rows are chosen one at a time, and a branch is cut as soon as a
+    column holds more than Z stars or can no longer reach Z."""
+    types = list(product((False, True), repeat=k))  # column c is bit k-1-c of the index
+    bits = [1 << (k - 1 - c) for c in range(k)]
+    rows: list[tuple[bool, ...]] = []
+
+    def extend(start: int, sums: tuple[int, ...]) -> Iterator[_Rows]:
+        left = f - len(rows) - 1  # rows still to choose after this one
+        full = sum(bit for bit, n in zip(bits, sums) if n == z)
+        need = sum(bit for bit, n in zip(bits, sums) if n + left < z)
+        for i in range(start, len(types)):
+            if i & full or i & need != need:
+                continue
+            rows.append(types[i])
+            if left:
+                yield from extend(i, tuple(n + star for n, star in zip(sums, types[i])))
+            else:
+                yield tuple(rows)
+            rows.pop()
+
+    return extend(0, (0,) * k)
+
+
+def sorted_line_patterns(k: int, f: int, z: int) -> list[tuple[int, _Rows]]:
+    """Canonical star patterns with their 1-based positions in ``product``
+    order, sorted by position; only sorted line sequences (rows when K <= F,
+    else columns) with Z stars per column are generated."""
+    rank = {tuple(r in cs for r in range(f)): i
+            for i, cs in enumerate(combinations(range(f), z))}
+    by_rows = k <= f
+    candidates = (_sorted_rows(k, f, z) if by_rows
+                  else combinations_with_replacement(sorted(rank), k))
+    found = []
+    for lines in candidates:
+        cols = tuple(zip(*lines)) if by_rows else lines
+        if _lines_canonical(lines):
+            pos = 1 + sum(rank[col] * len(rank) ** (k - 1 - c)
+                          for c, col in enumerate(cols))
+            found.append((pos, tuple(zip(*cols))))
+    return sorted(found)

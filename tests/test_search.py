@@ -131,6 +131,19 @@ class TestMinS:
                     assert res == SearchResult(
                         False, None, None, at_cells.nodes_explored + extra * patterns, True)
 
+    def test_witness_slots_share_one_entry(self):
+        # as every builder, lift and parse_dpda do, a witness holds one Coded
+        # object per slot, shared by all of the slot's cells
+        for k, f, z in search_reference.instances(16):
+            res = search_min_s(k, f, z, (f - z) * k)
+            if not res.feasible:
+                continue
+            first = {}
+            for row in res.witness.grid:
+                for entry in row:
+                    if entry is not STAR:
+                        assert first.setdefault(entry.slot, entry) is entry, (k, f, z, entry)
+
     def test_huge_s_max_returns_at_once(self):
         start = time.perf_counter()
         res = search_min_s(2, 3, 1, 10**9)
@@ -211,7 +224,22 @@ def test_canonical_patterns_match_generate_and_test_reference():
     assert len(cases) == 69
     for k, f, z in cases:
         assert _canonical_patterns(k, f, z) == \
-            list(search_reference.canonical_patterns(k, f, z)), (k, f, z)
+            [(pos, search_reference.facts(star))
+             for pos, star in search_reference.canonical_patterns(k, f, z)], (k, f, z)
+
+
+def test_canonical_patterns_match_bool_row_generator():
+    # the mask generator and its permutation tables keep exactly the
+    # patterns, positions and order of the sorted-line generator on bool rows;
+    # (7,5,2) and (5,6,3) reach the column and row tables at width 5
+    from dpda.search import _canonical_patterns
+
+    cases = search_reference.instances(24) + [(7, 5, 2), (5, 6, 3)]
+    assert {k <= f for k, f, _z in cases} == {True, False}
+    for k, f, z in cases:
+        assert _canonical_patterns(k, f, z) == \
+            [(pos, search_reference.facts(star))
+             for pos, star in search_reference.sorted_line_patterns(k, f, z)], (k, f, z)
 
 
 def test_partition_matches_set_based_reference():
@@ -222,14 +250,15 @@ def test_partition_matches_set_based_reference():
     pairs = 0
     for k, f, z in search_reference.instances(12):
         for star in search_reference.star_patterns(k, f, z):
+            pattern = search_reference.facts(star)
             for s in range((f - z) * k + 1):
                 ours, theirs = [0], [0]
-                got = _partition_cells(star, f, k, z, s, ours)
+                got = _partition_cells(pattern, f, k, z, s, ours)
                 want = search_reference.partition_cells(star, f, k, z, s, theirs)
                 assert ours == theirs, (star, s)
                 assert (got is None) == (want is None), (star, s)
                 if got is not None:
-                    assert [(list(cells), (senders & -senders).bit_length() - 1)
+                    assert [(list(cells), k - senders.bit_length())
                             for cells, _rows, _cols, senders in got] == \
                         [(cl.cells, min(cl.senders)) for cl in want], (star, s)
                 pairs += 1
