@@ -12,8 +12,7 @@ handler lives in the module it adapts and returns its output, which
 :func:`dpda.cli.main` alone writes.  The records are plain frozen classes on
 one small base in :mod:`dpda.core` that generates no code.  ``--json``
 output is rendered by :mod:`dpda.jsonout`, which only ``main`` imports and
-only for ``--json`` runs, so ``json`` loads only for ``dpda_from_json`` of
-JSON text.
+only for ``--json`` runs; no module loads ``json``.
 """
 
 import importlib.util
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 # Submodule -> the public names it gives the package, in ``__all__`` order.
 _EXPORTS = {
     "core": ("STAR", "Coded", "Dpda", "Entry", "FormatError",
-             "parse_dpda", "serialize_dpda", "dpda_to_json", "dpda_from_json", "slot_cells"),
+             "parse_dpda", "serialize_dpda", "dpda_to_json", "slot_cells"),
     "validation": ("ConditionCheck", "ValidationReport", "RateOptimality", "validate"),
     "construct": ("construct_jcm", "construct_grid", "construct_even", "construct_odd",
                   "lift"),

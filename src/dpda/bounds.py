@@ -158,8 +158,6 @@ def compare_to_jcm(p: Dpda) -> JcmComparison:
             f"memory ratio Z/F = {p.z}/{p.f} is not of the form t/K for K = {p.k}"
         )
     t = p.k * p.z // p.f
-    if not 1 <= t < p.k:
-        raise ValueError(f"t = {t} outside [1, K) for K = {p.k}")
     base = jcm_params(p.k, t)
     return JcmComparison(
         k=p.k,

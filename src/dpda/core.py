@@ -1,4 +1,4 @@
-"""Data model, readers and writers for D2D placement delivery arrays (DPDAs).
+"""Data model, reader and writers for D2D placement delivery arrays (DPDAs).
 
 A DPDA is an (L'*F) x K array over star entries and coded entries ``s^k``:
 a star marks a packet index cached by the column's user, while a coded entry
@@ -24,24 +24,24 @@ Canonical text format (byte-stable)::
     * 3^3 0^0 *
 
 A JSON mirror with keys ``k, lp, f, z, s, grid`` (the grid holding the same
-tokens) is provided for machine consumers.
+tokens) is written for machine consumers; nothing reads it back.
 
 ``parse_dpda`` parses each distinct token once per call: ``_grid``
 collects the distinct tokens of the whole body and converts them in one
 bulk pass into a dict from token to entry, so all the cells holding a token
-share one :class:`Coded`, and each row is looked up whole.  Only when a row
-length or a token is wrong does it walk the rows in order to name the first
-fault.  ``dpda_from_json`` reads its tokens through ``_grid`` too.  The
-readers check structural well-formedness only (dimensions, entry ranges,
-one sender per slot) and raise :class:`FormatError` with row and column
-coordinates; the semantic conditions C0-C4 live in :mod:`dpda.validation`.
+share one :class:`Coded`, and each row is looked up whole.  Only when a
+token is wrong does it walk the rows in order to name the first bad one.
+The reader parses the header and hands the rows to :class:`Dpda`, whose
+check is the one statement of the structure (dimensions, entry ranges, one
+sender per slot); both raise :class:`FormatError` with row and column
+coordinates.  The semantic conditions C0-C4 live in :mod:`dpda.validation`.
 """
 
 from __future__ import annotations
 
 import sys
 from itertools import chain, repeat
-from typing import Mapping, Sequence
+from typing import Sequence
 
 __all__ = [
     "STAR",
@@ -52,13 +52,12 @@ __all__ = [
     "parse_dpda",
     "serialize_dpda",
     "dpda_to_json",
-    "dpda_from_json",
     "slot_cells",
 ]
 
 
 class FormatError(ValueError):
-    """Malformed DPDA text or JSON; messages carry row/column coordinates."""
+    """Malformed DPDA text or grid; messages carry row/column coordinates."""
 
 
 _set = object.__setattr__
@@ -247,11 +246,11 @@ def _parse_token(tok: str, r: int, c: int) -> Coded:
     return Coded(_parse_int(slot, where), _parse_int(sender, where))
 
 
-def _grid(rows: list[list[str]], k: int | None = None) -> tuple[tuple[Entry, ...], ...]:
+def _grid(rows: list[list[str]]) -> tuple[tuple[Entry, ...], ...]:
     """The entries of ``rows``' tokens.  The distinct tokens are converted in
     one bulk pass, and all the cells holding a token share its one entry.
-    Only if that pass fails, or a row does not hold ``k`` tokens (when ``k``
-    is given), are the rows walked in order to raise at the first fault."""
+    Only if that pass fails are the rows walked in order to raise at the
+    first bad token."""
     memo: dict[str, Entry] = {"*": STAR}
     tokens = dict.fromkeys(chain.from_iterable(rows))
     tokens.pop("*", None)
@@ -259,8 +258,7 @@ def _grid(rows: list[list[str]], k: int | None = None) -> tuple[tuple[Entry, ...
     # of ASCII digits: what [0-9]+^[0-9]+ matches, as int() refuses an empty run
     fields = "^".join(tokens).split("^")
     digits = "".join(fields)
-    sound = ((k is None or not set(map(len, rows)) - {k}) and len(fields) == 2 * len(tokens)
-             and digits.isascii() and digits.isdigit()
+    sound = (len(fields) == 2 * len(tokens) and digits.isascii() and digits.isdigit()
              and all(map(str.__contains__, tokens, repeat("^"))))
     if sound:
         try:
@@ -269,10 +267,8 @@ def _grid(rows: list[list[str]], k: int | None = None) -> tuple[tuple[Entry, ...
             sound = False
         else:
             memo.update(zip(tokens, map(Coded, values[0::2], values[1::2])))
-    if not sound:  # walk the rows to raise at the first fault (or no token is coded)
+    if not sound:  # walk the rows to raise at the first bad token (or no token is coded)
         for r, toks in enumerate(rows):
-            if k is not None and len(toks) != k:
-                raise FormatError(f"row {r}: expected {k} tokens, got {len(toks)}")
             for c, tok in enumerate(toks):
                 if tok not in memo:
                     memo[tok] = _parse_token(tok, r, c)
@@ -303,13 +299,7 @@ def parse_dpda(text: str | bytes) -> Dpda:
         if not (part.startswith(prefix) and value.isascii() and value.isdigit()):
             raise FormatError(f"malformed header field {part!r} (expected {prefix}<int>)")
         values.append(_parse_int(value, f"header field {key}"))
-    k, lp, f, z, s = values
-    body = lines[1:]
-    if lp < 1 or f < 1:
-        raise FormatError("header requires L' >= 1 and F >= 1")
-    if len(body) != lp * f:
-        raise FormatError(f"expected {_count(lp * f)} body rows (L'*F), got {len(body)}")
-    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=_grid([line.split() for line in body], k))
+    return Dpda(*values, _grid([line.split() for line in lines[1:]]))
 
 
 def _load(path: str) -> Dpda:
@@ -330,39 +320,6 @@ def dpda_to_json(p: Dpda) -> dict:
         "s": p.s,
         "grid": [_row_tokens(row) for row in p.grid],
     }
-
-
-def dpda_from_json(obj: str | Mapping) -> Dpda:
-    """Parse the JSON mirror produced by :func:`dpda_to_json`.
-
-    ``k, lp, f, z, s`` must be JSON integers and ``grid`` a list of lists of
-    tokens; malformed input raises :class:`FormatError`.
-    """
-    if isinstance(obj, (str, bytes)):
-        try:
-            import json  # only JSON text needs it
-
-            obj = json.loads(obj)
-        except (ValueError, RecursionError) as exc:  # malformed, too long or too deep
-            raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, Mapping):
-        raise FormatError("JSON mirror must be an object")
-    try:
-        values = [obj[key] for key in ("k", "lp", "f", "z", "s")]
-        rows = obj["grid"]
-    except KeyError as exc:
-        raise FormatError(f"JSON mirror missing field: {exc}") from exc
-    if any(type(v) is not int for v in values):
-        raise FormatError(f"JSON mirror k, lp, f, z, s must be integers, got {values!r}")
-    k, lp, f, z, s = values
-    if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in rows):
-        raise FormatError("JSON mirror grid must be a list of rows")
-    try:
-        tokens = [[*map(str, row)] for row in rows]
-    except RecursionError as exc:  # str() of a token nested too deep
-        raise FormatError(f"JSON mirror grid token nests too deep: {exc}") from exc
-    return Dpda(k=k, lp=lp, f=f, z=z, s=s, grid=_grid(tokens))
 
 
 def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:

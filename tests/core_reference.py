@@ -1,21 +1,20 @@
-"""Reference parsers and structural check for differential tests of
+"""Reference reader and structural check for differential tests of
 :mod:`dpda.core`.
 
-The readers are the wire-format readers' earlier per-cell paths: every
-cell's token is matched and converted on its own, so a token held by many
-cells is parsed once per cell.  ``dpda.core.parse_dpda`` and
-``dpda_from_json`` convert each distinct token once per call; on every input
-they must return an equal array or raise the same exception with the same
-message.  :func:`check_dpda` is ``Dpda``'s structural check as a plain
-per-cell walk, which both reference readers run before they build the
-array; ``Dpda(...)`` must accept what it accepts and otherwise raise the
-same exception with the same message.
+The reader is the text reader's earlier per-cell path: every cell's token
+is matched and converted on its own, so a token held by many cells is
+parsed once per cell.  ``dpda.core.parse_dpda`` converts each distinct
+token once per call; on every input it must return an equal array or raise
+the same exception with the same message.  :func:`check_dpda` is ``Dpda``'s
+structural check as a plain per-cell walk, and the one shape check of the
+reference reader, which runs it once every token is converted;
+``Dpda(...)`` must accept what it accepts and otherwise raise the same
+exception with the same message.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Mapping
 
 from dpda import STAR, Coded, Dpda, Entry, FormatError
 
@@ -105,48 +104,6 @@ def parse_dpda(text: str | bytes) -> Dpda:
             raise FormatError(f"malformed header field {part!r} (expected {prefix}<int>)")
         fields[key] = _parse_int(part[len(prefix):], f"header field {key}")
     k, lp, f, z, s = fields["K"], fields["L'"], fields["F"], fields["Z"], fields["S"]
-    body = lines[1:]
-    if lp < 1 or f < 1:
-        raise FormatError("header requires L' >= 1 and F >= 1")
-    if len(body) != lp * f:
-        raise FormatError(f"expected {_count(lp * f)} body rows (L'*F), got {len(body)}")
-    grid = []
-    for r, line in enumerate(body):
-        toks = line.split()
-        if len(toks) != k:
-            raise FormatError(f"row {r}: expected {k} tokens, got {len(toks)}")
-        grid.append(tuple(_parse_token(t, r, c) for c, t in enumerate(toks)))
-    return _dpda(k, lp, f, z, s, grid)
-
-
-def dpda_from_json(obj: str | Mapping) -> Dpda:
-    if isinstance(obj, (str, bytes)):
-        try:
-            import json
-
-            obj = json.loads(obj)
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, Mapping):
-        raise FormatError("JSON mirror must be an object")
-    try:
-        values = [obj[key] for key in ("k", "lp", "f", "z", "s")]
-        rows = obj["grid"]
-    except KeyError as exc:
-        raise FormatError(f"JSON mirror missing field: {exc}") from exc
-    if any(type(v) is not int for v in values):
-        raise FormatError(f"JSON mirror k, lp, f, z, s must be integers, got {values!r}")
-    k, lp, f, z, s = values
-    if not isinstance(rows, (list, tuple)) or not all(
-            isinstance(row, (list, tuple)) for row in rows):
-        raise FormatError("JSON mirror grid must be a list of rows")
-    try:
-        grid = tuple(
-            tuple(_parse_token(str(t), r, c) for c, t in enumerate(row))
-            for r, row in enumerate(rows)
-        )
-    except TypeError as exc:
-        raise FormatError(f"JSON mirror grid must be a list of rows: {exc}") from exc
-    except RecursionError as exc:
-        raise FormatError(f"JSON mirror grid token nests too deep: {exc}") from exc
+    grid = [tuple(_parse_token(t, r, c) for c, t in enumerate(line.split()))
+            for r, line in enumerate(lines[1:])]
     return _dpda(k, lp, f, z, s, grid)

@@ -277,6 +277,19 @@ def test_validate_malformed_file_is_input_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("DPDA K=2 L'=1 F=2 Z=1 S=1\n0^0 *\n*\n", "row 1: expected 2 columns, got 1"),
+    ("DPDA K=2 L'=1 F=2 Z=1 S=1\n0^0 *\n", "expected 2 rows (L'*F), got 1"),
+    ("DPDA K=1 L'=0 F=1 Z=1 S=0\n*\n", "K, L' and F must all be >= 1"),
+    # every token is read before the shape is checked
+    ("DPDA K=2 L'=1 F=2 Z=1 S=1\n0^0\n* x\n", "row 1, column 1: bad token 'x'"),
+], ids=["short-row", "row-count", "no-band", "token-before-shape"])
+def test_validate_shape_fault_is_input_error(tmp_path, capsys, text, message):
+    f = tmp_path / "bad.dpda"
+    f.write_text(text)
+    assert run(capsys, "validate", str(f)) == (2, "", f"error: {message}\n")
+
+
 def test_validate_missing_file_is_io_error(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/x.dpda")
     assert code == 2
@@ -473,6 +486,15 @@ def test_bounds_and_compare_reject_an_invalid_array(tmp_path, capsys, argv):
     assert (code, out, err) == (2, "", "error: array is not a valid DPDA (fails c3)\n")
 
 
+def test_compare_rejects_an_all_star_array(tmp_path, capsys):
+    # valid, but Z/F = 1 gives t = K, where the baseline has no instance
+    f = tmp_path / "stars.dpda"
+    f.write_text("DPDA K=2 L'=1 F=1 Z=1 S=0\n* *\n")
+    assert run(capsys, "validate", str(f))[0] == 0
+    code, out, err = run(capsys, "compare", str(f))
+    assert (code, out, err) == (2, "", "error: t must satisfy 1 <= t < K, got t=2, K=2\n")
+
+
 def test_compare_rejects_a_memory_ratio_outside_the_baseline(tmp_path, capsys):
     f = tmp_path / "f3.dpda"
     f.write_text("DPDA K=2 L'=1 F=3 Z=2 S=2\n0^1 *\n* 1^0\n* *\n")
@@ -505,13 +527,11 @@ def test_failed_assertion_is_internal_error(monkeypatch, tmp_path, capsys):
     assert (code, out, err) == (3, "", "internal assertion failed: rate bound violated\n")
 
 
-def test_no_library_module_imports_the_cli_or_the_json_writer():
-    # main is the one writer: the handlers return their output, so only
-    # dpda.cli needs dpda.jsonout, and nothing reaches back into dpda.cli
+def _imports() -> list[tuple[str, str]]:
+    """(module stem, imported name) for every import in ``src/dpda``; a
+    ``from`` import gives its module and each name under it."""
     found = []
     for path in sorted((SRC / "dpda").glob("*.py")):
-        if path.stem == "cli":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -521,8 +541,21 @@ def test_no_library_module_imports_the_cli_or_the_json_writer():
                 names = [base] + [f"{base}.{alias.name}" for alias in node.names]
             else:
                 continue
-            found += [(path.stem, name) for name in names if name in ("dpda.cli", "dpda.jsonout")]
-    assert found == []
+            found += [(path.stem, name) for name in names]
+    return found
+
+
+def test_no_library_module_imports_the_cli_or_the_json_writer():
+    # main is the one writer: the handlers return their output, so only
+    # dpda.cli needs dpda.jsonout, and nothing reaches back into dpda.cli
+    assert [(stem, name) for stem, name in _imports()
+            if stem != "cli" and name in ("dpda.cli", "dpda.jsonout")] == []
+
+
+def test_no_module_loads_json():
+    # --json output is written by dpda.jsonout and nothing reads JSON, so
+    # no module of the package imports json
+    assert [(stem, name) for stem, name in _imports() if name.split(".")[0] == "json"] == []
 
 
 def test_every_to_json_is_the_one_rule():
@@ -661,9 +694,9 @@ def test_help_and_usage_errors_run_no_library_module(argv, code):
 ], ids=lambda argv: argv[0])
 def test_subcommand_skips_heavy_stdlib_imports(tmp_path, argv):
     # The records need no `dataclasses` (which pulls in inspect, ast and dis),
-    # `--json` output is written without `json`, which loads only to read JSON
-    # text, and `argparse` (with gettext and locale) loads only for help and
-    # usage errors.  The argv runs without --json, then with it.
+    # `--json` output is written without `json`, which no module loads, and
+    # `argparse` (with gettext and locale) loads only for help and usage
+    # errors.  The argv runs without --json, then with it.
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
     heavy = {"dataclasses", "inspect", "ast", "dis", "argparse", "gettext", "locale", "json"}
@@ -740,31 +773,29 @@ def test_each_name_has_one_home():
 
 
 def test_readers_load_on_first_use_under_every_name():
-    # The text reader and the JSON mirror live in dpda.core, which importing
-    # the package does not execute; the first reader call executes dpda.core
-    # alone, and only reading JSON text loads json.  dpda.core is the one
-    # module path: dpda.read and dpda.mirror are gone.
+    # The text reader and the JSON mirror writer live in dpda.core, which
+    # importing the package does not execute; reading executes dpda.core
+    # alone and never loads json.  dpda.core is the one module path:
+    # dpda.read and dpda.mirror are gone, and nothing reads the mirror back.
     script = (
         "import sys, types\n"
         "import dpda\n"
         "ran = lambda: [n for n in sorted(sys.modules) if n.startswith('dpda.')\n"
         "               and type(sys.modules[n]) is types.ModuleType]\n"
         "print(ran())\n"
-        "p = dpda.parse_dpda(\"DPDA K=1 L'=1 F=1 Z=1 S=0\\n*\\n\")\n"
+        f"p = dpda.parse_dpda({P4_TEXT!r})\n"
         "print(ran(), 'json' in sys.modules)\n"
-        "dpda.dpda_from_json(dpda.dpda_to_json(p))\n"
-        "print(ran(), 'json' in sys.modules)\n"
-        f"dpda.dpda_from_json({json.dumps(dpda.dpda_to_json(dpda.parse_dpda(P4_TEXT)))!r})\n"
+        "dpda.dpda_to_json(p)\n"
         "print(ran(), 'json' in sys.modules)\n"
         "print(dpda.parse_dpda is dpda.core.parse_dpda,\n"
         "      dpda.dpda_to_json is dpda.core.dpda_to_json,\n"
-        "      dpda.dpda_from_json is dpda.core.dpda_from_json)\n"
+        "      hasattr(dpda, 'dpda_from_json'), hasattr(dpda.core, 'dpda_from_json'))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == ("[]\n['dpda.core'] False\n['dpda.core'] False\n"
-                           "['dpda.core'] True\nTrue True True\n")
+                           "True True False False\n")
     for gone in ("dpda.read", "dpda.mirror"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(gone)

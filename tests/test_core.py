@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import random
 import re
 
@@ -18,7 +17,6 @@ from dpda import (
     construct_even,
     construct_grid,
     construct_jcm,
-    dpda_from_json,
     dpda_to_json,
     parse_dpda,
     serialize_dpda,
@@ -99,6 +97,8 @@ def test_conflicting_senders_rejected():
         "DPDA K=1 L'=1 F=1 Z=1 S=1\nbogus\n",
         "DPDA K=\u00b2 L'=1 F=1 Z=1 S=0\n*\n",  # superscript two passes isdigit()
         "DPDA K=1 L'=1 F=1 Z=1 S=4\n\u0663^0\n",  # Arabic-Indic three
+        "DPDA K=0 L'=1 F=1 Z=1 S=0\n",  # no users, no row
+        "DPDA K=1 L'=0 F=1 Z=1 S=0\n*\n",  # no band
         # beyond int()'s digit limit
         pytest.param("DPDA K=" + "1" * 5000 + " L'=1 F=1 Z=1 S=0\n*\n", id="long-header-value"),
         pytest.param("DPDA K=1 L'=1 F=1 Z=1 S=4\n" + "1" * 5000 + "^0\n", id="long-slot"),
@@ -132,14 +132,10 @@ def test_json_mirror_round_trip():
     mirror = dpda_to_json(p)
     assert list(mirror) == ["k", "lp", "f", "z", "s", "grid"]
     assert mirror["grid"][0] == ["2^2", "*", "*", "1^1"]
-    assert dpda_from_json(mirror) == p
-
-
-def test_json_mirror_accepts_string():
-    import json
-
-    p = parse_dpda(P4_TEXT)
-    assert dpda_from_json(json.dumps(dpda_to_json(p))) == p
+    # the mirror holds the text's header values and tokens
+    lines = serialize_dpda(p).splitlines()
+    assert lines[0] == "DPDA K={k} L'={lp} F={f} Z={z} S={s}".format(**mirror)
+    assert mirror["grid"] == [line.split() for line in lines[1:]]
 
 
 @given(well_formed_dpdas())
@@ -178,33 +174,6 @@ def test_transform_argument_validation():
     assert relabel_slots(p, [0, 1, 2, 3]) == p
 
 
-def test_json_mirror_rejects_malformed():
-    token: list = []
-    for _ in range(100_000):  # str() recurses once per level
-        token = [token]
-    for mirror in [
-        "not json",
-        {"k": 1, "lp": 1, "f": 1, "z": 1},
-        [1, 2, 3],
-        *({"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": grid} for grid in (5, [5], None)),
-        # a string or object is not a list of rows, though iterating it
-        # yields well-shaped rows of tokens
-        *({"k": k, "lp": 1, "f": f, "z": z, "s": 0, "grid": grid}
-          for k, f, z, grid in ((1, 2, 2, "**"), (2, 1, 1, ["**"]), (1, 1, 1, [{"*": 0}]),
-                                (1, 1, 1, {"*": 0}))),
-        '{"k": 1, "lp": 1, "f": 2, "z": 2, "s": 0, "grid": "**"}',
-        # json.loads accepts Infinity
-        '{"k": Infinity, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]}',
-        {"k": 1.5, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [["*"]]},
-        "[" * 100_000 + "]" * 100_000,  # json.loads recurses once per level
-        {"k": 1, "lp": 1, "f": 1, "z": 1, "s": 0, "grid": [[token]]},
-    ]:
-        with pytest.raises(FormatError) as raised:
-            dpda_from_json(mirror)
-        # with the message of the per-cell reference reader
-        assert _outcome(core_reference.dpda_from_json, mirror) == (FormatError, str(raised.value))
-
-
 # near-miss headers and tokens reach the field and token checks, which
 # arbitrary text rarely does
 _numbers = st.integers(0, 4).map(str) | st.text("019\u00b2\u0663-x", max_size=3)
@@ -216,26 +185,6 @@ _texts = st.text() | st.binary() | st.builds(
     st.lists(_numbers, min_size=5, max_size=5),
     st.lists(st.lists(_tokens, max_size=3), max_size=3),
 )
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | _tokens,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
-    max_leaves=8,
-)
-_mirrors = st.fixed_dictionaries({}, optional={
-    key: st.integers(0, 3) | st.sampled_from([1.5, float("inf"), True, "\u0663"]) | _json_values
-    for key in ("k", "lp", "f", "z", "s", "grid")
-})
-
-
-def _nested_json(key: str, depth: int, dicts: bool) -> str:
-    """JSON text nested ``depth`` levels deep, bare or as the value of ``key``."""
-    text = '{"a": ' * depth + "0" + "}" * depth if dicts else "[" * depth + "]" * depth
-    return f'{{"{key}": {text}}}' if key else text
-
-
-# nesting deeper than json.loads can recurse, bare or under a mirror key
-_deep_json = st.builds(_nested_json, st.sampled_from(["", "k", "grid"]),
-                       st.integers(1, 100_000), st.booleans())
 
 
 @settings(deadline=None, max_examples=300)
@@ -245,16 +194,6 @@ def test_parse_raises_only_format_error(text):
         parse_dpda(text)
     except FormatError:
         pass
-
-
-@settings(deadline=None, max_examples=300)
-@given(_mirrors.map(lambda obj: (obj, json.dumps(obj))) | _deep_json.map(lambda text: (text,)))
-def test_json_mirror_raises_only_format_error(mirrors):
-    for mirror in mirrors:
-        try:
-            dpda_from_json(mirror)
-        except FormatError:
-            pass
 
 
 # Tokens that reach every error path of the token parser and of Dpda's
@@ -280,17 +219,12 @@ def _corrupted(text: str, rng: random.Random) -> str:
 
 def test_parsers_match_reference_and_share_entries():
     rng = random.Random(20261018)
-    cases = [(serialize_dpda(p), dpda_to_json(p)) for p in differential_corpus()]
-    for p in lifted_corpus():
-        for _ in range(20):
-            text = _corrupted(serialize_dpda(p), rng)
-            cases.append((text, {**dpda_to_json(p),
-                                 "grid": [line.split() for line in text.splitlines()[1:]]}))
+    texts = [serialize_dpda(p) for p in differential_corpus()]
+    texts += [_corrupted(serialize_dpda(p), rng) for p in lifted_corpus() for _ in range(20)]
     errors = 0
-    for text, mirror in cases:
+    for text in texts:
         got = _outcome(parse_dpda, text)
         assert got == _outcome(core_reference.parse_dpda, text), text
-        assert _outcome(dpda_from_json, mirror) == _outcome(core_reference.dpda_from_json, mirror)
         if isinstance(got, tuple):
             errors += 1
             continue
@@ -315,9 +249,6 @@ def test_readers_match_reference_on_digit_edges():
     for text in texts:
         outcomes.append(_outcome(parse_dpda, text))
         assert outcomes[-1] == _outcome(core_reference.parse_dpda, text), text
-    for tok in _TOKEN_EDGES:
-        mirror = {"k": 2, "lp": 1, "f": 1, "z": 1, "s": 4, "grid": [[tok, "*"]]}
-        assert _outcome(dpda_from_json, mirror) == _outcome(core_reference.dpda_from_json, mirror)
     # "0003^1" and the zero-padded header value parse; every other edge is refused
     assert [type(o) is Dpda for o in outcomes] == [
         v == "0003" for v in _DIGIT_EDGES] + [tok == "0003^1" for tok in _TOKEN_EDGES]
@@ -393,12 +324,13 @@ def _text_with(p: Dpda, *edits: tuple[int, int | None, str]) -> str:
 
 
 @pytest.mark.parametrize("short, message", [
-    (4, "row 4: expected 10 tokens, got 9"),
-    (5, "row 5: expected 10 tokens, got 9"),
+    (4, "row 5, column 3: bad token 'x'"),
+    (5, "row 5, column 3: bad token 'x'"),
     (6, "row 5, column 3: bad token 'x'"),
 ])
 def test_reader_names_the_first_fault_in_row_order(short, message):
-    # a bad token in row 5, with a short row before, at or after it
+    # a bad token in row 5, with a short row before, at or after it: the
+    # token is named, as every token is read before Dpda checks the shape
     p = construct_jcm(10, 5)
     text = _text_with(p, (5, 3, "x"), (short, None, ""))
     with pytest.raises(FormatError, match=f"^{message}$"):
