@@ -226,7 +226,7 @@ def bounds_for_array(p: Dpda) -> BoundsReport:
     f_bound: int | None = None
     notes: tuple[str, ...] = ()
     if cases:
-        bounds = [(min_f_bound(p.k, c), c) for c in cases]
+        bounds = [(_CASES[c].f_floor(p.k), c) for c in cases]
         f_bound, best_case = max(bounds)
         notes = _notes(p.k, best_case)
     return BoundsReport(

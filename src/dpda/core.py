@@ -305,8 +305,8 @@ def parse_dpda(text: str | bytes) -> Dpda:
 def _load(path: str) -> Dpda:
     """:func:`parse_dpda` of the array file at ``path``, or of stdin for ``-``."""
     if path == "-":
-        return parse_dpda(sys.stdin.read())
-    with open(path, encoding="utf-8") as fh:
+        return parse_dpda(sys.stdin.buffer.read())
+    with open(path, "rb") as fh:
         return parse_dpda(fh.read())
 
 

@@ -299,8 +299,20 @@ def test_validate_reads_stdin(tmp_path, monkeypatch, capsys):
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
     expected = run(capsys, "validate", str(f), "--optimal")
-    monkeypatch.setattr(sys, "stdin", io.StringIO(P4_TEXT))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(P4_TEXT.encode())))
     assert run(capsys, "validate", "-", "--optimal") == expected
+
+
+def test_non_utf8_input_is_one_input_error(tmp_path, monkeypatch, capsys):
+    # a file and stdin are both read as bytes, so parse_dpda alone decodes them
+    data = b"DPDA K=1 L'=1 F=1 Z=1 S=0\n*\xff\n"
+    f = tmp_path / "bad.dpda"
+    f.write_bytes(data)
+    expected = (2, "", "error: input is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+                       "in position 27: invalid start byte\n")
+    assert run(capsys, "validate", str(f)) == expected
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert run(capsys, "validate", "-") == expected
 
 
 def test_bounds_case(capsys):
@@ -525,6 +537,25 @@ def test_failed_assertion_is_internal_error(monkeypatch, tmp_path, capsys):
     f.write_text(P4_TEXT)
     code, out, err = run(capsys, "validate", str(f))
     assert (code, out, err) == (3, "", "internal assertion failed: rate bound violated\n")
+
+
+def test_broken_recovery_identity_is_internal_error(monkeypatch, tmp_path, capsys):
+    # no array can make a decoding user recover other bytes, so a corrupt
+    # recovery is a bug (exit 3), never a failed run (exit 1)
+    recover = dpda.sim._recover
+
+    def corrupting(rows, ints, payloads, k):
+        got = recover(rows, ints, payloads, k)
+        return [x ^ 1 for x in got] if k == 2 else got
+
+    monkeypatch.setattr(dpda.sim, "_recover", corrupting)
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    code, out, err = run(capsys, "simulate", str(f), "--files", "4", "--blocks", "2",
+                         "--trials", "20", "--seed", "5")
+    assert (code, out) == (3, "")
+    assert err == ("internal assertion failed: user 2 recovered other bytes than it "
+                   "requested in trials 0..19\n")
 
 
 def _imports() -> list[tuple[str, str]]:

@@ -34,7 +34,8 @@ _OK = ConditionCheck(True)
 _P1 = Dpda(k=1, lp=1, f=1, z=1, s=0, grid=((None,),))
 _P1_TEXT = "DPDA K=1 L'=1 F=1 Z=1 S=0\n*\n"
 _NO_CHECK = {"passed": True, "witness": None}
-_FAILURE = {"trial": 1, "user": 0, "packet": [0, 1], "error": "byte mismatch"}
+_FAILURE = {"trial": 1, "user": 0,
+            "error": "slot 0 mixes packet (0, 1, 0) twice; array is not decodable"}
 
 # (class, every field by keyword in constructor order, the fields that may be
 # left to their defaults, the expected repr, the expected to_json() document
@@ -107,7 +108,8 @@ RECORDS = [
     (SimReport, {"success": False, "packets_sent": 4, "rate": Fraction(1), "trials": 2,
                  "failures": (_FAILURE,), "memory_files": Fraction(1, 2)}, (),
      "SimReport(success=False, packets_sent=4, rate=Fraction(1, 1), trials=2, "
-     "failures=({'trial': 1, 'user': 0, 'packet': [0, 1], 'error': 'byte mismatch'},), "
+     "failures=({'trial': 1, 'user': 0, "
+     "'error': 'slot 0 mixes packet (0, 1, 0) twice; array is not decodable'},), "
      "memory_files=Fraction(1, 2))",
      {"success": False, "packets_sent": 4, "rate": "1", "trials": 2,
       "failures": [_FAILURE], "memory_files": "1/2"}),

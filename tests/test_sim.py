@@ -294,9 +294,9 @@ class TestSimulate:
         assert rep.success
         assert rep.packets_sent == 8
 
-    def test_wrong_bytes_are_named_per_packet(self, monkeypatch):
-        # recovery is checked byte for byte: corrupt what user 1 recovers
-        # for its second band and every one of those packets is reported
+    def test_wrong_recovered_bytes_raise(self, monkeypatch):
+        # recovery is an identity, so corrupt bytes are a simulator bug: an
+        # assertion names the user and the trial, and no report is made
         recover = dpda.sim._recover
         p = lift(construct_even(2), 2)
 
@@ -306,13 +306,12 @@ class TestSimulate:
 
         monkeypatch.setattr(dpda.sim, "_recover", corrupting)
         dem = Demand(d=(0, 1, 2, 0), b=(0, 1, 0, 1))
-        rep = simulate(p, 3, 3, packet_size=8, demand=dem)
-        assert rep.failures == tuple({"trial": 0, "user": 1, "packet": [1, 2, h],
-                                      "error": "byte mismatch"} for h in range(4))
+        with pytest.raises(AssertionError, match=r"^user 1 .* in trials 0\.\.0$"):
+            simulate(p, 3, 3, packet_size=8, demand=dem)
 
-    def test_flipped_payload_bit_is_named_per_packet(self, monkeypatch):
-        # flip one bit of one slot's payload: exactly the packets that users
-        # decode from that slot come out wrong, and each is reported
+    def test_flipped_payload_bit_raises(self, monkeypatch):
+        # flip one bit of one slot's payload: the first user that decodes
+        # from that slot breaks the recovery identity
         payloads = dpda.sim._payloads
         slot = 5
 
@@ -324,13 +323,10 @@ class TestSimulate:
         monkeypatch.setattr(dpda.sim, "_payloads", flipping)
         p = lift(construct_even(2), 2)
         dem = Demand(d=(0, 1, 2, 0), b=(0, 1, 0, 1))
-        rep = simulate(p, 3, 3, packet_size=8, demand=dem)
-        expected = tuple({"trial": 0, "user": k, "error": "byte mismatch",
-                          "packet": [dem.d[k], dem.b[k] + i // p.f, i % p.f]}
-                         for k in range(p.k) for i, row in enumerate(p.grid)
-                         if row[k] is not None and row[k].slot == slot)
-        assert len(expected) == 2
-        assert rep.failures == expected
+        first = min(k for k in range(p.k) for row in p.grid
+                    if row[k] is not None and row[k].slot == slot)
+        with pytest.raises(AssertionError, match=rf"^user {first} .* in trials 0\.\.0$"):
+            simulate(p, 3, 3, packet_size=8, demand=dem)
 
     def test_memory_does_not_grow_with_library_size(self):
         # a trial touches only the demanded packets, so 200,000 files cost
@@ -345,9 +341,10 @@ class TestSimulate:
         assert rep.success
         assert peak < 2_000_000, peak
 
-    def test_corrupt_trial_mid_run_is_named_alone(self, monkeypatch):
+    def test_corrupt_trial_mid_run_raises_for_its_chunk(self, monkeypatch):
         # corrupt what user 1 recovers for the second trial of the second
-        # chunk only: exactly that trial's packets are reported
+        # chunk only: the assertion names that chunk's trials, and no later
+        # chunk runs
         recover = dpda.sim._recover
         p, n, l, size, seed = lift(construct_even(2), 2), 3, 3, 64, 4
         width = _chunk_trials(p, size)
@@ -362,15 +359,10 @@ class TestSimulate:
             return got
 
         monkeypatch.setattr(dpda.sim, "_recover", corrupting)
-        rep = simulate(p, n, l, packet_size=size, trials=trials, seed=seed)
-        rng = random.Random(seed)
-        for _ in range(width + 2):  # the demands of trials 0 .. width + 1
-            d = [rng.randrange(n) for _ in range(p.k)]
-            b = [rng.randrange(l - p.lp + 1) for _ in range(p.k)]
-        assert rep.failures == tuple(
-            {"trial": width + 1, "user": 1, "packet": [d[1], b[1] + i // p.f, i % p.f],
-             "error": "byte mismatch"} for i in range(p.rows))
-        assert users.count(0) == 3
+        with pytest.raises(AssertionError,
+                           match=rf"^user 1 .* in trials {width}\.\.{2 * width - 1}$"):
+            simulate(p, n, l, packet_size=size, trials=trials, seed=seed)
+        assert users.count(0) == 2
 
     def test_drawn_demands_follow_randrange(self):
         # an unused slot is a fault that names every trial's demand, so the
