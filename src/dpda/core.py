@@ -142,8 +142,9 @@ class Dpda(_Record):
     """A (K, L', F, Z, S) placement delivery array.
 
     ``grid`` is a row-major (lp*f) x k matrix of entries.  Construction
-    enforces the structural invariants: exact dimensions, slot ids in
-    ``[0, s)``, sender indices in ``[0, k)``, and a single sender per slot.
+    enforces the structural invariants: exact dimensions, no more slots
+    than cells, slot ids in ``[0, s)``, sender indices in ``[0, k)``, and a
+    single sender per slot.
     """
 
     __slots__ = ("k", "lp", "f", "z", "s", "grid")
@@ -160,6 +161,8 @@ class Dpda(_Record):
             raise FormatError("K, L' and F must all be >= 1")
         if z < 0 or s < 0:
             raise FormatError("Z and S must be nonnegative")
+        if s > lp * f * k:
+            raise FormatError(f"S={_count(s)} exceeds the {_count(lp * f * k)} cells (L'*F*K)")
         grid = tuple(tuple(row) for row in grid)
         if len(grid) != lp * f:
             raise FormatError(f"expected {_count(lp * f)} rows (L'*F), got {len(grid)}")

@@ -12,23 +12,19 @@ byte-for-byte without sharing a random generator.  A packet is fixed by
 its first byte, so at most 256 distinct packets exist.
 
 A cache is never stored: it is the user's star rows plus the byte rule.
-Which cells each slot mixes, who sends it, whether the sender caches them,
-which side packets each user strips and whether it caches them depend on the
-array alone, so :func:`simulate` plans and checks them, and a caller's
-demand, once per run; only same-row collisions are checked per trial (drawn
+Which cells each slot mixes, whether its sender caches them, which side
+packets each user strips and whether it caches them depend on the array
+alone, so :func:`simulate` plans and checks them, and a caller's demand,
+once per run; only same-row collisions are checked per trial (drawn
 demands are in range), so a failure is a plan fault or a demand's refusal.
 Trials run in chunks that fit a byte budget, in trial order: a cell's
 packets for every trial of a chunk sit side by side in one little-endian
-integer, so a chunk XORs each slot and strips each user's side packets
-once.  That run on real bytes is asserted as an identity (a payload minus
-its side cells is the user's own cell); byte-exactness against the byte
-rule is what the tests check :func:`deliver` and :func:`decode` for.
-
-The one-demand steps, :func:`deliver` and :func:`decode`, run the same
-chunk core on a one-trial chunk and return what :func:`simulate` only
-checks: the signals with their payload bytes and the packets a user
-recovers.  Decoders never read a signal's audit-only ``constituents``; a
-state only an invalid array can produce raises :class:`SimulationError`.
+integer, built from the byte rule, so a chunk XORs each slot and strips
+each user's side packets once.  That run on real bytes is asserted as an
+identity: a payload minus its side cells is the user's own cell.
+:func:`simulate` is the protocol's one path; the tests pin its cell
+integers to :meth:`Library.packet` and compare its reports with a
+per-call reference that delivers and decodes one demand at a time.
 ``_cmd_simulate`` is the ``dpda simulate`` handler of :mod:`dpda.cli`: it
 returns the report, as text or as the ``--json`` document, for ``main`` to
 write.
@@ -41,7 +37,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import xor
 from types import SimpleNamespace
-from typing import Callable, Container, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import Dpda, _as_json, _load, _Record, _set, slot_cells
 
@@ -50,14 +46,9 @@ __all__ = [
     "Library",
     "Caches",
     "Demand",
-    "Signal",
     "SimReport",
-    "SimulationError",
     "make_library",
     "place",
-    "user_cache_bytes",
-    "deliver",
-    "decode",
     "simulate",
 ]
 
@@ -171,33 +162,31 @@ def _say(fault: _Fault, dem: Demand, f: int) -> str:
 
 
 def _slot_plan(p: Dpda, cells: Mapping[int, list[_Cell]], caches: Caches,
-               ) -> tuple[list[tuple[int, ...]], list[int], _Fault | None]:
-    """Each slot's cell indices and its sender, in slot order, and the fault
-    of the first slot that never occurs or whose sender lacks one of its
-    packets (None when every slot can be sent)."""
-    mix, senders, f, rows = [], [], p.f, p.rows
+               ) -> tuple[list[tuple[int, ...]], _Fault | None]:
+    """Each slot's cell indices, in slot order, and the fault of the first
+    slot that never occurs or whose sender lacks one of its packets (None
+    when every slot can be sent)."""
+    mix, f, rows = [], p.f, p.rows
     for s in range(p.s):
         occ = cells.get(s)
         if not occ:
-            return mix, senders, (f"slot {s} never occurs; cannot schedule its broadcast", None)
+            return mix, (f"slot {s} never occurs; cannot schedule its broadcast", None)
         sender = p.grid[occ[0][0]][occ[0][1]].sender
         for i, j in occ:
             if i % f not in caches.users[sender]:
-                return mix, senders, (f"sender {sender} lacks packet {{}} needed for slot {s} "
-                                      f"(entry at row {i}, column {j})", (i, j))
+                return mix, (f"sender {sender} lacks packet {{}} needed for slot {s} "
+                             f"(entry at row {i}, column {j})", (i, j))
         mix.append(tuple(j * rows + i for i, j in occ))
-        senders.append(sender)
-    return mix, senders, None
+    return mix, None
 
 
-def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int,
-               held: Callable[[int, int], bool], sent: Container[int],
+def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int, star_rows: frozenset[int],
                ) -> tuple[list[tuple[int, int, int, int]], _Fault | None, list[_Row]]:
     """User k's decoding, checked in row order: (clashes, fault, rows).
 
-    ``held(i, j)`` says whether user k holds cell (i, j)'s packet, ``sent``
-    which slots were broadcast.  ``fault`` is that of the first star row
-    user k lacks, missing signal or side packet it cannot strip.
+    User k holds cell (i, j)'s packet when i mod F is one of its
+    ``star_rows``, and every slot in [0, S) is sent.  ``fault`` is that of
+    the first star row user k lacks or side packet it cannot strip.
     ``clashes`` lists, up to it, each side cell (i2, j2) in coded row i's
     in-band row as (i, j2, shift, slot): it carries the wanted packet itself
     when b_j2 = b_k + shift.  ``rows[i]`` is row i's (slot, side cells).
@@ -207,17 +196,15 @@ def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int,
     for i, row in enumerate(p.grid):
         e = row[k]
         if e is None:
-            if not held(i, k):
+            if i % f not in star_rows:
                 return clashes, (f"user {k} should have cached {{}} but has not", (i, k)), rows
             rows.append((None, ()))
             continue
-        if e.slot not in sent:
-            return clashes, (f"signal for slot {e.slot} missing", None), rows
         sides = [(i2, j2) for i2, j2 in cells[e.slot] if (i2, j2) != (i, k)]
         for i2, j2 in sides:
             if i2 % f == i % f:
                 clashes.append((i, j2, i // f - i2 // f, e.slot))
-            if not held(i2, j2):
+            if i2 % f not in star_rows:
                 return clashes, (f"user {k} cannot remove uncached packet {{}} "
                                  f"from slot {e.slot}", (i2, j2)), rows
         rows.append((e.slot, tuple(j2 * nrows + i2 for i2, j2 in sides)))
@@ -271,8 +258,8 @@ def _payloads(mix: list[tuple[int, ...]], ints: Sequence[int]) -> list[int]:
     return [reduce(xor, map(ints.__getitem__, occ)) for occ in mix]
 
 
-def _recover(rows: list[_Row], ints: Sequence[int],
-             payloads: Mapping[int, int] | Sequence[int], k: int) -> list[int]:
+def _recover(rows: list[_Row], ints: Sequence[int], payloads: list[int],
+             k: int) -> list[int]:
     """User ``k``'s recovered integers by row: its own, or a slot's minus side cells."""
     own, got = k * len(rows), []
     for i, (slot, sides) in enumerate(rows):
@@ -320,15 +307,17 @@ class SimReport(_Record):
 def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
              demand: Demand | None = None, trials: int | None = None,
              seed: int = 0) -> SimReport:
-    """Run place -> deliver -> decode and report whether every user decodes.
+    """Run placement, XOR delivery and decoding on real bytes, and report
+    whether every user decodes.
 
-    Exactly one of ``demand`` (a single run) or ``trials`` (that many
-    uniformly sampled demands, deterministic from ``seed``, each drawn in
-    trial order) must be given.  The cache size in files, Z*N/F, is
-    reported exactly as a fraction; it need not be an integer.  A failure
-    is a plan fault, which the array decides, or a demand's refusal (a
-    packet a slot mixes twice).  The XOR run is executed on real bytes and
-    asserted as an identity, so a bug raises ``AssertionError``.
+    Exactly one of ``demand`` (a single run: a one-trial chunk of the same
+    core) or ``trials`` (that many uniformly sampled demands, deterministic
+    from ``seed``, each drawn in trial order) must be given.  The cache
+    size in files, Z*N/F, is reported exactly as a fraction; it need not be
+    an integer.  A failure is a plan fault, which the array decides, or a
+    demand's refusal (a packet a slot mixes twice).  Each user's recovery
+    of its own cells is asserted on every chunk, so a bug raises
+    ``AssertionError``.
 
     Trials run in chunks of ``CHUNK_BYTES // (packet_size*(K*rows + S) + 512)``
     trials (at least one), as a trial takes a packet per cell and per slot
@@ -348,9 +337,8 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
     rng = random.Random(seed)
     k_users, f, starts = p.k, p.f, l - p.lp + 1
     cells = slot_cells(p)
-    mix, _senders, fault = _slot_plan(p, cells, caches)
-    plans = [_user_plan(p, cells, k, lambda i, j, star_rows=star_rows: i % f in star_rows,
-                        range(p.s)) for k, star_rows in enumerate(caches.users)]
+    mix, fault = _slot_plan(p, cells, caches)
+    plans = [_user_plan(p, cells, k, star_rows) for k, star_rows in enumerate(caches.users)]
     if demand is not None:
         try:
             _check_demand(demand, k_users, n, l, p.lp)
@@ -381,68 +369,6 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
         failures=tuple(failures),
         memory_files=Fraction(p.z * n, p.f),
     )
-
-
-class SimulationError(RuntimeError):
-    """Protocol execution hit a state only an invalid array can produce."""
-
-
-class Signal(_Record):
-    """One broadcast: XOR payload for a slot, plus an audit-only constituent list."""
-
-    slot: int
-    sender: int
-    payload: bytes
-    constituents: tuple[PacketId, ...]
-
-
-def user_cache_bytes(lib: Library, caches: Caches, k: int) -> dict[PacketId, bytes]:
-    """The cached content of user ``k``, one fresh packet per id."""
-    return {(i, block, h): lib.packet(i, block, h) for i in range(lib.n)
-            for block in range(lib.l) for h in caches.users[k]}
-
-
-def deliver(p: Dpda, caches: Caches, lib: Library, dem: Demand) -> list[Signal]:
-    """Produce the S broadcast signals for a demand, in slot order.
-
-    Signal s XORs, over every cell (i, j) carrying slot s, the packet
-    (d_j, b_j + i//F, i mod F).  Every constituent must already sit in the
-    sender's cache; a miss means the array is not a valid DPDA and raises
-    :class:`SimulationError`.
-    """
-    _check_demand(dem, p.k, lib.n, lib.l, p.lp)
-    cells = slot_cells(p)
-    mix, senders, fault = _slot_plan(p, cells, caches)
-    if fault is not None:
-        raise SimulationError(_say(fault, dem, p.f))
-    return [Signal(slot=s, sender=senders[s], payload=x.to_bytes(lib.packet_size, "little"),
-                   constituents=tuple(_pid(dem, p.f, i, j) for i, j in cells[s]))
-            for s, x in enumerate(_payloads(mix, _packets(lib, p.lp, p.f, [dem], {})))]
-
-
-def decode(p: Dpda, cache_k: Mapping[PacketId, bytes], signals: Sequence[Signal],
-           dem: Demand, k: int) -> dict[PacketId, bytes]:
-    """Recover user ``k``'s requested packets (d_k, b_k + l, h) for l in
-    [0, L'), h in [0, F).
-
-    Uses only the array, the demand, the user's own cached bytes and the
-    signal payloads; constituent ids are re-derived from the array, never
-    read from the signals' audit lists.
-    """
-    f, nrows = p.f, p.rows
-    cached = [cache_k.get(_pid(dem, f, i, j)) for j in range(p.k) for i in range(nrows)]
-    by_slot = {sig.slot: sig.payload for sig in signals}
-    plan = _user_plan(p, slot_cells(p), k, lambda i, j: cached[j * nrows + i] is not None,
-                      by_slot)
-    message = _refusal(plan, dem, k, f)
-    if message:
-        raise SimulationError(message)
-    rows = plan[2]  # (slot, side cells) per row
-    ints = [0 if v is None else int.from_bytes(v, "little") for v in cached]
-    got = _recover(rows, ints, {s: int.from_bytes(v, "little") for s, v in by_slot.items()}, k)
-    return {_pid(dem, f, i, k): cached[k * nrows + i] if slot is None
-            else x.to_bytes(len(by_slot[slot]), "little")
-            for i, ((slot, _sides), x) in enumerate(zip(rows, got))}
 
 
 def _parse_demand(literal: str) -> Demand:

@@ -52,6 +52,8 @@ def check_dpda(k, lp, f, z, s, grid) -> tuple:
         raise FormatError("K, L' and F must all be >= 1")
     if z < 0 or s < 0:
         raise FormatError("Z and S must be nonnegative")
+    if s > lp * f * k:
+        raise FormatError(f"S={_count(s)} exceeds the {_count(lp * f * k)} cells (L'*F*K)")
     grid = tuple(tuple(row) for row in grid)
     if len(grid) != lp * f:
         raise FormatError(f"expected {_count(lp * f)} rows (L'*F), got {len(grid)}")

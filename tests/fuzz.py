@@ -36,7 +36,7 @@ def random_well_formed(rng: random.Random) -> Dpda:
     lp = rng.randint(1, 3)
     f = rng.randint(1, 4)
     z = rng.randint(0, f)
-    s = rng.randint(0, 6)
+    s = rng.randint(0, min(6, k * lp * f))
     senders = [rng.randrange(k) for _ in range(s)]
     grid = []
     for _ in range(lp * f):

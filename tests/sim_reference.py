@@ -1,14 +1,19 @@
 """Reference protocol loops for differential tests of :mod:`dpda.sim`.
 
-These are the simulator's earlier per-call loops: ``deliver`` and every
-``decode`` index the array themselves (``slot_cells``) on each call,
-``simulate`` stores every user's cache as a dict of packet bytes
-(``user_cache_bytes``) and compares each recovered packet with the library
-one by one, one trial at a time.  ``dpda.sim`` plans and checks the slots
-and each user's decoding once per run, from star-row membership and the
-byte rule, and runs the trials in chunks whose cells are wide integers
-holding every trial's packet; its reports, signals and decodes must equal
-these, failures, their messages and their order across chunks included.
+These are the simulator's earlier per-call loops, its former one-demand
+steps included: ``user_cache_bytes`` stores a user's cache as a dict of
+packet bytes, ``deliver`` returns one demand's :class:`Signal` list and
+``decode`` one user's recovered packets, each indexing the array itself
+(``slot_cells``) on every call and raising :class:`SimulationError` on a
+state only an invalid array can produce; ``simulate`` runs them one trial
+at a time and compares each recovered packet with the library one by one.
+The tests check ``deliver`` and ``decode`` against ``Library.packet`` on
+worked scenarios and on every demand of a small array.
+``dpda.sim.simulate`` plans and checks the slots and each user's decoding
+once per run, from star-row membership and the byte rule, and runs the
+trials in chunks whose cells are wide integers holding every trial's
+packet; its reports must equal these, failures, their messages and their
+order across chunks included.
 """
 
 from __future__ import annotations
@@ -18,18 +23,35 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from dpda import Dpda, slot_cells
+from dpda.core import _Record
 from dpda.sim import (
     Caches,
     Demand,
     Library,
     PacketId,
-    Signal,
     SimReport,
-    SimulationError,
     make_library,
     place,
-    user_cache_bytes,
 )
+
+
+class SimulationError(RuntimeError):
+    """Protocol execution hit a state only an invalid array can produce."""
+
+
+class Signal(_Record):
+    """One broadcast: XOR payload for a slot, plus an audit-only constituent list."""
+
+    slot: int
+    sender: int
+    payload: bytes
+    constituents: tuple[PacketId, ...]
+
+
+def user_cache_bytes(lib: Library, caches: Caches, k: int) -> dict[PacketId, bytes]:
+    """The cached content of user ``k``, one packet per id."""
+    return {(i, block, h): lib.packet(i, block, h) for i in range(lib.n)
+            for block in range(lib.l) for h in caches.users[k]}
 
 
 def check_demand(dem: Demand, k: int, n: int, l: int, lp: int) -> None:

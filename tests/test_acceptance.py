@@ -21,20 +21,15 @@ from dpda import (
     construct_grid,
     construct_jcm,
     construct_odd,
-    decode,
-    deliver,
     exists_dpda,
     jcm_params,
     lift,
-    make_library,
     min_f_bound,
     parse_dpda,
-    place,
     search_min_s,
     serialize_dpda,
     simulate,
     slot_cells,
-    user_cache_bytes,
     validate,
 )
 
@@ -168,20 +163,13 @@ def test_criterion_5_baseline_gap():
 
 
 def _sweep_all_demands(p, n: int, l: int, packet_size: int) -> int:
-    lib = make_library(n, l, p.f, packet_size)
-    caches = place(p, lib)
-    cache_bytes = [user_cache_bytes(lib, caches, k) for k in range(p.k)]
+    """Run every demand through ``simulate``, which asserts each user's
+    recovery of its own cells on real bytes."""
     count = 0
     for d in product(range(n), repeat=p.k):
         for b in product(range(l - p.lp + 1), repeat=p.k):
-            dem = Demand(d=d, b=b)
-            signals = deliver(p, caches, lib, dem)
-            assert len(signals) == p.s
-            for k in range(p.k):
-                got = decode(p, cache_bytes[k], signals, dem, k)
-                for i in range(p.lp * p.f):
-                    pid = (d[k], b[k] + i // p.f, i % p.f)
-                    assert got[pid] == lib.packet(*pid)
+            rep = simulate(p, n, l, packet_size, demand=Demand(d=d, b=b))
+            assert rep.success and rep.packets_sent == p.s, (d, b, rep.failures)
             count += 1
     return count
 

@@ -315,6 +315,16 @@ def test_non_utf8_input_is_one_input_error(tmp_path, monkeypatch, capsys):
     assert run(capsys, "validate", "-") == expected
 
 
+def test_more_slots_than_cells_is_an_input_error(tmp_path, capsys):
+    # a slot id per declared slot would cost memory in S before any check;
+    # an S above the L'*F*K cells is refused as the array is built
+    f = tmp_path / "wide.dpda"
+    f.write_text("DPDA K=1 L'=1 F=1 Z=1 S=4000000\n*\n")
+    expected = (2, "", "error: S=4000000 exceeds the 1 cells (L'*F*K)\n")
+    for argv in (("validate",), ("bounds", "--from"), ("compare",)):
+        assert run(capsys, *argv, str(f)) == expected, argv
+
+
 def test_bounds_case(capsys):
     code, out, _ = run(capsys, "bounds", "--k", "6", "--case", "2/K", "--json")
     assert code == 0
@@ -833,8 +843,9 @@ def test_readers_load_on_first_use_under_every_name():
 
 
 def test_steps_load_on_first_use_under_every_name():
-    # The one-demand steps live in dpda.sim, and running dpda.sim executes
-    # neither the CLI nor any other path for them: dpda.steps is gone.
+    # simulate is the protocol's one path: running dpda.sim executes neither
+    # the CLI nor any other module, dpda.steps is gone, and so are the
+    # one-demand steps, which only the tests' reference keeps.
     script = (
         "import sys, types\n"
         "import dpda.sim\n"
@@ -842,16 +853,26 @@ def test_steps_load_on_first_use_under_every_name():
         "print([n for n in ('dpda.sim', 'dpda.cli')\n"
         "       if type(sys.modules.get(n)) is types.ModuleType])\n"
         "import dpda\n"
-        "print([getattr(dpda, n) is vars(dpda.sim)[n]\n"
-        "       for n in ('deliver', 'decode', 'Signal', 'SimulationError',"
-        " 'user_cache_bytes')])\n"
+        "print([n for n in ('deliver', 'decode', 'Signal', 'SimulationError',"
+        " 'user_cache_bytes')\n"
+        "       if hasattr(dpda, n) or hasattr(dpda.sim, n) or n in dpda.__all__])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == "['dpda.sim']\n[True, True, True, True, True]\n"
+    assert proc.stdout == "['dpda.sim']\n[]\n"
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("dpda.steps")
+
+
+def test_every_module_all_lists_its_own_names():
+    # each submodule's __all__ names only what it defines, and every name
+    # the package takes from a submodule is in that submodule's __all__
+    for info in pkgutil.iter_modules(dpda.__path__):
+        sub = importlib.import_module(f"dpda.{info.name}")
+        assert [n for n in getattr(sub, "__all__", ()) if not hasattr(sub, n)] == [], sub
+    for module, names in dpda._EXPORTS.items():
+        assert [n for n in names if n not in vars(dpda)[module].__all__] == [], module
 
 
 def test_star_import_binds_every_public_name():

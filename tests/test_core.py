@@ -244,7 +244,7 @@ _TOKEN_EDGES = ("\u0663^1", "\u00b2^1", "1_0^2", "+1^2", "1^2^3", "^1", "1^", "0
 
 def test_readers_match_reference_on_digit_edges():
     texts = [f"DPDA K={v} L'=1 F=1 Z=1 S=0\n* * *\n" for v in _DIGIT_EDGES]
-    texts += [f"DPDA K=2 L'=1 F=1 Z=1 S=4\n{tok} *\n" for tok in _TOKEN_EDGES]
+    texts += [f"DPDA K=2 L'=1 F=2 Z=1 S=4\n{tok} *\n* *\n" for tok in _TOKEN_EDGES]
     outcomes = []
     for text in texts:
         outcomes.append(_outcome(parse_dpda, text))
@@ -270,6 +270,23 @@ def test_dpda_refuses_non_entries(cell):
     assert str(raised.value) == "row 2, column 1: not a star or coded entry"
     assert _outcome(lambda g: core_reference.check_dpda(4, 1, 4, 2, 4, g), grid) == (
         FormatError, str(raised.value))
+
+
+@pytest.mark.parametrize("z, s, message", [
+    (-1, 4, "Z and S must be nonnegative"),
+    (2, -1, "Z and S must be nonnegative"),
+    (2, 16, None),
+    (2, 17, "S=17 exceeds the 16 cells (L'*F*K)"),
+    (2, 2**20000, "S=at least 2^20000 exceeds the 16 cells (L'*F*K)"),
+], ids=["z-1", "s-1", "s=cells", "s>cells", "s-huge"])
+def test_dpda_checks_z_and_s_as_reference(z, s, message):
+    # the reader cannot pass a negative Z or S; library callers can.  S may
+    # be at most the L'*F*K cells, so no slot index outgrows the grid
+    p = parse_dpda(P4_TEXT)
+    args = (p.k, p.lp, p.f, z, s, p.grid)
+    got = _outcome(lambda a: Dpda(*a).grid, args)
+    assert got == (p.grid if message is None else (FormatError, message))
+    assert got == _outcome(lambda a: core_reference.check_dpda(*a), args)
 
 
 def _faulty_grids(rng: random.Random):

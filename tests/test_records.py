@@ -24,11 +24,12 @@ from dpda import (
     Library,
     RateOptimality,
     SearchResult,
-    Signal,
     SimReport,
     ValidationReport,
 )
 from dpda.core import _Record
+
+from sim_reference import Signal
 
 _OK = ConditionCheck(True)
 _P1 = Dpda(k=1, lp=1, f=1, z=1, s=0, grid=((None,),))
@@ -96,6 +97,7 @@ RECORDS = [
      "Library(n=1, l=2, f=3, packet_size=4)", None),
     (Caches, {"users": (frozenset({0}),)}, (), "Caches(users=(frozenset({0}),))", None),
     (Demand, {"d": (0, 1), "b": (1, 0)}, (), "Demand(d=(0, 1), b=(1, 0))", None),
+    # the protocol reference's signal, a record on the same base
     (Signal, {"slot": 0, "sender": 1, "payload": b"\x07", "constituents": ((0, 0, 1),)}, (),
      "Signal(slot=0, sender=1, payload=b'\\x07', constituents=((0, 0, 1),))", None),
     (SimReport, {"success": True, "packets_sent": 4, "rate": Fraction(1), "trials": 1,

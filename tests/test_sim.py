@@ -1,4 +1,9 @@
-"""Protocol execution: placement, delivery, decoding, reports."""
+"""Protocol execution: placement, delivery, decoding, reports.
+
+``simulate`` is the protocol's one path.  ``TestDeliver`` and
+``TestDecode`` pin the one-demand steps of its per-call reference,
+``tests/sim_reference.py``, to ``Library.packet``; ``TestAgainstReference``
+compares ``simulate`` with that reference."""
 
 from __future__ import annotations
 
@@ -15,22 +20,19 @@ from dpda import (
     Demand,
     Dpda,
     STAR,
-    SimulationError,
     construct_even,
     construct_grid,
     construct_odd,
-    decode,
-    deliver,
     lift,
     make_library,
     parse_dpda,
     place,
     simulate,
-    user_cache_bytes,
+    slot_cells,
 )
-from dpda.sim import Signal
 
 import sim_reference as reference
+from sim_reference import Signal, SimulationError, decode, deliver, user_cache_bytes
 from fuzz import random_well_formed, valid_corpus
 from golden import P3_TEXT, P4_TEXT, P6_TEXT, Q_LIFTED_P4_TEXT
 
@@ -169,13 +171,6 @@ class TestDeliver:
             deliver(p, caches, lib, Demand(d=(0, 0, 0, 0), b=(3, 0, 0, 0)))
         with pytest.raises(ValueError, match="array has 4"):
             deliver(p, caches, lib, Demand(d=(0,), b=(0,)))
-
-    def test_library_shorter_than_request_is_named(self):
-        # L < L' is named before any user's demand is read
-        q = parse_dpda(Q_LIFTED_P4_TEXT)
-        lib = make_library(2, 1, 4, 8)
-        with pytest.raises(ValueError, match=r"^need L >= L', got L=1, L'=2$"):
-            deliver(q, place(q, lib), lib, Demand(d=(0, 0, 0, 0), b=(0, 0, 0, 0)))
 
 
 class TestDecode:
@@ -432,6 +427,25 @@ class TestSimulate:
                 assert ints == [x >> 8 * size * t & (1 << 8 * size) - 1 for x in wide]
         assert 200 < len(memo) <= 256
 
+    @pytest.mark.parametrize("size", [1, 255, 256, 257, 4096])
+    def test_cell_integers_are_library_packets(self, size):
+        # the byte rule pinned on the integers simulate XORs and strips: in
+        # one-trial chunks (through the memo) and wider ones, cell (i, j)
+        # holds packet (d_j, b_j + i // F, i mod F) of Library.packet for
+        # trial t at bytes [t*size, (t+1)*size); sizes either side of the
+        # ramp's 256-byte period reach its wrap-around
+        rng = random.Random(size)
+        p = lift(construct_grid(3), 2)
+        lib, memo = make_library(40, 5, p.f, size), {}
+        for width in (1, 1, 3, 7):
+            for _ in range(4):
+                dems = [Demand(d=[rng.randrange(40) for _ in range(p.k)],
+                               b=[rng.randrange(4) for _ in range(p.k)]) for _ in range(width)]
+                assert dpda.sim._packets(lib, p.lp, p.f, dems, memo) == [
+                    int.from_bytes(b"".join(lib.packet(dem.d[j], dem.b[j] + i // p.f, i % p.f)
+                                            for dem in dems), "little")
+                    for j in range(p.k) for i in range(p.rows)]
+
     def test_argument_validation(self):
         p = parse_dpda(P4_TEXT)
         with pytest.raises(ValueError, match="L >= L'"):
@@ -566,20 +580,32 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("group", list(REFERENCE_CORPUS))
     def test_deliver_and_decode_match(self, group):
+        # simulate's core on a one-trial chunk against the reference steps,
+        # byte for byte: each slot's payload is the signal deliver sends,
+        # each user that decodes recovers what decode returns, and a plan
+        # fault or a refusal is the message the step raises
         rng = random.Random(group)
         for index, p in enumerate(REFERENCE_CORPUS[group]):
-            lib = make_library(3, p.lp + 1, p.f, EDGES[index % len(EDGES)][2])
+            size = EDGES[index % len(EDGES)][2]
+            lib = make_library(3, p.lp + 1, p.f, size)
             caches = place(p, lib)
             dem = Demand(d=tuple(rng.randrange(3) for _ in range(p.k)),
                          b=tuple(rng.randrange(2) for _ in range(p.k)))
+            cells = slot_cells(p)
+            mix, fault = dpda.sim._slot_plan(p, cells, caches)
             signals = _outcome(deliver, p, caches, lib, dem)
-            assert signals == _outcome(reference.deliver, p, caches, lib, dem), (p, dem)
-            if not isinstance(signals, list):
-                signals = []
-            for k in range(p.k):
-                cache_k = user_cache_bytes(lib, caches, k)
-                # all signals, the first only, and a cache short of one packet
-                for sigs, cache in ((signals, cache_k), (signals[:1], cache_k),
-                                    (signals, dict(list(cache_k.items())[1:]))):
-                    assert _outcome(decode, p, cache, sigs, dem, k) == \
-                        _outcome(reference.decode, p, cache, sigs, dem, k), (p, dem, k)
+            if fault is not None:
+                assert signals == (SimulationError, dpda.sim._say(fault, dem, p.f)), (p, dem)
+                continue
+            ints = dpda.sim._packets(lib, p.lp, p.f, [dem], {})
+            payloads = dpda.sim._payloads(mix, ints)
+            assert [sig.payload for sig in signals] == [
+                x.to_bytes(size, "little") for x in payloads], (p, dem)
+            for k, star_rows in enumerate(caches.users):
+                plan = dpda.sim._user_plan(p, cells, k, star_rows)
+                message = dpda.sim._refusal(plan, dem, k, p.f)
+                got = _outcome(decode, p, user_cache_bytes(lib, caches, k), signals, dem, k)
+                assert got == ((SimulationError, message) if message else {
+                    dpda.sim._pid(dem, p.f, i, k): x.to_bytes(size, "little")
+                    for i, x in enumerate(dpda.sim._recover(plan[2], ints, payloads, k))}), \
+                    (p, dem, k)
