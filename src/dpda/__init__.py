@@ -30,7 +30,7 @@ _EXPORTS = {
     "bounds": ("rate_lower_bound", "min_f_bound", "jcm_params", "JcmParams",
                "compare_to_jcm", "JcmComparison", "BoundsReport",
                "bounds_for_case", "bounds_for_array"),
-    "sim": ("Library", "Caches", "Demand", "SimReport", "make_library", "place", "simulate"),
+    "sim": ("Demand", "SimReport", "simulate"),
     "search": ("SearchResult", "SearchSpaceError", "exists_dpda", "search_min_s"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,9 +1,11 @@
 """Packet-level execution of the caching protocol encoded by a DPDA.
 
 Placement is the array's star pattern: user j caches packet h of every file
-and block when row h of column j is a star.  Delivery sends one XOR signal
-per slot (slot s groups the entries ``s^k``, broadcast by user k); decoding
-lets every user recover its requested blocks from the signals and its cache.
+and block when row h of column j is a star, so band 0 of the grid (its
+first F rows) is the placement and no cache is built from it.  Delivery
+sends one XOR signal per slot (slot s groups the entries ``s^k``, broadcast
+by user k); decoding lets every user recover its requested blocks from the
+signals and its cache.
 
 File content is synthetic but deterministic: byte ``o`` of packet
 ``(file i, block l, packet h)`` is ``(i*31 + l*17 + h*7 + o) mod 256``,
@@ -11,7 +13,9 @@ so independent runs (and independent implementations of this rule) agree
 byte-for-byte without sharing a random generator.  A packet is fixed by
 its first byte, so at most 256 distinct packets exist.
 
-A cache is never stored: it is the user's star rows plus the byte rule.
+A cache is never stored: it is band 0 of the user's column plus the byte
+rule, and packets are slices of one ramp of bytes that :func:`simulate`
+builds per run.
 Which cells each slot mixes, whether its sender caches them, which side
 packets each user strips and whether it caches them depend on the array
 alone, so :func:`simulate` plans and checks them, and a caller's demand,
@@ -23,8 +27,9 @@ integer, built from the byte rule, so a chunk XORs each slot and strips
 each user's side packets once.  That run on real bytes is asserted as an
 identity: a payload minus its side cells is the user's own cell.
 :func:`simulate` is the protocol's one path; the tests pin its cell
-integers to :meth:`Library.packet` and compare its reports with a
-per-call reference that delivers and decodes one demand at a time.
+integers to ``Library.packet`` of the materialised library in
+``tests/sim_reference.py``, and compare its reports with that per-call
+reference, which delivers and decodes one demand at a time.
 ``_cmd_simulate`` is the ``dpda simulate`` handler of :mod:`dpda.cli`: it
 returns the report, as text or as the ``--json`` document, for ``main`` to
 write.
@@ -43,61 +48,12 @@ from .core import Dpda, _as_json, _load, _Record, _set, slot_cells
 
 __all__ = [
     "PacketId",
-    "Library",
-    "Caches",
     "Demand",
     "SimReport",
-    "make_library",
-    "place",
     "simulate",
 ]
 
 PacketId = tuple[int, int, int]  # (file, block, packet)
-
-
-class Library(_Record):
-    """Deterministic packetized corpus: n files, l blocks, f packets per block.
-
-    A packet is fixed by its first byte b: it is ``_ramp[b:b + packet_size]``
-    of the ramp 0, 1, ..., 255, 0, 1, ...  The ramp is all the library
-    stores; each request slices its packet afresh.
-    """
-
-    n: int
-    l: int
-    f: int
-    packet_size: int
-    _ramp: bytes
-
-    def packet(self, i: int, block: int, h: int) -> bytes:
-        if not (0 <= i < self.n and 0 <= block < self.l and 0 <= h < self.f):
-            raise ValueError(f"packet id {(i, block, h)} outside the library")
-        first = (i * 31 + block * 17 + h * 7) % 256  # fixes the packet
-        return self._ramp[first:first + self.packet_size]
-
-
-def make_library(n: int, l: int, f: int, packet_size: int = 64) -> Library:
-    """Define the corpus; byte o of packet (i, l, h) is (i*31+l*17+h*7+o) mod 256."""
-    if min(n, l, f, packet_size) < 1:
-        raise ValueError("N, L, F and packet_size must all be >= 1")
-    ramp = bytes(range(256)) * (packet_size // 256 + 2)
-    return Library(n=n, l=l, f=f, packet_size=packet_size, _ramp=ramp)
-
-
-class Caches(_Record):
-    """Per-user star rows: user j caches packet (i, l, h) iff h is in ``users[j]``."""
-
-    users: tuple[frozenset[int], ...]
-
-
-def place(p: Dpda, lib: Library) -> Caches:
-    """Fill caches: user j's star rows are the first-band rows h whose entry
-    in column j is a star."""
-    if lib.f != p.f:
-        raise ValueError(f"library has {lib.f} packets per block, array needs {p.f}")
-    return Caches(users=tuple(
-        frozenset(h for h in range(p.f) if p.grid[h][j] is None) for j in range(p.k)
-    ))
 
 
 class Demand(_Record):
@@ -161,42 +117,44 @@ def _say(fault: _Fault, dem: Demand, f: int) -> str:
     return text if cell is None else text.format(_pid(dem, f, *cell))
 
 
-def _slot_plan(p: Dpda, cells: Mapping[int, list[_Cell]], caches: Caches,
+def _slot_plan(p: Dpda, cells: Mapping[int, list[_Cell]],
                ) -> tuple[list[tuple[int, ...]], _Fault | None]:
     """Each slot's cell indices, in slot order, and the fault of the first
     slot that never occurs or whose sender lacks one of its packets (None
-    when every slot can be sent)."""
-    mix, f, rows = [], p.f, p.rows
+    when every slot can be sent).  The sender holds cell (i, j)'s packet
+    when row i mod F of its column is a star: band 0 is the placement."""
+    mix, f, rows, grid = [], p.f, p.rows, p.grid
     for s in range(p.s):
         occ = cells.get(s)
         if not occ:
             return mix, (f"slot {s} never occurs; cannot schedule its broadcast", None)
-        sender = p.grid[occ[0][0]][occ[0][1]].sender
+        sender = grid[occ[0][0]][occ[0][1]].sender
         for i, j in occ:
-            if i % f not in caches.users[sender]:
+            if grid[i % f][sender] is not None:
                 return mix, (f"sender {sender} lacks packet {{}} needed for slot {s} "
                              f"(entry at row {i}, column {j})", (i, j))
         mix.append(tuple(j * rows + i for i, j in occ))
     return mix, None
 
 
-def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int, star_rows: frozenset[int],
+def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int,
                ) -> tuple[list[tuple[int, int, int, int]], _Fault | None, list[_Row]]:
     """User k's decoding, checked in row order: (clashes, fault, rows).
 
-    User k holds cell (i, j)'s packet when i mod F is one of its
-    ``star_rows``, and every slot in [0, S) is sent.  ``fault`` is that of
-    the first star row user k lacks or side packet it cannot strip.
+    User k holds cell (i, j)'s packet when row i mod F of column k is a
+    star (band 0 is the placement), and every slot in [0, S) is sent.
+    ``fault`` is that of the first star row user k lacks or side packet it
+    cannot strip.
     ``clashes`` lists, up to it, each side cell (i2, j2) in coded row i's
     in-band row as (i, j2, shift, slot): it carries the wanted packet itself
     when b_j2 = b_k + shift.  ``rows[i]`` is row i's (slot, side cells).
     """
-    f, nrows = p.f, p.rows
+    f, nrows, grid = p.f, p.rows, p.grid
     clashes, rows = [], []
-    for i, row in enumerate(p.grid):
+    for i, row in enumerate(grid):
         e = row[k]
         if e is None:
-            if i % f not in star_rows:
+            if grid[i % f][k] is not None:
                 return clashes, (f"user {k} should have cached {{}} but has not", (i, k)), rows
             rows.append((None, ()))
             continue
@@ -204,7 +162,7 @@ def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int, star_rows: fro
         for i2, j2 in sides:
             if i2 % f == i % f:
                 clashes.append((i, j2, i // f - i2 // f, e.slot))
-            if i2 % f not in star_rows:
+            if grid[i2 % f][k] is not None:
                 return clashes, (f"user {k} cannot remove uncached packet {{}} "
                                  f"from slot {e.slot}", (i2, j2)), rows
         rows.append((e.slot, tuple(j2 * nrows + i2 for i2, j2 in sides)))
@@ -223,14 +181,15 @@ def _refusal(plan: tuple, dem: Demand, k: int, f: int) -> str | None:
     return fault and _say(fault, dem, f)
 
 
-def _packets(lib: Library, lp: int, f: int, dems: list[Demand],
+def _packets(ramp: bytes, size: int, lp: int, f: int, dems: list[Demand],
              memo: dict[int, int]) -> list[int]:
     """The flat cell integers of a chunk: cell (i, j)'s holds its packet for
-    every trial, trial t at bytes [t*size, (t+1)*size).  Row i = band*F + h is
-    the column's joined first packets plus band*17 + h*7 on every byte (mod
-    256).  A one-trial chunk reads each packet from ``memo``, the run's
-    packet integers by first byte, filled on first use (at most 256)."""
-    size, ramp = lib.packet_size, lib._ramp
+    every trial, trial t at bytes [t*size, (t+1)*size).  A packet with first
+    byte y is ``ramp[y:y + size]`` of the ramp 0, 1, ..., 255, 0, 1, ...
+    Row i = band*F + h is the column's joined first packets plus
+    band*17 + h*7 on every byte (mod 256).  A one-trial chunk reads each
+    packet from ``memo``, the run's packet integers by first byte, filled on
+    first use (at most 256)."""
     offsets = bytes((band * 17 + h * 7) % 256 for band in range(lp) for h in range(f))
     if len(dems) == 1:  # the add below costs bulk runs more than slicing
         # ramp[y:y + 256] is the table that adds y to each byte it translates
@@ -329,16 +288,17 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
         raise ValueError(f"need L >= L', got L={l}, L'={p.lp}")
     if (demand is None) == (trials is None):
         raise ValueError("provide exactly one of demand= or trials=")
-    lib = make_library(n, l, p.f, packet_size)
-    caches = place(p, lib)
+    if min(n, l, packet_size) < 1:  # F >= 1 holds for every Dpda
+        raise ValueError("N, L, F and packet_size must all be >= 1")
+    ramp = bytes(range(256)) * (packet_size // 256 + 2)
     count = 1 if trials is None else trials
     if count < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     k_users, f, starts = p.k, p.f, l - p.lp + 1
     cells = slot_cells(p)
-    mix, fault = _slot_plan(p, cells, caches)
-    plans = [_user_plan(p, cells, k, star_rows) for k, star_rows in enumerate(caches.users)]
+    mix, fault = _slot_plan(p, cells)
+    plans = [_user_plan(p, cells, k) for k in range(k_users)]
     if demand is not None:
         try:
             _check_demand(demand, k_users, n, l, p.lp)
@@ -356,7 +316,9 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
             failures.extend({"trial": run, "demand": [list(dem.d), list(dem.b)],
                              "error": _say(fault, dem, f)} for run, dem in enumerate(dems, start))
             continue
-        _assert_recovery(start, len(dems), plans, mix, _packets(lib, p.lp, f, dems, memo))
+        # unnamed, so a chunk's integers are freed before the next chunk builds its own
+        _assert_recovery(start, len(dems), plans, mix,
+                         _packets(ramp, packet_size, p.lp, f, dems, memo))
         failures += [{"trial": run, "user": k, "error": message}
                      for run, dem in enumerate(dems, start) for k in refusing
                      if (message := _refusal(plans[k], dem, k, f))]

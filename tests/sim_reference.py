@@ -1,19 +1,23 @@
 """Reference protocol loops for differential tests of :mod:`dpda.sim`.
 
-These are the simulator's earlier per-call loops, its former one-demand
-steps included: ``user_cache_bytes`` stores a user's cache as a dict of
-packet bytes, ``deliver`` returns one demand's :class:`Signal` list and
-``decode`` one user's recovered packets, each indexing the array itself
-(``slot_cells``) on every call and raising :class:`SimulationError` on a
-state only an invalid array can produce; ``simulate`` runs them one trial
-at a time and compares each recovered packet with the library one by one.
-The tests check ``deliver`` and ``decode`` against ``Library.packet`` on
-worked scenarios and on every demand of a small array.
-``dpda.sim.simulate`` plans and checks the slots and each user's decoding
-once per run, from star-row membership and the byte rule, and runs the
-trials in chunks whose cells are wide integers holding every trial's
-packet; its reports must equal these, failures, their messages and their
-order across chunks included.
+These are the simulator's earlier per-call loops and records, its former
+materialised library and caches and one-demand steps included: a
+:class:`Library` record slices each packet from its ramp, ``place``
+copies each user's star rows into a :class:`Caches` record,
+``user_cache_bytes`` stores a user's cache as a dict of packet bytes,
+``deliver`` returns one demand's :class:`Signal` list and ``decode`` one
+user's recovered packets, each indexing the array itself (``slot_cells``)
+on every call and raising :class:`SimulationError` on a state only an
+invalid array can produce; ``simulate`` runs them one trial at a time and
+compares each recovered packet with the library one by one.  The tests
+check ``Library.packet`` against the byte rule written out byte by byte,
+and ``deliver`` and ``decode`` against ``Library.packet`` on worked
+scenarios and on every demand of a small array.
+``dpda.sim.simulate`` stores neither: it plans and checks the slots and
+each user's decoding once per run, reading placement from band 0 of the
+grid, and runs the trials in chunks whose cells are wide integers, built
+from the byte rule, holding every trial's packet; its reports must equal
+these, failures, their messages and their order across chunks included.
 """
 
 from __future__ import annotations
@@ -24,15 +28,52 @@ from typing import Mapping, Sequence
 
 from dpda import Dpda, slot_cells
 from dpda.core import _Record
-from dpda.sim import (
-    Caches,
-    Demand,
-    Library,
-    PacketId,
-    SimReport,
-    make_library,
-    place,
-)
+from dpda.sim import Demand, PacketId, SimReport
+
+
+class Library(_Record):
+    """Deterministic packetized corpus: n files, l blocks, f packets per block.
+
+    A packet is fixed by its first byte b: it is ``_ramp[b:b + packet_size]``
+    of the ramp 0, 1, ..., 255, 0, 1, ...  The ramp is all the library
+    stores; each request slices its packet afresh.
+    """
+
+    n: int
+    l: int
+    f: int
+    packet_size: int
+    _ramp: bytes
+
+    def packet(self, i: int, block: int, h: int) -> bytes:
+        if not (0 <= i < self.n and 0 <= block < self.l and 0 <= h < self.f):
+            raise ValueError(f"packet id {(i, block, h)} outside the library")
+        first = (i * 31 + block * 17 + h * 7) % 256  # fixes the packet
+        return self._ramp[first:first + self.packet_size]
+
+
+def make_library(n: int, l: int, f: int, packet_size: int = 64) -> Library:
+    """Define the corpus; byte o of packet (i, l, h) is (i*31+l*17+h*7+o) mod 256."""
+    if min(n, l, f, packet_size) < 1:
+        raise ValueError("N, L, F and packet_size must all be >= 1")
+    ramp = bytes(range(256)) * (packet_size // 256 + 2)
+    return Library(n=n, l=l, f=f, packet_size=packet_size, _ramp=ramp)
+
+
+class Caches(_Record):
+    """Per-user star rows: user j caches packet (i, l, h) iff h is in ``users[j]``."""
+
+    users: tuple[frozenset[int], ...]
+
+
+def place(p: Dpda, lib: Library) -> Caches:
+    """Fill caches: user j's star rows are the first-band rows h whose entry
+    in column j is a star."""
+    if lib.f != p.f:
+        raise ValueError(f"library has {lib.f} packets per block, array needs {p.f}")
+    return Caches(users=tuple(
+        frozenset(h for h in range(p.f) if p.grid[h][j] is None) for j in range(p.k)
+    ))
 
 
 class SimulationError(RuntimeError):

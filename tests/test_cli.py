@@ -431,6 +431,16 @@ def test_simulate_malformed_demand_is_an_input_error(tmp_path, capsys, text, blo
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("sizes", [("--files", "0"), ("--files", "4", "--packet-size", "0")],
+                         ids=["files", "packet_size"])
+def test_simulate_nonpositive_size_is_an_input_error(tmp_path, capsys, sizes):
+    # simulate checks N, L and the packet size itself, before any run
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    code, out, err = run(capsys, "simulate", str(f), *sizes, "--blocks", "2", "--trials", "1")
+    assert (code, out, err) == (2, "", "error: N, L, F and packet_size must all be >= 1\n")
+
+
 def test_simulate_usage_error_before_reading_the_array(capsys):
     # the --demand/--trials pair is checked first, so a missing file does not
     # hide the usage error
@@ -845,7 +855,8 @@ def test_readers_load_on_first_use_under_every_name():
 def test_steps_load_on_first_use_under_every_name():
     # simulate is the protocol's one path: running dpda.sim executes neither
     # the CLI nor any other module, dpda.steps is gone, and so are the
-    # one-demand steps, which only the tests' reference keeps.
+    # one-demand steps and the materialised library and caches, which only
+    # the tests' reference keeps.
     script = (
         "import sys, types\n"
         "import dpda.sim\n"
@@ -854,7 +865,7 @@ def test_steps_load_on_first_use_under_every_name():
         "       if type(sys.modules.get(n)) is types.ModuleType])\n"
         "import dpda\n"
         "print([n for n in ('deliver', 'decode', 'Signal', 'SimulationError',"
-        " 'user_cache_bytes')\n"
+        " 'user_cache_bytes', 'Library', 'make_library', 'Caches', 'place')\n"
         "       if hasattr(dpda, n) or hasattr(dpda.sim, n) or n in dpda.__all__])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))

@@ -14,14 +14,12 @@ import pytest
 import dpda
 from dpda import (
     BoundsReport,
-    Caches,
     Coded,
     ConditionCheck,
     Demand,
     Dpda,
     JcmComparison,
     JcmParams,
-    Library,
     RateOptimality,
     SearchResult,
     SimReport,
@@ -29,7 +27,7 @@ from dpda import (
 )
 from dpda.core import _Record
 
-from sim_reference import Signal
+from sim_reference import Caches, Library, Signal
 
 _OK = ConditionCheck(True)
 _P1 = Dpda(k=1, lp=1, f=1, z=1, s=0, grid=((None,),))
@@ -93,6 +91,7 @@ RECORDS = [
      "exhausted=True)",
      {"feasible": True, "minimal_s": 0, "witness": _P1_TEXT, "nodes_explored": 2,
       "exhausted": True}),
+    # the protocol reference's library and caches, records on the same base
     (Library, {"n": 1, "l": 2, "f": 3, "packet_size": 4, "_ramp": b"\x00\x01"}, (),
      "Library(n=1, l=2, f=3, packet_size=4)", None),
     (Caches, {"users": (frozenset({0}),)}, (), "Caches(users=(frozenset({0}),))", None),

@@ -1,9 +1,11 @@
 """Protocol execution: placement, delivery, decoding, reports.
 
-``simulate`` is the protocol's one path.  ``TestDeliver`` and
-``TestDecode`` pin the one-demand steps of its per-call reference,
-``tests/sim_reference.py``, to ``Library.packet``; ``TestAgainstReference``
-compares ``simulate`` with that reference."""
+``simulate`` is the protocol's one path.  ``TestLibrary`` and ``TestPlace``
+pin the materialised library and caches of its per-call reference,
+``tests/sim_reference.py``, to the byte rule and the star pattern;
+``TestDeliver`` and ``TestDecode`` pin that reference's one-demand steps to
+``Library.packet``; ``TestAgainstReference`` compares ``simulate`` with that
+reference."""
 
 from __future__ import annotations
 
@@ -24,15 +26,21 @@ from dpda import (
     construct_grid,
     construct_odd,
     lift,
-    make_library,
     parse_dpda,
-    place,
     simulate,
     slot_cells,
 )
 
 import sim_reference as reference
-from sim_reference import Signal, SimulationError, decode, deliver, user_cache_bytes
+from sim_reference import (
+    Signal,
+    SimulationError,
+    decode,
+    deliver,
+    make_library,
+    place,
+    user_cache_bytes,
+)
 from fuzz import random_well_formed, valid_corpus
 from golden import P3_TEXT, P4_TEXT, P6_TEXT, Q_LIFTED_P4_TEXT
 
@@ -421,9 +429,9 @@ class TestSimulate:
         for _ in range(30):
             dems = [Demand(d=[rng.randrange(40) for _ in range(p.k)],
                            b=[rng.randrange(4) for _ in range(p.k)]) for _ in range(3)]
-            wide = dpda.sim._packets(lib, p.lp, p.f, dems, {})
+            wide = dpda.sim._packets(lib._ramp, lib.packet_size, p.lp, p.f, dems, {})
             for t, dem in enumerate(dems):
-                ints = dpda.sim._packets(lib, p.lp, p.f, [dem], memo)
+                ints = dpda.sim._packets(lib._ramp, lib.packet_size, p.lp, p.f, [dem], memo)
                 assert ints == [x >> 8 * size * t & (1 << 8 * size) - 1 for x in wide]
         assert 200 < len(memo) <= 256
 
@@ -441,7 +449,7 @@ class TestSimulate:
             for _ in range(4):
                 dems = [Demand(d=[rng.randrange(40) for _ in range(p.k)],
                                b=[rng.randrange(4) for _ in range(p.k)]) for _ in range(width)]
-                assert dpda.sim._packets(lib, p.lp, p.f, dems, memo) == [
+                assert dpda.sim._packets(lib._ramp, lib.packet_size, p.lp, p.f, dems, memo) == [
                     int.from_bytes(b"".join(lib.packet(dem.d[j], dem.b[j] + i // p.f, i % p.f)
                                             for dem in dems), "little")
                     for j in range(p.k) for i in range(p.rows)]
@@ -456,6 +464,10 @@ class TestSimulate:
             simulate(p, 4, 3, demand=Demand(d=(0,) * 4, b=(0,) * 4), trials=2)
         with pytest.raises(ValueError, match="trials"):
             simulate(p, 4, 3, trials=0)
+        for n, size in ((0, 64), (4, 0)):
+            with pytest.raises(ValueError,
+                               match=r"^N, L, F and packet_size must all be >= 1$"):
+                simulate(p, n, 3, size, trials=1)
 
 
 # ------------------------------------------------- against the reference loops
@@ -592,17 +604,17 @@ class TestAgainstReference:
             dem = Demand(d=tuple(rng.randrange(3) for _ in range(p.k)),
                          b=tuple(rng.randrange(2) for _ in range(p.k)))
             cells = slot_cells(p)
-            mix, fault = dpda.sim._slot_plan(p, cells, caches)
+            mix, fault = dpda.sim._slot_plan(p, cells)
             signals = _outcome(deliver, p, caches, lib, dem)
             if fault is not None:
                 assert signals == (SimulationError, dpda.sim._say(fault, dem, p.f)), (p, dem)
                 continue
-            ints = dpda.sim._packets(lib, p.lp, p.f, [dem], {})
+            ints = dpda.sim._packets(lib._ramp, lib.packet_size, p.lp, p.f, [dem], {})
             payloads = dpda.sim._payloads(mix, ints)
             assert [sig.payload for sig in signals] == [
                 x.to_bytes(size, "little") for x in payloads], (p, dem)
-            for k, star_rows in enumerate(caches.users):
-                plan = dpda.sim._user_plan(p, cells, k, star_rows)
+            for k in range(p.k):
+                plan = dpda.sim._user_plan(p, cells, k)
                 message = dpda.sim._refusal(plan, dem, k, p.f)
                 got = _outcome(decode, p, user_cache_bytes(lib, caches, k), signals, dem, k)
                 assert got == ((SimulationError, message) if message else {
