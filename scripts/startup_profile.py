@@ -14,7 +14,10 @@ source), under ``-X importtime``, and prints:
   and compile time (best of 5, in this process), the nodes of its outermost
   functions (methods included) that the run never entered, and their
   totals: the source that one run compiles, and how much of it the run
-  compiles but never calls.
+  compiles but never calls;
+* the heap at exit, once ``main`` has returned: the objects the
+  interpreter's exit collections traverse, and the ones ``main`` froze at
+  entry, which they skip.
 
 Which functions a run enters comes from a second run of the same argv under
 ``sys.setprofile``, apart from the timed one; an ARGV that reads ``-``
@@ -39,15 +42,18 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Runs dpda.cli.main on sys.argv[1:] and, however it exits, names on stderr
-# the dpda modules that executed (a lazy stub is not a plain module yet).
+# the dpda modules that executed (a lazy stub is not a plain module yet) and
+# the heap left for the exit collections: the objects they traverse, and
+# those main froze at entry, which they skip.
 CHILD = """\
-import sys
+import gc, sys
 from dpda.cli import main
 try:
     code = main()
 finally:
     print("dpda modules:", *sorted(name for name, m in sys.modules.items()
           if name.startswith("dpda") and type(m).__name__ == "module"), file=sys.stderr)
+    print("exit heap:", len(gc.get_objects()), gc.get_freeze_count(), file=sys.stderr)
 sys.exit(code)
 """
 
@@ -139,8 +145,10 @@ def main(argv: list[str]) -> int:
     for us, name in extra:
         print(f"{us:>9}  {name}")
     print(f"{sum(us for us, _ in extra):>9}  total over {len(extra)} modules")
-    executed = next((line.split()[2:] for line in stderr.splitlines()
-                     if line.startswith("dpda modules:")), [])
+    lines = stderr.splitlines()
+    executed = next((line.split()[2:] for line in lines if line.startswith("dpda modules:")), [])
+    tracked, frozen = next((line.split()[2:] for line in lines
+                            if line.startswith("exit heap:")), ("?", "?"))
     print("dpda modules executed, compiled here from source (best of 5):")
     print(f"{'compile_ms':>10}  {'lines':>5}  {'nodes':>5}  {'uncalled':>8}  module")
     total = [0.0, 0, 0, 0]
@@ -156,6 +164,7 @@ def main(argv: list[str]) -> int:
         print(f"{row[0]:>10.2f}  {row[1]:>5}  {row[2]:>5}  {row[3]:>8}  {name}")
     print(f"{total[0]:>10.2f}  {total[1]:>5}  {total[2]:>5}  {total[3]:>8}  "
           f"total over {len(executed)} modules")
+    print(f"at exit: {tracked} tracked objects, {frozen} frozen at entry")
     return 0
 
 

@@ -24,10 +24,18 @@ handler.  A plain well-formed argv is read straight from it by
 ``_fast_args``; ``argparse``, built from the same table, loads only for
 help, usage errors and the argv forms the fast path leaves to it
 (abbreviations, ``--opt=value``, values starting with ``-``).
+
+Run as the process's own command line (``main()`` with no ``argv``, as the
+``dpda`` console script calls it), ``main`` freezes the heap it starts with
+(``gc.freeze``): the interpreter, its ``site`` and what importing this
+module loaded live until exit anyway, so CPython's collections at exit
+skip them instead of traversing every object of every module.  A caller
+that passes ``argv`` keeps its heap and its collector untouched.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from importlib import import_module
 from types import SimpleNamespace
@@ -155,8 +163,18 @@ def _parser():
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the ``dpda`` command line ``argv`` and return its exit code.
+
+    With no ``argv``, the command line is the process's own (``sys.argv``),
+    and everything loaded so far lives until exit, so it is frozen
+    (``gc.freeze``) and the collections at interpreter exit skip it; each
+    run's own objects are still freed as usual, and the collector stays on
+    for the cycles a run makes.  With an ``argv`` the caller owns the
+    process, and its heap is left as it is.
+    """
     if argv is None:
         argv = sys.argv[1:]
+        gc.freeze()
     args = _fast_args(argv) or SimpleNamespace(**vars(_parser().parse_args(argv)))
     module, _, name = args.func.partition(".")
     try:

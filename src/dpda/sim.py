@@ -105,7 +105,7 @@ def _draw_demand(getrandbits: Callable[[int], int], bounds: list[tuple[int, int]
 _Cell = tuple[int, int]
 _Fault = tuple[str, _Cell | None]
 _Row = tuple[int | None, tuple[int, ...]]
-CHUNK_BYTES = 1 << 19  # bytes a chunk's trials may take: B = this // bytes per trial
+CHUNK_BYTES = 1 << 19  # bytes a chunk's trials may take: B = this // bytes per trial, >= 1
 
 
 def _pid(dem: Demand, f: int, i: int, j: int) -> PacketId:
@@ -281,8 +281,11 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
     Trials run in chunks of ``CHUNK_BYTES // (packet_size*(K*rows + S) + 512)``
     trials (at least one), as a trial takes a packet per cell and per slot
     and about 512 bytes of demand.  A run holds one chunk at a time: beyond
-    its plans, which grow with the array, about ``CHUNK_BYTES`` whatever the
-    array, trial and file counts.  Failures come in trial, then user order.
+    its plans, which grow with the array, about max(``CHUNK_BYTES``, one
+    trial) whatever the trial and file counts.  So a trial above the budget,
+    as long packets on a large array make, runs alone, and the run's memory
+    then grows with ``packet_size`` and the array.  Failures come in trial,
+    then user order.
     """
     if l < p.lp:
         raise ValueError(f"need L >= L', got L={l}, L'={p.lp}")

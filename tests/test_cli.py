@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import io
 import json
@@ -735,14 +736,18 @@ def test_help_and_usage_errors_run_no_library_module(argv, code):
     assert proc.stdout.splitlines()[-1] == f"{code} ['cli']"
 
 
-@pytest.mark.parametrize("argv", [
+# One argv per verb; ``{path}`` stands for a file holding P4.
+VERB_ARGVS = [
     ["construct", "--family", "even", "--q", "2"],
     ["validate", "{path}", "--optimal"],
     ["bounds", "--from", "{path}"],
     ["compare", "{path}"],
     ["simulate", "{path}", "--files", "4", "--blocks", "2", "--trials", "3"],
     ["search", "--k", "3", "--f", "3", "--z", "1"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", VERB_ARGVS, ids=lambda argv: argv[0])
 def test_subcommand_skips_heavy_stdlib_imports(tmp_path, argv):
     # The records need no `dataclasses` (which pulls in inspect, ast and dis),
     # `--json` output is written without `json`, which no module loads, and
@@ -762,6 +767,31 @@ def test_subcommand_skips_heavy_stdlib_imports(tmp_path, argv):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0 0 []"
+
+
+@pytest.mark.parametrize("argv", VERB_ARGVS, ids=lambda argv: argv[0])
+def test_in_process_main_leaves_the_heap_unfrozen(tmp_path, capsys, argv):
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    frozen = gc.get_freeze_count()
+    assert run(capsys, *[a.format(path=f) for a in argv])[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("argv", VERB_ARGVS, ids=lambda argv: argv[0])
+def test_process_entry_freezes_the_heap_and_prints_the_same(tmp_path, capsys, argv):
+    # main() reads sys.argv and freezes the start-up heap, so the exit
+    # collections skip it; what it prints is what main(argv) prints
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    argv = [a.format(path=f) for a in argv]
+    script = ("import gc, sys; from dpda.cli import main; code = main(); "
+              "print(gc.get_freeze_count() > 0, file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True)
+    code, out, err = run(capsys, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + "True\n")
 
 
 @pytest.mark.parametrize("script, args", [
@@ -791,8 +821,9 @@ def test_startup_profile_runs():
         assert "dpda.cli\n" in proc.stdout and "argparse" not in proc.stdout
         lines = proc.stdout.splitlines()
         header = lines.index("compile_ms  lines  nodes  uncalled  module")
-        # one row per dpda module the run compiled, then their totals
-        rows = [line.split() for line in lines[header + 1:]]
+        # one row per dpda module the run compiled, then their totals, then
+        # the heap at exit
+        rows = [line.split() for line in lines[header + 1:-1]]
         assert [row[4:] for row in rows] == [[name] for name in modules] + [
             ["total", "over", str(len(modules)), "modules"]]
         # lines, nodes and the nodes of functions never entered add up, and
@@ -800,6 +831,9 @@ def test_startup_profile_runs():
         counts = [[int(x) for x in row[1:4]] for row in rows]
         assert [sum(column) for column in zip(*counts[:-1])] == counts[-1]
         assert all(0 < uncalled < nodes for _lines, nodes, uncalled in counts)
+        # main froze the start-up heap, which the exit collections skip
+        tracked, frozen = lines[-1].removeprefix("at exit: ").split(" tracked objects, ")
+        assert int(tracked) >= 0 and int(frozen.removesuffix(" frozen at entry")) > 0
 
 
 def test_each_name_has_one_home():
