@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 # Submodule -> the public names it gives the package, in ``__all__`` order.
 _EXPORTS = {
     "core": ("STAR", "Coded", "Dpda", "Entry", "FormatError",
-             "parse_dpda", "serialize_dpda", "dpda_to_json", "slot_cells"),
+             "parse_dpda", "serialize_dpda", "dpda_to_json"),
     "validation": ("ConditionCheck", "ValidationReport", "RateOptimality", "validate"),
     "construct": ("construct_jcm", "construct_grid", "construct_even", "construct_odd",
                   "lift"),

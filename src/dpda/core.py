@@ -33,8 +33,9 @@ share one :class:`Coded`, and each row is looked up whole.  Only when a
 token is wrong does it walk the rows in order to name the first bad one.
 The reader parses the header and hands the rows to :class:`Dpda`, whose
 check is the one statement of the structure (dimensions, entry ranges, one
-sender per slot); both raise :class:`FormatError` with row and column
-coordinates.  The semantic conditions C0-C4 live in :mod:`dpda.validation`.
+sender per slot) and builds each array's one slot index; both raise
+:class:`FormatError` with row and column coordinates.  The semantic
+conditions C0-C4 live in :mod:`dpda.validation`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ __all__ = [
     "parse_dpda",
     "serialize_dpda",
     "dpda_to_json",
-    "slot_cells",
 ]
 
 
@@ -145,9 +145,16 @@ class Dpda(_Record):
     enforces the structural invariants: exact dimensions, no more slots
     than cells, slot ids in ``[0, s)``, sender indices in ``[0, k)``, and a
     single sender per slot.
+
+    The same walk builds the array's slot index, ``_cells``: entry ``s``
+    lists slot ``s``'s (row, column) cells in row-major order (empty for an
+    id that never occurs), and its first cell names the slot's sender.
+    :mod:`dpda.validation` and :mod:`dpda.sim` read it.  It is a slot, not a
+    field, so equality, hash, repr and pickling see the six fields alone,
+    and an unpickled or copied array rebuilds it in ``__init__``.
     """
 
-    __slots__ = ("k", "lp", "f", "z", "s", "grid")
+    __slots__ = ("k", "lp", "f", "z", "s", "grid", "_cells")
     k: int
     lp: int
     f: int
@@ -166,7 +173,7 @@ class Dpda(_Record):
         grid = tuple(tuple(row) for row in grid)
         if len(grid) != lp * f:
             raise FormatError(f"expected {_count(lp * f)} rows (L'*F), got {len(grid)}")
-        senders: dict[int, tuple[int, int, int]] = {}
+        cells: list[list[tuple[int, int]]] = [[] for _ in range(s)]
         for r, row in enumerate(grid):
             if len(row) != k:
                 raise FormatError(f"row {r}: expected {_count(k)} columns, got {len(row)}")
@@ -181,16 +188,18 @@ class Dpda(_Record):
                     raise FormatError(
                         f"row {r}, column {c}: sender {e.sender} out of range [0,{k})"
                     )
-                seen = senders.get(e.slot)
-                if seen is None:
-                    senders[e.slot] = (e.sender, r, c)
-                elif seen[0] != e.sender:
-                    raise FormatError(
-                        f"row {r}, column {c}: slot {e.slot} has sender {e.sender}, "
-                        f"but row {seen[1]}, column {seen[2]} assigned sender {seen[0]}"
-                    )
+                occ = cells[e.slot]
+                if occ:
+                    r0, c0 = occ[0]
+                    if grid[r0][c0].sender != e.sender:
+                        raise FormatError(
+                            f"row {r}, column {c}: slot {e.slot} has sender {e.sender}, "
+                            f"but row {r0}, column {c0} assigned sender {grid[r0][c0].sender}"
+                        )
+                occ.append((r, c))
         for field, value in zip(self._fields, (k, lp, f, z, s, grid)):
             _set(self, field, value)
+        _set(self, "_cells", cells)
 
     @property
     def rows(self) -> int:
@@ -323,14 +332,3 @@ def dpda_to_json(p: Dpda) -> dict:
         "s": p.s,
         "grid": [_row_tokens(row) for row in p.grid],
     }
-
-
-def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
-    """Map each slot id to its (row, column) occurrences in row-major order."""
-    cells: dict[int, list[tuple[int, int]]] = {}
-    for r, row in enumerate(p.grid):
-        for c, e in enumerate(row):
-            if e is not None:
-                cells.setdefault(e.slot, []).append((r, c))
-    return cells
-

@@ -18,9 +18,10 @@ rule, and packets are slices of one ramp of bytes that :func:`simulate`
 builds per run.
 Which cells each slot mixes, whether its sender caches them, which side
 packets each user strips and whether it caches them depend on the array
-alone, so :func:`simulate` plans and checks them, and a caller's demand,
-once per run; only same-row collisions are checked per trial (drawn
-demands are in range), so a failure is a plan fault or a demand's refusal.
+alone, so :func:`simulate` plans and checks them from the slot index that
+:class:`~dpda.core.Dpda` builds, and a caller's demand, once per run; only
+same-row collisions are checked per trial (drawn demands are in range), so
+a failure is a plan fault or a demand's refusal.
 Trials run in chunks that fit a byte budget, in trial order: a cell's
 packets for every trial of a chunk sit side by side in one little-endian
 integer, built from the byte rule, so a chunk XORs each slot and strips
@@ -42,9 +43,9 @@ from fractions import Fraction
 from functools import reduce
 from operator import xor
 from types import SimpleNamespace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
-from .core import Dpda, _as_json, _load, _Record, _set, slot_cells
+from .core import Dpda, _as_json, _load, _Record, _set
 
 __all__ = [
     "PacketId",
@@ -117,15 +118,14 @@ def _say(fault: _Fault, dem: Demand, f: int) -> str:
     return text if cell is None else text.format(_pid(dem, f, *cell))
 
 
-def _slot_plan(p: Dpda, cells: Mapping[int, list[_Cell]],
-               ) -> tuple[list[tuple[int, ...]], _Fault | None]:
+def _slot_plan(p: Dpda) -> tuple[list[tuple[int, ...]], _Fault | None]:
     """Each slot's cell indices, in slot order, and the fault of the first
     slot that never occurs or whose sender lacks one of its packets (None
-    when every slot can be sent).  The sender holds cell (i, j)'s packet
-    when row i mod F of its column is a star: band 0 is the placement."""
+    when every slot can be sent), read from the array's slot index.  The
+    sender holds cell (i, j)'s packet when row i mod F of its column is a
+    star: band 0 is the placement."""
     mix, f, rows, grid = [], p.f, p.rows, p.grid
-    for s in range(p.s):
-        occ = cells.get(s)
+    for s, occ in enumerate(p._cells):
         if not occ:
             return mix, (f"slot {s} never occurs; cannot schedule its broadcast", None)
         sender = grid[occ[0][0]][occ[0][1]].sender
@@ -137,7 +137,7 @@ def _slot_plan(p: Dpda, cells: Mapping[int, list[_Cell]],
     return mix, None
 
 
-def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int,
+def _user_plan(p: Dpda, k: int,
                ) -> tuple[list[tuple[int, int, int, int]], _Fault | None, list[_Row]]:
     """User k's decoding, checked in row order: (clashes, fault, rows).
 
@@ -149,7 +149,7 @@ def _user_plan(p: Dpda, cells: Mapping[int, list[_Cell]], k: int,
     in-band row as (i, j2, shift, slot): it carries the wanted packet itself
     when b_j2 = b_k + shift.  ``rows[i]`` is row i's (slot, side cells).
     """
-    f, nrows, grid = p.f, p.rows, p.grid
+    f, nrows, grid, cells = p.f, p.rows, p.grid, p._cells
     clashes, rows = [], []
     for i, row in enumerate(grid):
         e = row[k]
@@ -299,9 +299,8 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     k_users, f, starts = p.k, p.f, l - p.lp + 1
-    cells = slot_cells(p)
-    mix, fault = _slot_plan(p, cells)
-    plans = [_user_plan(p, cells, k) for k in range(k_users)]
+    mix, fault = _slot_plan(p)
+    plans = [_user_plan(p, k) for k in range(k_users)]
     if demand is not None:
         try:
             _check_demand(demand, k_users, n, l, p.lp)

@@ -11,13 +11,14 @@ A structurally well-formed array is a DPDA when it satisfies:
 * C4b - for equal-slot entries at (j1,k1) and (j2,k2), both crossing cells
   (j1,k2) and (j2,k1) are stars.
 
-Two housekeeping checks the delivery protocol relies on are verified
-explicitly: one sender per slot, and slot ids contiguous from 0.
+Two housekeeping checks the delivery protocol relies on are reported
+too: one sender per slot, which :class:`~dpda.core.Dpda` enforces when it
+is built, and slot ids contiguous from 0.
 
-:func:`validate` is the one entry point.  It makes one walk over the cells
-(star bitmasks, C3, the unique sender, the slot index), one transpose (C1,
-the column star counts) and one walk over the slot index in id order (C2,
-C4, contiguity, the occurrence and broadcast counts), and derives from them
+:func:`validate` is the one entry point.  It makes one walk, in id order,
+over the slot index that ``Dpda`` builds where it checks senders (the row
+star masks, C2, C3, C4, contiguity, the occurrence and broadcast counts)
+and one transpose (C1, the column star counts), and derives from them
 every verdict, witness and counting diagnostic, plus the rate-optimality
 verdicts of a valid array.
 All arithmetic is exact; a non-integer target makes a verdict false, never
@@ -72,44 +73,33 @@ def _c1(p: Dpda, stars: tuple[int, ...]) -> ConditionCheck:
     return _OK
 
 
-def _cell_walk(p: Dpda) -> tuple:
-    """One walk over the cells: each row's star mask, C3, the unique-sender
-    check, each used slot's first sender, and the slot index: each slot id's
-    cells, in row-major order (every id lies in [0, S))."""
-    masks, senders, c3, unique = [], {}, _OK, _OK
-    first, bits = senders.setdefault, [1 << c for c in range(p.k)]
-    cells: list[list[tuple[int, int]]] = [[] for _ in range(p.s)]
-    for r, row in enumerate(p.grid):
-        mask = 0
-        for c, e in enumerate(row):
-            if e is None:
-                mask |= bits[c]
-                continue
-            slot, sender = e.slot, e.sender
-            if row[sender] is not None and c3.passed:
-                c3 = ConditionCheck(False, (r, c, slot, sender))
-            if first(slot, sender) != sender and unique.passed:
-                unique = ConditionCheck(False, (r, c, slot))
-            cells[slot].append((r, c))
-        masks.append(mask)
-    return tuple(masks), c3, unique, senders, cells
-
-
-def _slot_walk(p: Dpda, senders: dict[int, int], cells: list[list[tuple[int, int]]]) -> tuple:
-    """C2, C4a, C4b, contiguity, the occurrence and the broadcast counts, from
-    the slot index.  C4 takes the slots in id order and stops once both have
-    failed.  The used ids have a gap iff the lowest missing id is below their
-    number."""
-    occurrences = tuple(map(len, cells))
-    missing = occurrences.index(0) if 0 in occurrences else p.s
+def _slot_walk(p: Dpda) -> tuple:
+    """One walk over the array's slot index in id order: each row's star
+    mask, C2, C3, C4a, C4b, contiguity, the occurrence and the broadcast
+    counts.  A row's mask starts full and each coded cell's bit is XORed
+    out.  C3's witness is its row-major least failing cell, the least of
+    each slot's first.  C4 stops once both have failed.  The used ids have
+    a gap iff the lowest missing id is below their number."""
+    grid, index = p.grid, p._cells
+    bits = [1 << c for c in range(p.k)]
+    masks = [(1 << p.k) - 1] * p.rows
     counts = [0] * p.k
-    for sender in senders.values():
+    c3 = c4a = c4b = _OK
+    for s, occ in enumerate(index):
+        if not occ:
+            continue
+        r0, c0 = occ[0]
+        sender = grid[r0][c0].sender
         counts[sender] += 1
-    c4a = c4b = _OK
-    grid = p.grid
-    for s, occ in enumerate(cells):
+        bad = None
+        for r, c in occ:
+            masks[r] ^= bits[c]
+            if bad is None and grid[r][sender] is not None:
+                bad = (r, c)
+        if bad is not None and (c3.passed or bad < c3.witness[:2]):
+            c3 = ConditionCheck(False, (*bad, s, sender))
         if not (c4a.passed or c4b.passed):
-            break
+            continue
         for (r1, c1), (r2, c2) in combinations(occ, 2):
             if r1 == r2 or c1 == c2:
                 if c4a.passed:
@@ -117,9 +107,11 @@ def _slot_walk(p: Dpda, senders: dict[int, int], cells: list[list[tuple[int, int
             elif grid[r1][c2] is not None or grid[r2][c1] is not None:
                 if c4b.passed:
                     c4b = ConditionCheck(False, (s, r1, c1, r2, c2))
+    occurrences = tuple(map(len, index))
+    missing = occurrences.index(0) if 0 in occurrences else p.s
     c2 = ConditionCheck(False, (missing,)) if missing < p.s else _OK
-    contiguity = c2 if missing < len(senders) else _OK
-    return c2, c4a, c4b, contiguity, occurrences, tuple(counts)
+    contiguity = c2 if missing < sum(counts) else _OK
+    return tuple(masks), c2, c3, c4a, c4b, contiguity, occurrences, tuple(counts)
 
 
 class RateOptimality(_Record):
@@ -158,10 +150,8 @@ class ValidationReport(_Record):
       or a column;
     * ``c4b`` - (slot, r1, c1, r2, c2): two equal-slot entries whose 2x2
       crossing cells are not both stars;
-    * ``unique_sender`` - (row, column, slot) of an entry whose sender
-      differs from the slot's first sender.  Enforced at construction time
-      for :class:`Dpda`, re-checked here so a report certifies it
-      independently;
+    * ``unique_sender`` - one sender per slot.  Enforced by :class:`Dpda`,
+      so it always passes on a parsed or built array;
     * ``slot_contiguity`` - (gap id,): used slot ids must form a gap-free
       range starting at 0.  It fails only together with ``c2``, with the
       same witness.
@@ -253,12 +243,12 @@ def validate(p: Dpda) -> ValidationReport:
     equally often, m_k*K*Z == L'*F*(F-Z).  A violation would mean a checker
     bug and raises ``AssertionError``.
     """
-    masks, c3, unique, senders, cells = _cell_walk(p)
+    masks, c2, c3, c4a, c4b, contiguity, occurrences, counts = _slot_walk(p)
     cols = tuple(zip(*p.grid))  # a Coded entry is always truthy, a star never
     col_stars = tuple(len(col) - sum(map(bool, col)) for col in cols)
     band0 = col_stars if p.lp == 1 else tuple(p.f - sum(map(bool, c[:p.f])) for c in cols)
-    c2, c4a, c4b, contiguity, occurrences, counts = _slot_walk(p, senders, cells)
-    checks = (_c0(p, masks), _c1(p, band0), c2, c3, c4a, c4b, unique, contiguity)
+    # the unique sender is _OK: Dpda refuses a slot with a second sender
+    checks = (_c0(p, masks), _c1(p, band0), c2, c3, c4a, c4b, _OK, contiguity)
     row_ints = tuple(p.k - m.bit_count() for m in masks)
     opt = None
     if all(checks):

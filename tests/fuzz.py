@@ -19,10 +19,10 @@ from dpda import (
     construct_jcm,
     construct_odd,
     lift,
-    slot_cells,
 )
 
 from symmetry import permute_band_rows, permute_columns, relabel_slots
+from validation_reference import slot_cells
 
 
 def random_well_formed(rng: random.Random) -> Dpda:
@@ -113,19 +113,15 @@ def star_cell_flips(p: Dpda):
 
 
 def two_sender_copies(p: Dpda):
-    """Every copy of ``p`` with one coded cell handed to the next user, which
-    gives its slot two senders when the slot has other cells; built past
-    ``Dpda``'s structural checks, which would refuse those."""
+    """The grid of every copy of ``p`` with one coded cell handed to the
+    next user, which gives its slot two senders when the slot has other
+    cells.  Grids, not arrays: ``Dpda`` refuses a slot with two senders."""
     for r, row in enumerate(p.grid):
         for c, e in enumerate(row):
             if e is not None and p.k > 1:
                 grid = [list(cells) for cells in p.grid]
                 grid[r][c] = Coded(e.slot, (e.sender + 1) % p.k)
-                q = object.__new__(Dpda)
-                for field, value in zip(Dpda._fields, (p.k, p.lp, p.f, p.z, p.s,
-                                                       tuple(map(tuple, grid)))):
-                    object.__setattr__(q, field, value)
-                yield q
+                yield tuple(map(tuple, grid))
 
 
 def lifted_corpus() -> list[Dpda]:

@@ -6,8 +6,9 @@ materialised library and caches and one-demand steps included: a
 copies each user's star rows into a :class:`Caches` record,
 ``user_cache_bytes`` stores a user's cache as a dict of packet bytes,
 ``deliver`` returns one demand's :class:`Signal` list and ``decode`` one
-user's recovered packets, each indexing the array itself (``slot_cells``)
-on every call and raising :class:`SimulationError` on a state only an
+user's recovered packets, each indexing the array itself on every call
+(``validation_reference.slot_cells``, a scan independent of ``Dpda``'s
+own index) and raising :class:`SimulationError` on a state only an
 invalid array can produce; ``simulate`` runs them one trial at a time and
 compares each recovered packet with the library one by one.  The tests
 check ``Library.packet`` against the byte rule written out byte by byte,
@@ -26,9 +27,11 @@ import random
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from dpda import Dpda, slot_cells
+from dpda import Dpda
 from dpda.core import _Record
 from dpda.sim import Demand, PacketId, SimReport
+
+from validation_reference import slot_cells
 
 
 class Library(_Record):

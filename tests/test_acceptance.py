@@ -29,7 +29,6 @@ from dpda import (
     search_min_s,
     serialize_dpda,
     simulate,
-    slot_cells,
     validate,
 )
 
@@ -43,6 +42,7 @@ from golden import (
     P6_TEXT,
     Q_LIFTED_P4_TEXT,
 )
+from validation_reference import slot_cells
 
 GRID_RANGE = range(2, 9)
 EVEN_RANGE = range(2, 13)

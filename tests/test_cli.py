@@ -862,6 +862,7 @@ def test_readers_load_on_first_use_under_every_name():
     # importing the package does not execute; reading executes dpda.core
     # alone and never loads json.  dpda.core is the one module path:
     # dpda.read and dpda.mirror are gone, and nothing reads the mirror back.
+    # slot_cells is gone too: each array carries its own slot index.
     script = (
         "import sys, types\n"
         "import dpda\n"
@@ -874,13 +875,15 @@ def test_readers_load_on_first_use_under_every_name():
         "print(ran(), 'json' in sys.modules)\n"
         "print(dpda.parse_dpda is dpda.core.parse_dpda,\n"
         "      dpda.dpda_to_json is dpda.core.dpda_to_json,\n"
-        "      hasattr(dpda, 'dpda_from_json'), hasattr(dpda.core, 'dpda_from_json'))\n"
+        "      hasattr(dpda, 'dpda_from_json'), hasattr(dpda.core, 'dpda_from_json'),\n"
+        "      hasattr(dpda, 'slot_cells'), hasattr(dpda.core, 'slot_cells'),\n"
+        "      'slot_cells' in dpda.__all__ + dpda.core.__all__)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout == ("[]\n['dpda.core'] False\n['dpda.core'] False\n"
-                           "True True False False\n")
+                           "True True False False False False False\n")
     for gone in ("dpda.read", "dpda.mirror"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(gone)

@@ -19,7 +19,6 @@ from dpda import (
     lift,
     parse_dpda,
     serialize_dpda,
-    slot_cells,
     validate,
 )
 
@@ -34,6 +33,7 @@ from golden import (
     P6_TEXT,
     Q_LIFTED_P4_TEXT,
 )
+from validation_reference import slot_cells
 
 
 def _digests(family: str) -> dict[str, str]:

@@ -31,6 +31,9 @@ from sim_reference import Caches, Library, Signal
 
 _OK = ConditionCheck(True)
 _P1 = Dpda(k=1, lp=1, f=1, z=1, s=0, grid=((None,),))
+_A, _B, _C, _D = (Coded(s, s) for s in range(4))
+_P4_GRID = ((_C, None, None, _B), (None, _C, None, _A), (_D, None, _B, None),
+            (None, _D, _A, None))
 _P1_TEXT = "DPDA K=1 L'=1 F=1 Z=1 S=0\n*\n"
 _NO_CHECK = {"passed": True, "witness": None}
 _FAILURE = {"trial": 1, "user": 0,
@@ -114,8 +117,14 @@ RECORDS = [
      "memory_files=Fraction(1, 2))",
      {"success": False, "packets_sent": 4, "rate": "1", "trials": 2,
       "failures": [_FAILURE], "memory_files": "1/2"}),
+    # P4, an array with coded cells: its slot index is a slot, not a field
+    (Dpda, {"k": 4, "lp": 1, "f": 4, "z": 2, "s": 4, "grid": _P4_GRID}, (),
+     "Dpda(k=4, lp=1, f=4, z=2, s=4, grid=((Coded(slot=2, sender=2), None, None, "
+     "Coded(slot=1, sender=1)), (None, Coded(slot=2, sender=2), None, "
+     "Coded(slot=0, sender=0)), (Coded(slot=3, sender=3), None, Coded(slot=1, sender=1), "
+     "None), (None, Coded(slot=3, sender=3), Coded(slot=0, sender=0), None)))", None),
 ]
-_IDS = [r[0].__name__ for r in RECORDS[:-1]] + ["SimReport-failures"]
+_IDS = [r[0].__name__ for r in RECORDS[:-2]] + ["SimReport-failures", "Dpda-coded"]
 
 # the JSON forms a RECORDS row leaves out: (id, record, its to_json() document)
 MORE_JSON = [
@@ -150,6 +159,11 @@ def test_record_contract(cls, fields, defaulted, expected_repr, expected_json):
         assert hash(positional) == hash(tuple(fields.values()))
     assert positional != object()
     assert copy.copy(positional) == pickle.loads(pickle.dumps(positional)) == positional
+    # a slot that is no field (Dpda's slot index) is rebuilt equal by every clone
+    extra = [name for name in cls.__slots__ if name not in cls._fields]
+    for clone in (copy.copy(positional), copy.deepcopy(positional),
+                  pickle.loads(pickle.dumps(positional))):
+        assert [getattr(clone, n) for n in extra] == [getattr(positional, n) for n in extra]
     name = next(iter(fields))
     with pytest.raises(AttributeError):
         setattr(positional, name, fields[name])

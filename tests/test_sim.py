@@ -28,7 +28,6 @@ from dpda import (
     lift,
     parse_dpda,
     simulate,
-    slot_cells,
 )
 
 import sim_reference as reference
@@ -603,8 +602,7 @@ class TestAgainstReference:
             caches = place(p, lib)
             dem = Demand(d=tuple(rng.randrange(3) for _ in range(p.k)),
                          b=tuple(rng.randrange(2) for _ in range(p.k)))
-            cells = slot_cells(p)
-            mix, fault = dpda.sim._slot_plan(p, cells)
+            mix, fault = dpda.sim._slot_plan(p)
             signals = _outcome(deliver, p, caches, lib, dem)
             if fault is not None:
                 assert signals == (SimulationError, dpda.sim._say(fault, dem, p.f)), (p, dem)
@@ -614,7 +612,7 @@ class TestAgainstReference:
             assert [sig.payload for sig in signals] == [
                 x.to_bytes(size, "little") for x in payloads], (p, dem)
             for k in range(p.k):
-                plan = dpda.sim._user_plan(p, cells, k)
+                plan = dpda.sim._user_plan(p, k)
                 message = dpda.sim._refusal(plan, dem, k, p.f)
                 got = _outcome(decode, p, user_cache_bytes(lib, caches, k), signals, dem, k)
                 assert got == ((SimulationError, message) if message else {

@@ -5,7 +5,9 @@ from __future__ import annotations
 import ast
 import inspect
 import random
+import re
 import typing
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from dpda import (
     Coded,
     ConditionCheck,
     Dpda,
+    FormatError,
     STAR,
     lift,
     parse_dpda,
@@ -297,11 +300,10 @@ def test_equal_broadcast_counts_follow_from_optimality():
 
 
 def test_report_fields_match_reference_scans():
-    arrays = differential_corpus()
-    two_senders = [q for p in valid_corpus() for q in two_sender_copies(p)]
-    failing = dict.fromkeys(("c0", "c2", "c3", "c4a", "c4b", "unique_sender",
-                             "slot_contiguity"), 0)
-    for p in arrays + two_senders:
+    # unique_sender is pinned where it is enforced, by
+    # test_dpda_refuses_every_two_sender_copy, so it always passes here
+    failing = dict.fromkeys(("c0", "c2", "c3", "c4a", "c4b", "slot_contiguity"), 0)
+    for p in differential_corpus():
         report = validate(p)
         expected = validation_reference.report_fields(p)
         assert {name: getattr(report, name) for name in expected} == expected, p
@@ -310,6 +312,32 @@ def test_report_fields_match_reference_scans():
         # every used id lies in [0, S), so a gap in them is a missing slot id
         if not report.slot_contiguity.passed:
             assert report.c2 == report.slot_contiguity, p
-    # the flips, random and two-sender arrays reach every witness path, not
-    # only the passing verdicts
+    # the flips and random arrays reach every witness path, not only the
+    # passing verdicts
     assert min(failing.values()) > 100, failing
+
+
+def test_dpda_refuses_every_two_sender_copy():
+    # Dpda's sender check is the one place a second sender for a slot is
+    # refused: it names the reference scan's witness, the row-major first
+    # cell whose sender differs from its slot's first
+    refused = 0
+    for p in valid_corpus():
+        for grid in two_sender_copies(p):
+            witness = validation_reference.unique_sender(SimpleNamespace(grid=grid)).witness
+            if witness is None:  # the handed-over cell was its slot's only one
+                assert validate(Dpda(p.k, p.lp, p.f, p.z, p.s, grid)).unique_sender.passed
+                continue
+            r, c, s = witness
+            with pytest.raises(FormatError,
+                               match=f"^{re.escape(f'row {r}, column {c}: slot {s} has sender')}"):
+                Dpda(p.k, p.lp, p.f, p.z, p.s, grid)
+            refused += 1
+    assert refused > 100, refused
+
+
+def test_slot_index_matches_reference_scan():
+    # every id in [0, S) is indexed, an id that never occurs by an empty list
+    for p in differential_corpus():
+        cells = validation_reference.slot_cells(p)
+        assert p._cells == [cells.get(s, []) for s in range(p.s)], p

@@ -4,12 +4,13 @@ These are the validator's earlier per-cell paths: C0 builds each column's
 list of band cells at every in-band row, C1 counts the first band's stars
 cell by cell, C3 and the unique-sender check each walk every cell, and the
 two grid count diagnostics walk the grid.  The slot facts come from a slot
-index built here by its own per-cell scan: C2 probes every id below S, C4
-scans each slot's pairs by index in sorted slot order, contiguity sorts the
-used ids, and the occurrence and broadcast counts each walk the index.
-``dpda.validation.validate`` derives the same fields from one pass over the
-rows, one transposed grid and one walk over its slot index in id order; its
-report must equal these on every array.
+index built here by its own per-cell scan, :func:`slot_cells`, which the
+other test oracles share: C2 probes every id below S, C4 scans each slot's
+pairs by index in sorted slot order, contiguity sorts the used ids, and the
+occurrence and broadcast counts each walk the index.
+``dpda.validation.validate`` derives the same fields from one walk over the
+slot index ``Dpda`` builds, in id order, and one transposed grid; its report
+must equal these on every array.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from dpda.validation import ConditionCheck
 _OK = ConditionCheck(True)
 
 
-def _slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
+def slot_cells(p: Dpda) -> dict[int, list[tuple[int, int]]]:
+    """Map each slot id that occurs in ``p`` to its (row, column) cells in
+    row-major order, by a scan independent of ``Dpda``'s own index."""
     cells: dict[int, list[tuple[int, int]]] = {}
     for r in range(p.rows):
         for c in range(p.k):
@@ -50,7 +53,7 @@ def c1(p: Dpda) -> ConditionCheck:
 
 
 def c2(p: Dpda) -> ConditionCheck:
-    cells = _slot_cells(p)
+    cells = slot_cells(p)
     for s in range(p.s):
         if s not in cells:
             return ConditionCheck(False, (s,))
@@ -67,7 +70,7 @@ def c3(p: Dpda) -> ConditionCheck:
 
 def c4(p: Dpda) -> tuple[ConditionCheck, ConditionCheck]:
     c4a = c4b = _OK
-    for s, occ in sorted(_slot_cells(p).items()):
+    for s, occ in sorted(slot_cells(p).items()):
         for i in range(len(occ)):
             r1, c1 = occ[i]
             for r2, c2 in occ[i + 1:]:
@@ -93,20 +96,20 @@ def unique_sender(p: Dpda) -> ConditionCheck:
 
 
 def slot_contiguity(p: Dpda) -> ConditionCheck:
-    for i, s in enumerate(sorted(_slot_cells(p))):
+    for i, s in enumerate(sorted(slot_cells(p))):
         if s != i:
             return ConditionCheck(False, (i,))
     return _OK
 
 
 def slot_occurrences(p: Dpda) -> tuple[int, ...]:
-    cells = _slot_cells(p)
+    cells = slot_cells(p)
     return tuple(len(cells.get(s, ())) for s in range(p.s))
 
 
 def broadcast_counts(p: Dpda) -> tuple[int, ...]:
     m = [0] * p.k
-    for r, c in (occ[0] for occ in _slot_cells(p).values()):
+    for r, c in (occ[0] for occ in slot_cells(p).values()):
         m[p.grid[r][c].sender] += 1
     return tuple(m)
 
