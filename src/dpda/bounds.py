@@ -138,12 +138,11 @@ class JcmComparison(_Record):
     to_json = _as_json
 
 
-def _validated(p: Dpda) -> validation.ValidationReport:
-    """The validation report of ``p``; ``ValueError`` if ``p`` is not valid."""
+def _validated(p: Dpda) -> None:
+    """Raise ``ValueError`` if ``p`` is not a valid array."""
     report = validation.validate(p)
     if not report.valid:
         raise ValueError(f"array is not a valid DPDA (fails {report.first_failure})")
-    return report
 
 
 def compare_to_jcm(p: Dpda) -> JcmComparison:
@@ -194,51 +193,37 @@ class BoundsReport(_Record):
         return j
 
 
-def _notes(k: int, case: str) -> tuple[str, ...]:
-    note = _CASES[case].odd_k_note
-    return (note,) if note and k % 2 else ()
-
-
 def bounds_for_case(k: int, case: str) -> BoundsReport:
-    """Rate and packet-number bounds at one covered memory-ratio case."""
-    f_bound = min_f_bound(k, case)  # range-checks K before the ratio divides by it
-    ratio = Fraction(_CASES[case].numerator(k), k)
+    """Rate and packet-number bounds at one covered memory-ratio case.
+
+    At Z/F = t/K the rate floor (F - Z)/Z is (K - t)/t, ``rate_lower_bound(K, t)``.
+    """
+    f_bound = min_f_bound(k, case)  # checks the case and K first: a refusal names the case
+    spec = _CASES[case]
     return BoundsReport(
         k=k,
         case=case,
-        rate_bound=1 / ratio - 1,
+        rate_bound=rate_lower_bound(k, spec.numerator(k)),
         f_bound=f_bound,
-        notes=_notes(k, case),
+        notes=(spec.odd_k_note,) if spec.odd_k_note and k % 2 else (),
     )
 
 
 def bounds_for_array(p: Dpda) -> BoundsReport:
-    """Score a valid array against its bounds.
-
-    When several covered cases coincide at this (K, Z/F), the strongest
-    (largest) packet-number floor is reported.
-    """
+    """Score a valid array against :func:`bounds_for_case` at the strongest
+    (largest packet-number floor) covered case at its (K, Z/F), or against
+    ``rate_lower_bound(F, Z)`` and no floor when no case covers it."""
     _validated(p)
-    rate_bound = rate_lower_bound(p.f, p.z)
-    achieved_rate = Fraction(p.s, p.lp * p.f)
     cases = applicable_cases(p.k, p.z, p.f)
-    best_case: str | None = None
-    f_bound: int | None = None
-    notes: tuple[str, ...] = ()
-    if cases:
-        bounds = [(_CASES[c].f_floor(p.k), c) for c in cases]
-        f_bound, best_case = max(bounds)
-        notes = _notes(p.k, best_case)
+    base = (bounds_for_case(p.k, max((_CASES[c].f_floor(p.k), c) for c in cases)[1]) if cases
+            else BoundsReport(p.k, None, rate_lower_bound(p.f, p.z), None))
+    achieved_rate = Fraction(p.s, p.lp * p.f)
     return BoundsReport(
-        k=p.k,
-        case=best_case,
-        rate_bound=rate_bound,
-        f_bound=f_bound,
-        notes=notes,
+        p.k, base.case, base.rate_bound, base.f_bound, base.notes,
         achieved_rate=achieved_rate,
         achieved_f=p.f,
-        meets_rate_bound=achieved_rate == rate_bound,
-        meets_f_bound=None if f_bound is None else p.f == f_bound,
+        meets_rate_bound=achieved_rate == base.rate_bound,
+        meets_f_bound=None if base.f_bound is None else p.f == base.f_bound,
     )
 
 

@@ -169,16 +169,18 @@ def construct_odd(q: int) -> Dpda:
 def lift(p: Dpda, lp_new: int) -> Dpda:
     """Stack ``lp_new`` copies of an L'=1 array, shifting copy i's slots by i*S.
 
-    Senders are unchanged; the result serves L'-block requests with S' =
-    lp_new * S slots at the identical rate S/F.  Each copy holds one entry
-    per slot, shared by all the cells of that slot.
+    Senders are unchanged, read from the array's slot index; the result
+    serves L'-block requests with S' = lp_new * S slots at the identical
+    rate S/F.  Each copy holds one entry per slot that occurs, shared by all
+    the cells of that slot.
     """
     if p.lp != 1:
         raise ValueError(f"lift requires an L'=1 array, got L'={p.lp}")
     if lp_new < 1:
         raise ValueError(f"lift factor must be >= 1, got {lp_new}")
     slot_rows = [[None if e is None else e.slot for e in row] for row in p.grid]
-    senders = {e.slot: e.sender for row in p.grid for e in row if e is not None}
+    senders = {slot: p.grid[cells[0][0]][cells[0][1]].sender  # the entry at its first cell
+               for slot, cells in enumerate(p._cells) if cells}
     grid: list[tuple[Entry, ...]] = []
     for copy in range(lp_new):
         shift = copy * p.s

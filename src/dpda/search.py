@@ -26,7 +26,8 @@ Pruning never changes answers, only node counts:
   sender column must hold a star in every class row.
 
 A hard cell-count guard (default 24, overridable per call) makes refusals
-explicit instead of silently partial.
+explicit instead of silently partial: a refused instance raises
+:class:`SearchSpaceError`, a ``ValueError`` like any other refused input.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ __all__ = [
 DEFAULT_CELLS_LIMIT = 24
 
 
-class SearchSpaceError(RuntimeError):
-    """The instance exceeds the configured exhaustive-search guard."""
+class SearchSpaceError(ValueError):
+    """The instance exceeds the configured exhaustive-search guard; the CLI
+    reports it as an input error (exit 2)."""
 
 
 class SearchResult(_Record):
@@ -256,10 +258,7 @@ def search_min_s(k: int, f: int, z: int, s_max: int, *,
 
 def _cmd_search(args: SimpleNamespace) -> tuple[str | dict, int]:
     s_max = args.max_s if args.max_s is not None else (args.f - args.z) * args.k
-    try:
-        result = search_min_s(args.k, args.f, args.z, s_max, cells_limit=args.cells_limit)
-    except SearchSpaceError as exc:
-        raise ValueError(str(exc)) from exc
+    result = search_min_s(args.k, args.f, args.z, s_max, cells_limit=args.cells_limit)
     code = 0 if result.feasible else 1
     if args.json:
         return result.to_json(), code

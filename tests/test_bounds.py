@@ -15,6 +15,7 @@ from dpda import (
     construct_jcm,
     construct_odd,
     jcm_params,
+    lift,
     min_f_bound,
     parse_dpda,
     rate_lower_bound,
@@ -160,8 +161,10 @@ def test_bounds_for_array_p5():
 
 def test_bounds_for_array_uncovered_ratio():
     # Z/F = 3/6 = 1/2 matches none of the covered cases at K = 6
-    report = bounds_for_array(construct_jcm(6, 3))
+    p = construct_jcm(6, 3)
+    report = bounds_for_array(p)
     assert report.case is None
+    assert report.rate_bound == rate_lower_bound(p.f, p.z)
     assert report.f_bound is None
     assert report.meets_f_bound is None
     assert report.meets_rate_bound is True
@@ -175,6 +178,16 @@ def test_bounds_for_case_notes_odd_k():
     assert bounds_for_case(6, "2/K").notes == ()
 
 
+def test_bounds_for_case_rate_bound_is_the_closed_form():
+    # at Z/F = t/K, t the case's numerator, the rate floor is (K - t)/t
+    numerators = {"1/K": lambda k: 1, "2/K": lambda k: 2,
+                  "(K-2)/K": lambda k: k - 2, "(K-1)/K": lambda k: k - 1}
+    for case, numerator in numerators.items():
+        for k in range(3 if case == "(K-2)/K" else 2, 13):
+            t = numerator(k)
+            assert bounds_for_case(k, case).rate_bound == Fraction(k - t, t), (case, k)
+
+
 def test_every_family_meets_its_floor():
     instances = (
         [construct_grid(q) for q in range(2, 7)]
@@ -183,10 +196,14 @@ def test_every_family_meets_its_floor():
         + [construct_jcm(k, 1) for k in range(2, 8)]
         + [construct_jcm(k, k - 1) for k in range(2, 8)]
     )
-    for p in instances:
+    for p in [q for base in instances for q in (base, lift(base, 2), lift(base, 3))]:
         report = bounds_for_array(p)
-        assert report.meets_rate_bound, (p.k, p.f, p.z)
-        assert report.meets_f_bound, (p.k, p.f, p.z)
+        assert report.meets_rate_bound, (p.k, p.lp, p.f, p.z)
+        assert report.meets_f_bound, (p.k, p.lp, p.f, p.z)
+        # its bounds are its case's, field for field
+        case = bounds_for_case(p.k, report.case)
+        assert (report.case, report.rate_bound, report.f_bound, report.notes) == \
+            (case.case, case.rate_bound, case.f_bound, case.notes), (p.k, p.lp, p.f, p.z)
 
 
 def test_achieved_rate_never_below_bound():

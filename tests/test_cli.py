@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import hashlib
 import importlib
 import io
 import json
@@ -52,7 +53,8 @@ from search_reference import instances
 # `grid_gap.out` hold one transcript block per run: the argv, stdout, and the
 # exit code.  `compare_families.out` and `certify_floors.out` hold the stdout
 # of those scripts.  `help.out` and `usage.out` hold argparse's help text and
-# usage errors: the argv, stdout or stderr, and the exit code.
+# usage errors: the argv, stdout or stderr, and the exit code.  `decks.sha256`
+# holds one output digest per op of the benchmark decks at seed 1.
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 SRC = Path(__file__).resolve().parent.parent / "src"
 BENCH = SRC.parent / "bench"
@@ -1004,6 +1006,39 @@ def test_fast_path_reads_every_benchmark_argv(monkeypatch):
                 assert vars(fast) == _argparse_vars(parser, argv), argv
             count += len(argvs)
     assert count > 1000
+
+
+def test_benchmark_decks_print_the_golden_output(tmp_path, monkeypatch, capsys):
+    # Every op of the three decks at seed 1, set up as bench/run.py's setup
+    # does and run in-process: each passes the benchmark's own check and
+    # prints nothing on stderr, and decks.sha256 holds one line per op, the
+    # sha256 of its output, its workload, index in deck order, exit code and
+    # argv.  The output is stdout, or for an op that writes --out (and prints
+    # nothing) the file it wrote.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    seed, lines = 1, []
+    for workload, make_deck in workloads.DECKS.items():
+        deck = make_deck(seed)
+        workdir = tmp_path / workload
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        for name, args in deck.files.items():
+            assert run(capsys, *args, "--out", name) == (0, "", ""), args
+        for name, (source, condition) in deck.mutations.items():
+            text = (workdir / source).read_text(encoding="utf-8")
+            rng = random.Random(f"mutate/{seed}/{name}")
+            (workdir / name).write_text(workloads.mutate(text, condition, rng), encoding="utf-8")
+        for i, op in enumerate(op for group in deck.groups for op in group):
+            code, out, err = run(capsys, *op.argv)
+            assert err == "" and workloads.check(op, code, out, workdir) is None, op.argv
+            if "--out" in op.argv:
+                assert out == "", op.argv
+                out = (workdir / op.argv[op.argv.index("--out") + 1]).read_text(encoding="utf-8")
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            lines.append(f"{digest}  {workload} {i} {code} {' '.join(op.argv)}")
+    assert lines == (GOLDEN_CLI / "decks.sha256").read_text().splitlines()
 
 
 # Values that argparse reads differently from the plain grammar, or rejects.

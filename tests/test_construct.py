@@ -97,14 +97,16 @@ class TestOneEntryPerSlot:
 
     @pytest.mark.parametrize("lp", [1, 2, 3])
     def test_lift_equals_the_per_cell_reference(self, lp):
-        # one entry per (copy, slot), whether or not the input shares its
-        # entries: a parsed array, a built one, and one with an entry per cell
+        # one entry per (copy, slot that occurs), whether or not the input
+        # shares its entries: a parsed array, a built one, one with an entry
+        # per cell, and P4 declared with S=5, whose slot 4 has no cell
+        p4_s5 = parse_dpda(P4_TEXT.replace("S=4", "S=5"))
         bases = [parse_dpda(P5_TEXT), construct_grid(3), construct_jcm(5, 2),
-                 construct_reference.construct_jcm(5, 3)]
+                 construct_reference.construct_jcm(5, 3), p4_s5]
         for base in bases:
             p = lift(base, lp)
             assert p == construct_reference.lift(base, lp)
-            assert _distinct_entries(p) == lp * base.s
+            assert _distinct_entries(p) == lp * (4 if base is p4_s5 else base.s)
 
 
 class TestParameterLaws:

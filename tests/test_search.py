@@ -267,8 +267,14 @@ def test_partition_matches_set_based_reference():
 
 class TestGuard:
     def test_cells_guard_refuses_large_instances(self):
+        # a refusal is an input error, as the CLI reports it (exit 2)
+        assert issubclass(SearchSpaceError, ValueError)
         with pytest.raises(SearchSpaceError, match="guard"):
             exists_dpda(6, 9, 3, 18)
+        with pytest.raises(ValueError, match="guard"):
+            exists_dpda(6, 9, 3, 18)
+        with pytest.raises(ValueError, match="guard"):
+            search_min_s(6, 9, 3, 18)
 
     def test_cells_guard_overridable_per_call(self):
         res = exists_dpda(2, 13, 12, 2, cells_limit=26)
