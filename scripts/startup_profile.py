@@ -26,8 +26,13 @@ run and machine to machine: read them as a profile, not as a benchmark.  The
 run's own output is discarded; its exit code is shown.  ARGV goes to
 ``dpda`` verbatim, so ``--help`` profiles ``dpda --help``.
 
+A leading ``-S`` runs all three interpreters (the bare reference, the timed
+run and the call-trace run) without ``site`` (``python3 -S``), so the
+module list also shows the standard-library imports that a ``site`` which
+loads them itself would hide.
+
 Usage:
-  python scripts/startup_profile.py search --k 3 --f 3 --z 1 --json
+  python scripts/startup_profile.py [-S] search --k 3 --f 3 --z 1 --json
 """
 
 from __future__ import annotations
@@ -78,11 +83,11 @@ sys.exit(code)
 """
 
 
-def self_times(code: str, argv: list[str], env: dict,
+def self_times(code: str, argv: list[str], env: dict, flags: list[str],
                stdin: str | None = None) -> tuple[dict[str, int], str, int]:
     """``-X importtime`` self time in microseconds per module, the rest of
-    stderr, and the exit code of ``python3 -c code argv...``."""
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", code, *argv],
+    stderr, and the exit code of ``python3 flags... -c code argv...``."""
+    proc = subprocess.run([sys.executable, *flags, "-X", "importtime", "-c", code, *argv],
                           env=env, input=stdin, capture_output=True, text=True)
     times, rest = {}, []
     for line in proc.stderr.splitlines():
@@ -104,9 +109,10 @@ def compile_ms(path: Path) -> float:
     return best * 1e3
 
 
-def entered(argv: list[str], env: dict, stdin: str | None) -> set[tuple[str, int, str]]:
+def entered(argv: list[str], env: dict, flags: list[str],
+            stdin: str | None) -> set[tuple[str, int, str]]:
     """(file, first line, name) of each dpda function that ``dpda argv...`` enters."""
-    proc = subprocess.run([sys.executable, "-c", CALLS_CHILD, *argv],
+    proc = subprocess.run([sys.executable, *flags, "-c", CALLS_CHILD, *argv],
                           env=env, input=stdin, capture_output=True, text=True)
     line = next((line for line in proc.stderr.splitlines() if line.startswith("dpda entered:")),
                 "dpda entered: []")
@@ -129,18 +135,21 @@ def uncalled_nodes(tree: ast.Module, path: Path, calls: set[tuple[str, int, str]
 
 
 def main(argv: list[str]) -> int:
+    flags = argv[:1] if argv[:1] == ["-S"] else []
+    argv = argv[len(flags):]
     if not argv:
         print(__doc__.rsplit("Usage:", 1)[1].strip(), file=sys.stderr)
         return 2
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     stdin = sys.stdin.read() if "-" in argv else None
-    bare, _, _ = self_times("pass", [], env)
-    times, stderr, code = self_times(CHILD, argv, env, stdin)
-    calls = entered(argv, env, stdin)
+    bare, _, _ = self_times("pass", [], env, flags)
+    times, stderr, code = self_times(CHILD, argv, env, flags, stdin)
+    calls = entered(argv, env, flags, stdin)
     extra = sorted(((us, name) for name, us in times.items() if name not in bare), reverse=True)
     print(f"$ dpda {' '.join(argv)}  [exit {code}]")
-    print("modules loaded beyond `python3 -c pass`, -X importtime self time:")
+    print(f"modules loaded beyond `{' '.join(['python3', *flags])} -c pass`, "
+          "-X importtime self time:")
     print(f"{'self_us':>9}  module")
     for us, name in extra:
         print(f"{us:>9}  {name}")

@@ -19,10 +19,10 @@ no floating point is used anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
 from math import comb
 from types import SimpleNamespace
-from typing import Callable
 
 from . import validation
 from .core import Dpda, _as_json, _load, _Record

@@ -26,14 +26,13 @@ Canonical text format (byte-stable)::
 A JSON mirror with keys ``k, lp, f, z, s, grid`` (the grid holding the same
 tokens) is written for machine consumers; nothing reads it back.
 
-``parse_dpda`` parses each distinct token once per call: ``_grid``
-collects the distinct tokens of the whole body and converts them in one
-bulk pass into a dict from token to entry, so all the cells holding a token
-share one :class:`Coded`, and each row is looked up whole.  Only when a
-token is wrong does it walk the rows in order to name the first bad one.
-The reader parses the header and hands the rows to :class:`Dpda`, whose
-check is the one statement of the structure (dimensions, entry ranges, one
-sender per slot) and builds each array's one slot index; both raise
+``parse_dpda`` is the reader's public entry; its code lives in the private
+module :mod:`dpda._read`, which it imports on its first call, so only runs
+that read an array compile it (``construct``, ``search`` and ``bounds
+--case`` never do).  The reader converts each distinct token once per call
+and hands the header values and rows to :class:`Dpda`, whose check is the
+one statement of the structure (dimensions, entry ranges, one sender per
+slot) and builds each array's one slot index; both raise
 :class:`FormatError` with row and column coordinates.  The semantic
 conditions C0-C4 live in :mod:`dpda.validation`.
 """
@@ -41,8 +40,7 @@ conditions C0-C4 live in :mod:`dpda.validation`.
 from __future__ import annotations
 
 import sys
-from itertools import chain, repeat
-from typing import Sequence
+from collections.abc import Sequence
 
 __all__ = [
     "STAR",
@@ -242,76 +240,15 @@ def _as_json(value: object) -> object:
     return str(value)
 
 
-def _parse_int(digits: str, where: str) -> int:
-    try:
-        return int(digits)
-    except ValueError as exc:  # more digits than int() converts
-        raise FormatError(f"{where}: {len(digits)}-digit integer is too long") from exc
-
-
-def _parse_token(tok: str, r: int, c: int) -> Coded:
-    # ASCII digits on both sides of one caret: what [0-9]+^[0-9]+ matches
-    slot, caret, sender = tok.partition("^")
-    if not (caret and tok.isascii() and slot.isdigit() and sender.isdigit()):
-        raise FormatError(f"row {r}, column {c}: bad token {tok!r}")
-    where = f"row {r}, column {c}"
-    return Coded(_parse_int(slot, where), _parse_int(sender, where))
-
-
-def _grid(rows: list[list[str]]) -> tuple[tuple[Entry, ...], ...]:
-    """The entries of ``rows``' tokens.  The distinct tokens are converted in
-    one bulk pass, and all the cells holding a token share its one entry.
-    Only if that pass fails are the rows walked in order to raise at the
-    first bad token."""
-    memo: dict[str, Entry] = {"*": STAR}
-    tokens = dict.fromkeys(chain.from_iterable(rows))
-    tokens.pop("*", None)
-    # every token one caret (at least one each, 2n fields in all) between runs
-    # of ASCII digits: what [0-9]+^[0-9]+ matches, as int() refuses an empty run
-    fields = "^".join(tokens).split("^")
-    digits = "".join(fields)
-    sound = (len(fields) == 2 * len(tokens) and digits.isascii() and digits.isdigit()
-             and all(map(str.__contains__, tokens, repeat("^"))))
-    if sound:
-        try:
-            values = [*map(int, fields)]
-        except ValueError:  # an empty run, or more digits than int() converts
-            sound = False
-        else:
-            memo.update(zip(tokens, map(Coded, values[0::2], values[1::2])))
-    if not sound:  # walk the rows to raise at the first bad token (or no token is coded)
-        for r, toks in enumerate(rows):
-            for c, tok in enumerate(toks):
-                if tok not in memo:
-                    memo[tok] = _parse_token(tok, r, c)
-    return tuple(tuple(map(memo.__getitem__, toks)) for toks in rows)
-
-
 def parse_dpda(text: str | bytes) -> Dpda:
     """Parse the DPDA text format into a structurally well-formed array.
 
     Semantic conditions (C0-C4) are *not* checked here.  Raises
     :class:`FormatError` with row/column coordinates on malformed input.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"input is not UTF-8: {exc}") from exc
-    lines = [*filter(None, map(str.strip, text.splitlines()))]
-    if not lines:
-        raise FormatError("empty input")
-    header = lines[0].split()
-    if len(header) != 6 or header[0] != "DPDA":
-        raise FormatError(f"malformed header: {lines[0]!r}")
-    values = []
-    for part, key in zip(header[1:], ("K", "L'", "F", "Z", "S")):
-        prefix = key + "="
-        value = part[len(prefix):]
-        if not (part.startswith(prefix) and value.isascii() and value.isdigit()):
-            raise FormatError(f"malformed header field {part!r} (expected {prefix}<int>)")
-        values.append(_parse_int(value, f"header field {key}"))
-    return Dpda(*values, _grid([line.split() for line in lines[1:]]))
+    from ._read import parse  # only runs that read an array compile the reader
+
+    return parse(text)
 
 
 def _load(path: str) -> Dpda:

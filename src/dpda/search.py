@@ -32,10 +32,10 @@ explicit instead of silently partial: a refused instance raises
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 from types import SimpleNamespace
-from typing import Iterable, Iterator
 
 from .core import STAR, Coded, Dpda, Entry, _as_json, _Record, serialize_dpda
 
@@ -211,7 +211,7 @@ def _first_witness(k: int, f: int, z: int, s: int,
             entry = Coded(slot, k - senders.bit_length())  # the lowest feasible sender
             for r, c in cells:
                 grid[r][c] = entry
-        witness = Dpda(k=k, lp=1, f=f, z=z, s=s, grid=tuple(tuple(row) for row in grid))
+        witness = Dpda(k=k, lp=1, f=f, z=z, s=s, grid=grid)
         return SearchResult(True, None, witness, pos + counter[0], True)
     return SearchResult(False, None, None, comb(f, z) ** k + counter[0], True)
 

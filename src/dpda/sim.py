@@ -39,11 +39,11 @@ write.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import reduce
 from operator import xor
 from types import SimpleNamespace
-from typing import Callable, Sequence
 
 from .core import Dpda, _as_json, _load, _Record, _set
 

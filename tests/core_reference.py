@@ -3,9 +3,10 @@
 
 The reader is the text reader's earlier per-cell path: every cell's token
 is matched and converted on its own, so a token held by many cells is
-parsed once per cell.  ``dpda.core.parse_dpda`` converts each distinct
-token once per call; on every input it must return an equal array or raise
-the same exception with the same message.  :func:`check_dpda` is ``Dpda``'s
+parsed once per cell.  ``dpda.core.parse_dpda``, whose code lives in
+``dpda._read``, converts each distinct token once per call; on every input
+it must return an equal array or raise the same exception with the same
+message.  :func:`check_dpda` is ``Dpda``'s
 structural check as a plain per-cell walk, and the one shape check of the
 reference reader, which runs it once every token is converted;
 ``Dpda(...)`` must accept what it accepts and otherwise raise the same

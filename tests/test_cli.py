@@ -677,22 +677,23 @@ def test_handler_returns_what_main_writes(tmp_path, capsys, argv):
 def test_subcommand_runs_only_its_modules(tmp_path):
     # A library module that a subcommand does not call is never executed:
     # it stays an unloaded stub in sys.modules (see dpda/__init__.py).  The
-    # JSON writer in dpda.jsonout runs only for `--json` runs.
+    # JSON writer in dpda.jsonout runs only for `--json` runs, and the text
+    # reader in dpda._read only for the verbs that read an array.
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
     expected = {
         ("construct", "--family", "even", "--q", "2"): ["construct"],
         ("construct", "--family", "even", "--q", "2", "--json"): ["construct", "jsonout"],
-        ("validate", str(f)): ["validation"],
-        ("validate", str(f), "--optimal", "--json"): ["jsonout", "validation"],
+        ("validate", str(f)): ["_read", "validation"],
+        ("validate", str(f), "--optimal", "--json"): ["_read", "jsonout", "validation"],
         ("bounds", "--k", "6", "--case", "2/K"): ["bounds"],
         ("bounds", "--k", "6", "--case", "2/K", "--json"): ["bounds", "jsonout"],
-        ("bounds", "--from", str(f)): ["bounds", "validation"],
-        ("bounds", "--from", str(f), "--json"): ["bounds", "jsonout", "validation"],
-        ("compare", str(f)): ["bounds", "validation"],
-        ("compare", str(f), "--json"): ["bounds", "jsonout", "validation"],
+        ("bounds", "--from", str(f)): ["_read", "bounds", "validation"],
+        ("bounds", "--from", str(f), "--json"): ["_read", "bounds", "jsonout", "validation"],
+        ("compare", str(f)): ["_read", "bounds", "validation"],
+        ("compare", str(f), "--json"): ["_read", "bounds", "jsonout", "validation"],
         ("simulate", str(f), "--files", "4", "--blocks", "2", "--trials", "3", "--json"):
-            ["jsonout", "sim"],
+            ["_read", "jsonout", "sim"],
         ("search", "--k", "3", "--f", "3", "--z", "1"): ["search"],
         ("search", "--k", "3", "--f", "3", "--z", "1", "--json"): ["jsonout", "search"],
     }
@@ -772,6 +773,27 @@ def test_subcommand_skips_heavy_stdlib_imports(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", VERB_ARGVS, ids=lambda argv: argv[0])
+def test_subcommand_imports_no_typing_site_free(tmp_path, argv):
+    # Annotations are never evaluated (`from __future__ import annotations`),
+    # so their names come from collections.abc, and a run without `site`,
+    # which may load typing itself, loads no typing.  The argv runs without
+    # --json, then with it.
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    argv = [a.format(path=f) for a in argv]
+    script = (
+        "import sys\n"
+        "from dpda.cli import main\n"
+        f"codes = main({argv!r}), main({argv + ['--json']!r})\n"
+        "print(*codes, 'typing' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 0 False"
+
+
+@pytest.mark.parametrize("argv", VERB_ARGVS, ids=lambda argv: argv[0])
 def test_in_process_main_leaves_the_heap_unfrozen(tmp_path, capsys, argv):
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
@@ -810,17 +832,24 @@ def test_scripts_golden_stdout(script, args):
 
 def test_startup_profile_runs():
     # its timings vary from run to run, so only the shape is checked; search
-    # reads no array, and only --json compiles the JSON writer
-    for flags, modules in [
-        ([], ["dpda", "dpda.cli", "dpda.core", "dpda.search"]),
-        (["--json"], ["dpda", "dpda.cli", "dpda.core", "dpda.jsonout", "dpda.search"]),
+    # reads no array, and only --json compiles the JSON writer; a leading -S
+    # profiles site-free interpreters, whose module list shows the standard
+    # library a run loads, and typing is not in it
+    for lead, flags, modules in [
+        ([], [], ["dpda", "dpda.cli", "dpda.core", "dpda.search"]),
+        ([], ["--json"], ["dpda", "dpda.cli", "dpda.core", "dpda.jsonout", "dpda.search"]),
+        (["-S"], ["--json"], ["dpda", "dpda.cli", "dpda.core", "dpda.jsonout", "dpda.search"]),
     ]:
         argv = ["search", "--k", "2", "--f", "2", "--z", "1", *flags]
         proc = subprocess.run([sys.executable, str(SRC.parent / "scripts" / "startup_profile.py"),
-                               *argv], capture_output=True, text=True)
+                               *lead, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith(f"$ dpda {' '.join(argv)}  [exit 0]\n")
+        assert proc.stdout.startswith(f"$ dpda {' '.join(argv)}  [exit 0]\n"
+                                      f"modules loaded beyond `{' '.join(['python3', *lead])} "
+                                      "-c pass`")
         assert "dpda.cli\n" in proc.stdout and "argparse" not in proc.stdout
+        if lead:
+            assert " collections\n" in proc.stdout and " typing\n" not in proc.stdout
         lines = proc.stdout.splitlines()
         header = lines.index("compile_ms  lines  nodes  uncalled  module")
         # one row per dpda module the run compiled, then their totals, then
@@ -860,10 +889,11 @@ def test_each_name_has_one_home():
 
 
 def test_readers_load_on_first_use_under_every_name():
-    # The text reader and the JSON mirror writer live in dpda.core, which
-    # importing the package does not execute; reading executes dpda.core
-    # alone and never loads json.  dpda.core is the one module path:
-    # dpda.read and dpda.mirror are gone, and nothing reads the mirror back.
+    # The text reader's entry and the JSON mirror writer live in dpda.core,
+    # which importing the package does not execute; reading executes
+    # dpda.core and the reader's code in dpda._read, and never loads json.
+    # dpda.core is the one public module path: dpda.read and dpda.mirror are
+    # gone, and nothing reads the mirror back.
     # slot_cells is gone too: each array carries its own slot index.
     script = (
         "import sys, types\n"
@@ -884,7 +914,8 @@ def test_readers_load_on_first_use_under_every_name():
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == ("[]\n['dpda.core'] False\n['dpda.core'] False\n"
+    assert proc.stdout == ("[]\n['dpda._read', 'dpda.core'] False\n"
+                           "['dpda._read', 'dpda.core'] False\n"
                            "True True False False False False False\n")
     for gone in ("dpda.read", "dpda.mirror"):
         with pytest.raises(ModuleNotFoundError):
