@@ -2,20 +2,17 @@
 
 Only runs that read an array execute this module: ``parse_dpda`` imports
 it on its first call, so ``construct``, ``search`` and ``bounds --case``
-never compile it.  :func:`parse` parses each distinct token once per call:
-:func:`_grid` collects the distinct tokens of the whole body and converts
-them in one bulk pass into a dict from token to entry, so all the cells
-holding a token share one :class:`~dpda.core.Coded`, and each row is looked
-up whole.  Only when a token is wrong does it walk the rows in order to name
-the first bad one.  :func:`parse` reads the header and hands the values and
-rows to :class:`~dpda.core.Dpda`, whose check is the one statement of the
+never compile it.  :func:`parse` reads the header, and :func:`_grid` walks
+the rows in order and converts each distinct token at its first cell
+through :func:`_parse_token`, the one statement of the token grammar, so
+all the cells holding a token share one :class:`~dpda.core.Coded`, and the
+first bad token raises.  :func:`parse` hands the header values and rows to
+:class:`~dpda.core.Dpda`, whose check is the one statement of the
 structure; both raise :class:`~dpda.core.FormatError` with row and column
 coordinates.
 """
 
 from __future__ import annotations
-
-from itertools import chain, repeat
 
 from .core import STAR, Coded, Dpda, Entry, FormatError
 
@@ -32,37 +29,25 @@ def _parse_token(tok: str, r: int, c: int) -> Coded:
     slot, caret, sender = tok.partition("^")
     if not (caret and tok.isascii() and slot.isdigit() and sender.isdigit()):
         raise FormatError(f"row {r}, column {c}: bad token {tok!r}")
-    where = f"row {r}, column {c}"
-    return Coded(_parse_int(slot, where), _parse_int(sender, where))
+    try:
+        return Coded(int(slot), int(sender))
+    except ValueError:  # more digits than int() converts: parse again to name the run
+        where = f"row {r}, column {c}"
+        return Coded(_parse_int(slot, where), _parse_int(sender, where))
 
 
-def _grid(rows: list[list[str]]) -> tuple[tuple[Entry, ...], ...]:
-    """The entries of ``rows``' tokens.  The distinct tokens are converted in
-    one bulk pass, and all the cells holding a token share its one entry.
-    Only if that pass fails are the rows walked in order to raise at the
-    first bad token."""
+def _grid(rows: list[list[str]]) -> list[tuple[Entry, ...]]:
+    """The entries of ``rows``' tokens, walked in row order.  Each distinct
+    token is converted at its first cell, so the first bad token raises and
+    all the cells holding a token share its one entry."""
     memo: dict[str, Entry] = {"*": STAR}
-    tokens = dict.fromkeys(chain.from_iterable(rows))
-    tokens.pop("*", None)
-    # every token one caret (at least one each, 2n fields in all) between runs
-    # of ASCII digits: what [0-9]+^[0-9]+ matches, as int() refuses an empty run
-    fields = "^".join(tokens).split("^")
-    digits = "".join(fields)
-    sound = (len(fields) == 2 * len(tokens) and digits.isascii() and digits.isdigit()
-             and all(map(str.__contains__, tokens, repeat("^"))))
-    if sound:
-        try:
-            values = [*map(int, fields)]
-        except ValueError:  # an empty run, or more digits than int() converts
-            sound = False
-        else:
-            memo.update(zip(tokens, map(Coded, values[0::2], values[1::2])))
-    if not sound:  # walk the rows to raise at the first bad token (or no token is coded)
-        for r, toks in enumerate(rows):
-            for c, tok in enumerate(toks):
-                if tok not in memo:
-                    memo[tok] = _parse_token(tok, r, c)
-    return tuple(tuple(map(memo.__getitem__, toks)) for toks in rows)
+    grid = []
+    for r, toks in enumerate(rows):
+        for c, tok in enumerate(toks):
+            if tok not in memo:
+                memo[tok] = _parse_token(tok, r, c)
+        grid.append(tuple(map(memo.__getitem__, toks)))
+    return grid
 
 
 def parse(text: str | bytes) -> Dpda:

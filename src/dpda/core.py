@@ -40,6 +40,7 @@ conditions C0-C4 live in :mod:`dpda.validation`.
 from __future__ import annotations
 
 import sys
+from collections import defaultdict
 from collections.abc import Sequence
 
 __all__ = [
@@ -146,7 +147,10 @@ class Dpda(_Record):
 
     The same walk builds the array's slot index, ``_cells``: entry ``s``
     lists slot ``s``'s (row, column) cells in row-major order (empty for an
-    id that never occurs), and its first cell names the slot's sender.
+    id that never occurs), and its first cell names the slot's sender.  It
+    is sized by S only once every row has K entries, so a header's large S
+    allocates nothing for a grid of the wrong shape; otherwise the walk
+    raises before it ends, and a dict holds the slots it reaches.
     :mod:`dpda.validation` and :mod:`dpda.sim` read it.  It is a slot, not a
     field, so equality, hash, repr and pickling see the six fields alone,
     and an unpickled or copied array rebuilds it in ``__init__``.
@@ -171,7 +175,7 @@ class Dpda(_Record):
         grid = tuple(tuple(row) for row in grid)
         if len(grid) != lp * f:
             raise FormatError(f"expected {_count(lp * f)} rows (L'*F), got {len(grid)}")
-        cells: list[list[tuple[int, int]]] = [[] for _ in range(s)]
+        cells = [[] for _ in range(s)] if {*map(len, grid)} == {k} else defaultdict(list)
         for r, row in enumerate(grid):
             if len(row) != k:
                 raise FormatError(f"row {r}: expected {_count(k)} columns, got {len(row)}")
@@ -189,10 +193,10 @@ class Dpda(_Record):
                 occ = cells[e.slot]
                 if occ:
                     r0, c0 = occ[0]
-                    if grid[r0][c0].sender != e.sender:
+                    if (first := grid[r0][c0].sender) != e.sender:
                         raise FormatError(
                             f"row {r}, column {c}: slot {e.slot} has sender {e.sender}, "
-                            f"but row {r0}, column {c0} assigned sender {grid[r0][c0].sender}"
+                            f"but row {r0}, column {c0} assigned sender {first}"
                         )
                 occ.append((r, c))
         for field, value in zip(self._fields, (k, lp, f, z, s, grid)):

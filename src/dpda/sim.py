@@ -293,10 +293,10 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
         raise ValueError("provide exactly one of demand= or trials=")
     if min(n, l, packet_size) < 1:  # F >= 1 holds for every Dpda
         raise ValueError("N, L, F and packet_size must all be >= 1")
-    ramp = bytes(range(256)) * (packet_size // 256 + 2)
     count = 1 if trials is None else trials
     if count < 1:
         raise ValueError("trials must be >= 1")
+    ramp = bytes(range(256)) * (packet_size // 256 + 2)
     rng = random.Random(seed)
     k_users, f, starts = p.k, p.f, l - p.lp + 1
     mix, fault = _slot_plan(p)

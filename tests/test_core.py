@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -239,7 +240,7 @@ def test_parsers_match_reference_and_share_entries():
 # missing carets, zero padding, and more digits than int() converts.
 _DIGIT_EDGES = ("\u0663", "\u00b2", "1_0", "+1", "", "0003", "1" * 5000)
 _TOKEN_EDGES = ("\u0663^1", "\u00b2^1", "1_0^2", "+1^2", "1^2^3", "^1", "1^", "0003^1",
-                "1" * 5000 + "^1", "1^" + "1" * 5000)
+                "1" * 5000 + "^1", "1^" + "1" * 5000, "1" * 5000 + "^" + "1" * 6000)
 
 
 def test_readers_match_reference_on_digit_edges():
@@ -287,6 +288,19 @@ def test_dpda_checks_z_and_s_as_reference(z, s, message):
     got = _outcome(lambda a: Dpda(*a).grid, args)
     assert got == (p.grid if message is None else (FormatError, message))
     assert got == _outcome(lambda a: core_reference.check_dpda(*a), args)
+
+
+def test_dpda_refuses_a_short_row_before_sizing_the_slot_index():
+    # a header's S sizes the slot index only once every row has K entries,
+    # so a one-cell grid under K = S = 200,000 is refused without it
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="^row 0: expected 200000 columns, got 1$"):
+            Dpda(k=200_000, lp=1, f=1, z=0, s=200_000, grid=[[None]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def _faulty_grids(rng: random.Random):
@@ -357,7 +371,8 @@ def test_reader_names_the_first_fault_in_row_order(short, message):
 
 def test_reader_counts_carets_per_token():
     # two carets in one token and none in another add up to one caret per
-    # token; the bulk pass must still refuse the first of them
+    # token, so a caret count over the whole body would pass them; the
+    # reader refuses the first of them
     p = construct_jcm(6, 3)
     c = next(c for c, e in enumerate(p.grid[1]) if e is not None)
     text = _text_with(p, (1, c, "1^2^3"), (4, 0, "4"))

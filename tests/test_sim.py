@@ -396,6 +396,18 @@ class TestSimulate:
             assert rep.success and rep.trials == trials
             assert peak < 1_000_000, (trials, peak)
 
+    def test_refuses_trials_before_building_the_packet_ramp(self):
+        # the ramp is packet_size bytes long, so it is built only once the
+        # arguments are checked: a 64 MB packet size costs nothing to refuse
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^trials must be >= 1$"):
+                simulate(construct_even(2), 2, 1, packet_size=1 << 26, trials=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
     def test_memory_per_chunk_does_not_grow_with_the_array(self):
         # a chunk's trials fit CHUNK_BYTES however large the array: 100 trials
         # of 64-byte packets on grid(8), 1,024 cells and 448 slots, take less
