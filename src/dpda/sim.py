@@ -33,15 +33,17 @@ integers to ``Library.packet`` of the materialised library in
 reference, which delivers and decodes one demand at a time.
 ``_cmd_simulate`` is the ``dpda simulate`` handler of :mod:`dpda.cli`: it
 returns the report, as text or as the ``--json`` document, for ``main`` to
-write.
+write, with the rate S/(L'F) and the cache size Z*N/F in files, which are
+facts about the array and N rather than outcomes of a run; ``_ratio``
+writes each as ``str(Fraction(...))`` would, so no run loads ``fractions``.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from functools import reduce
+from math import gcd
 from operator import xor
 from types import SimpleNamespace
 
@@ -103,9 +105,7 @@ def _draw_demand(getrandbits: Callable[[int], int], bounds: list[tuple[int, int]
 # lists and carries packet (d_j, b_j + i // F, i % F).  A fault is a failure
 # the array alone decides: its message, whose "{}" names a cell's packet
 # (formed by _pid only then), and that cell or None.
-_Cell = tuple[int, int]
-_Fault = tuple[str, _Cell | None]
-_Row = tuple[int | None, tuple[int, ...]]
+_Fault = tuple[str, tuple[int, int] | None]
 CHUNK_BYTES = 1 << 19  # bytes a chunk's trials may take: B = this // bytes per trial, >= 1
 
 
@@ -138,7 +138,7 @@ def _slot_plan(p: Dpda) -> tuple[list[tuple[int, ...]], _Fault | None]:
 
 
 def _user_plan(p: Dpda, k: int,
-               ) -> tuple[list[tuple[int, int, int, int]], _Fault | None, list[_Row]]:
+               ) -> tuple[list[tuple[int, int, int, int]], _Fault | None, list[tuple]]:
     """User k's decoding, checked in row order: (clashes, fault, rows).
 
     User k holds cell (i, j)'s packet when row i mod F of column k is a
@@ -189,14 +189,17 @@ def _packets(ramp: bytes, size: int, lp: int, f: int, dems: list[Demand],
     Row i = band*F + h is the column's joined first packets plus
     band*17 + h*7 on every byte (mod 256).  A one-trial chunk reads each
     packet from ``memo``, the run's packet integers by first byte, filled on
-    first use (at most 256)."""
+    first use (at most 256) from one integer of the ramp's first size + 255
+    bytes: packet y is that integer shifted down y bytes."""
     offsets = bytes((band * 17 + h * 7) % 256 for band in range(lp) for h in range(f))
+    columns = [[(d * 31 + b * 17) % 256 for d, b in zip(dem.d, dem.b)] for dem in dems]
     if len(dems) == 1:  # the add below costs bulk runs more than slicing
         # ramp[y:y + 256] is the table that adds y to each byte it translates
-        columns = [(d * 31 + b * 17) % 256 for d, b in zip(dems[0].d, dems[0].b)]
-        firsts = b"".join([offsets.translate(ramp[y:y + 256]) for y in columns])
-        for x in set(firsts).difference(memo):
-            memo[x] = int.from_bytes(ramp[x:x + size], "little")
+        firsts = b"".join([offsets.translate(ramp[y:y + 256]) for y in columns[0]])
+        if missing := set(firsts).difference(memo):
+            whole, mask = int.from_bytes(ramp[:size + 255], "little"), (1 << 8 * size) - 1
+            for x in missing:
+                memo[x] = whole >> 8 * x & mask
         return list(map(memo.__getitem__, firsts))
     # add on the integer, byte by byte: the low seven bits of each byte add
     # without a carry into the next byte, and the top bits XOR in
@@ -204,7 +207,7 @@ def _packets(ramp: bytes, size: int, lp: int, f: int, dems: list[Demand],
     lows, tops = 0x7F * ones, 0x80 * ones
     adds = [(o, (o & 0x7F) * ones, (o & 0x80) * ones) for o in set(offsets)]
     out = []
-    for firsts in zip(*[[(d * 31 + b * 17) % 256 for d, b in zip(dem.d, dem.b)] for dem in dems]):
+    for firsts in zip(*columns):
         x = int.from_bytes(b"".join([ramp[y:y + size] for y in firsts]), "little")
         low, top = x & lows, x & tops
         row = {o: (low + add) ^ top ^ carry for o, add, carry in adds}
@@ -217,7 +220,7 @@ def _payloads(mix: list[tuple[int, ...]], ints: Sequence[int]) -> list[int]:
     return [reduce(xor, map(ints.__getitem__, occ)) for occ in mix]
 
 
-def _recover(rows: list[_Row], ints: Sequence[int], payloads: list[int],
+def _recover(rows: list[tuple], ints: Sequence[int], payloads: list[int],
              k: int) -> list[int]:
     """User ``k``'s recovered integers by row: its own, or a slot's minus side cells."""
     own, got = k * len(rows), []
@@ -247,20 +250,19 @@ class SimReport(_Record):
 
     A failure is a plan fault (``trial``, ``demand``, ``error``) or a
     demand's refusal (``trial``, ``user``, ``error``); recovery is asserted.
+    The rate S/(L'F) and the cache size Z*N/F in files are facts about the
+    array and N, not outcomes, so the report does not hold them.
     """
 
     success: bool
     packets_sent: int
-    rate: Fraction
     trials: int
     failures: tuple[dict, ...]
-    memory_files: Fraction
 
     to_json = _as_json
 
     def __hash__(self) -> int:  # a failure is a dict, so only their number is hashed
-        return hash((self.success, self.packets_sent, self.rate, self.trials,
-                     len(self.failures), self.memory_files))
+        return hash((self.success, self.packets_sent, self.trials, len(self.failures)))
 
 
 def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
@@ -271,12 +273,10 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
 
     Exactly one of ``demand`` (a single run: a one-trial chunk of the same
     core) or ``trials`` (that many uniformly sampled demands, deterministic
-    from ``seed``, each drawn in trial order) must be given.  The cache
-    size in files, Z*N/F, is reported exactly as a fraction; it need not be
-    an integer.  A failure is a plan fault, which the array decides, or a
-    demand's refusal (a packet a slot mixes twice).  Each user's recovery
-    of its own cells is asserted on every chunk, so a bug raises
-    ``AssertionError``.
+    from ``seed``, each drawn in trial order) must be given.  A failure is a
+    plan fault, which the array decides, or a demand's refusal (a packet a
+    slot mixes twice).  Each user's recovery of its own cells is asserted
+    on every chunk, so a bug raises ``AssertionError``.
 
     Trials run in chunks of ``CHUNK_BYTES // (packet_size*(K*rows + S) + 512)``
     trials (at least one), as a trial takes a packet per cell and per slot
@@ -324,36 +324,45 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
         failures += [{"trial": run, "user": k, "error": message}
                      for run, dem in enumerate(dems, start) for k in refusing
                      if (message := _refusal(plans[k], dem, k, f))]
-    packets_sent = 0 if fault is not None else p.s
     return SimReport(
         success=not failures,
-        packets_sent=packets_sent,
-        rate=Fraction(packets_sent, p.lp * p.f),
+        packets_sent=0 if fault is not None else p.s,
         trials=count,
         failures=tuple(failures),
-        memory_files=Fraction(p.z * n, p.f),
     )
 
 
 def _parse_demand(literal: str) -> Demand:
     try:
         d_part, b_part = literal.split(";")
-        d = tuple(int(x) for x in d_part.split(","))
-        b = tuple(int(x) for x in b_part.split(","))
+        d = [int(x) for x in d_part.split(",")]
+        b = [int(x) for x in b_part.split(",")]
     except ValueError as exc:
         raise ValueError(f"demand literal must be 'd0,d1,...;b0,b1,...': {exc}") from exc
-    return Demand(d=d, b=b)
+    return Demand(d, b)
+
+
+def _ratio(a: int, b: int) -> str:
+    """``str(Fraction(a, b))`` for ints ``a`` >= 0 and ``b`` >= 1, without
+    loading ``fractions``: the reduced ``a/b``, or its numerator alone when
+    the denominator is 1."""
+    g = gcd(a, b)
+    return f"{a // g}/{b // g}".removesuffix("/1")
 
 
 def _cmd_simulate(args: SimpleNamespace) -> tuple[str | dict, int]:
     if (args.demand is None) == (args.trials is None):
         raise ValueError("provide exactly one of --demand or --trials")
     p = _load(args.path)
-    demand = None if args.demand is None else _parse_demand(args.demand)
-    if demand is not None:
+    demand = None
+    if args.demand is not None:
+        demand = _parse_demand(args.demand)
         _check_demand(demand, p.k, args.files, args.blocks, p.lp)
     report = simulate(p, args.files, args.blocks, args.packet_size,
                       demand=demand, trials=args.trials, seed=args.seed)
-    j = report.to_json()
+    # the report's outcomes, with the two exact rationals the array and N fix
+    j = {"success": report.success, "packets_sent": report.packets_sent,
+         "rate": _ratio(report.packets_sent, p.rows), "trials": report.trials,
+         "failures": list(report.failures), "memory_files": _ratio(p.z * args.files, p.f)}
     doc = j if args.json else "".join(f"{key}: {j[key]}\n" for key in j)
     return doc, 0 if report.success else 1

@@ -81,7 +81,6 @@ def _slot_walk(p: Dpda) -> tuple:
     each slot's first.  C4 stops once both have failed.  The used ids have
     a gap iff the lowest missing id is below their number."""
     grid, index = p.grid, p._cells
-    bits = [1 << c for c in range(p.k)]
     masks = [(1 << p.k) - 1] * p.rows
     counts = [0] * p.k
     c3 = c4a = c4b = _OK
@@ -93,7 +92,7 @@ def _slot_walk(p: Dpda) -> tuple:
         counts[sender] += 1
         bad = None
         for r, c in occ:
-            masks[r] ^= bits[c]
+            masks[r] ^= 1 << c
             if bad is None and grid[r][sender] is not None:
                 bad = (r, c)
         if bad is not None and (c3.passed or bad < c3.witness[:2]):

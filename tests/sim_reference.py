@@ -24,7 +24,6 @@ these, failures, their messages and their order across chunks included.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from dpda import Dpda
@@ -216,12 +215,9 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
                                      "packet": list(pid), "error": "byte mismatch"})
     if len(sent) > 1:
         raise AssertionError(f"per-demand transmissions differ: {sorted(sent)}")
-    packets_sent = sent.pop() if sent else 0
     return SimReport(
         success=not failures,
-        packets_sent=packets_sent,
-        rate=Fraction(packets_sent, p.lp * p.f),
+        packets_sent=sent.pop() if sent else 0,
         trials=len(demands),
         failures=tuple(failures),
-        memory_files=Fraction(p.z * n, p.f),
     )

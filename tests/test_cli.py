@@ -830,17 +830,25 @@ def test_scripts_golden_stdout(script, args):
     assert (proc.returncode, proc.stdout) == (0, (GOLDEN_CLI / f"{script}.out").read_text())
 
 
-def test_startup_profile_runs():
+def test_startup_profile_runs(tmp_path):
     # its timings vary from run to run, so only the shape is checked; search
     # reads no array, and only --json compiles the JSON writer; a leading -S
     # profiles site-free interpreters, whose module list shows the standard
-    # library a run loads, and typing is not in it
-    for lead, flags, modules in [
-        ([], [], ["dpda", "dpda.cli", "dpda.core", "dpda.search"]),
-        ([], ["--json"], ["dpda", "dpda.cli", "dpda.core", "dpda.jsonout", "dpda.search"]),
-        (["-S"], ["--json"], ["dpda", "dpda.cli", "dpda.core", "dpda.jsonout", "dpda.search"]),
+    # library a run loads, and typing is not in it; simulate renders its two
+    # rationals from integers, so fractions and decimal are not in it either
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    search = ["search", "--k", "2", "--f", "2", "--z", "1"]
+    simulate = ["simulate", str(f), "--files", "4", "--blocks", "2", "--trials", "3", "--json"]
+    for lead, argv, modules in [
+        ([], search, ["dpda", "dpda.cli", "dpda.core", "dpda.search"]),
+        ([], [*search, "--json"], ["dpda", "dpda.cli", "dpda.core", "dpda.jsonout", "dpda.search"]),
+        (["-S"], [*search, "--json"],
+         ["dpda", "dpda.cli", "dpda.core", "dpda.jsonout", "dpda.search"]),
+        ([], simulate, ["dpda", "dpda._read", "dpda.cli", "dpda.core", "dpda.jsonout", "dpda.sim"]),
+        (["-S"], simulate,
+         ["dpda", "dpda._read", "dpda.cli", "dpda.core", "dpda.jsonout", "dpda.sim"]),
     ]:
-        argv = ["search", "--k", "2", "--f", "2", "--z", "1", *flags]
         proc = subprocess.run([sys.executable, str(SRC.parent / "scripts" / "startup_profile.py"),
                                *lead, *argv], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -850,6 +858,8 @@ def test_startup_profile_runs():
         assert "dpda.cli\n" in proc.stdout and "argparse" not in proc.stdout
         if lead:
             assert " collections\n" in proc.stdout and " typing\n" not in proc.stdout
+        if argv is simulate:
+            assert " fractions\n" not in proc.stdout and " decimal\n" not in proc.stdout
         lines = proc.stdout.splitlines()
         header = lines.index("compile_ms  lines  nodes  uncalled  module")
         # one row per dpda module the run compiled, then their totals, then
@@ -858,13 +868,38 @@ def test_startup_profile_runs():
         assert [row[4:] for row in rows] == [[name] for name in modules] + [
             ["total", "over", str(len(modules)), "modules"]]
         # lines, nodes and the nodes of functions never entered add up, and
-        # search never enters the other verbs' code or the readers
+        # search never enters the other verbs' code or the readers; simulate
+        # enters every function of the text reader, and no other module whole
         counts = [[int(x) for x in row[1:4]] for row in rows]
         assert [sum(column) for column in zip(*counts[:-1])] == counts[-1]
-        assert all(0 < uncalled < nodes for _lines, nodes, uncalled in counts)
+        whole = ["dpda._read"] if argv is simulate else []
+        assert all((uncalled == 0) == (row[4] in whole) and uncalled < nodes
+                   for row, (_lines, nodes, uncalled) in zip(rows, counts))
         # main froze the start-up heap, which the exit collections skip
         tracked, frozen = lines[-1].removeprefix("at exit: ").split(" tracked objects, ")
         assert int(tracked) >= 0 and int(frozen.removesuffix(" frozen at entry")) > 0
+
+
+@pytest.mark.parametrize("lead", [[], ["-S"]], ids=["site", "no-site"])
+def test_simulate_loads_no_fractions(tmp_path, lead):
+    # the rate and the cache size are rendered from integers, so no
+    # simulate run, with or without site, loads fractions or what it imports
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    script = (
+        "import sys\n"
+        "from dpda.cli import main\n"
+        "code = main()\n"
+        "print(code, [m for m in ('fractions', 'decimal', '_decimal', 'numbers')"
+        " if m in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    for runs in (["--trials", "3"], ["--demand", "0,1,2,3;0,0,1,1"]):
+        for json_flag in ([], ["--json"]):
+            argv = ["simulate", str(f), "--files", "4", "--blocks", "2", *runs, *json_flag]
+            proc = subprocess.run([sys.executable, *lead, "-c", script, *argv], env=env,
+                                  capture_output=True, text=True, check=True)
+            assert proc.stdout.splitlines()[-1] == "0 []", (argv, proc.stdout)
 
 
 def test_each_name_has_one_home():

@@ -102,21 +102,16 @@ RECORDS = [
     # the protocol reference's signal, a record on the same base
     (Signal, {"slot": 0, "sender": 1, "payload": b"\x07", "constituents": ((0, 0, 1),)}, (),
      "Signal(slot=0, sender=1, payload=b'\\x07', constituents=((0, 0, 1),))", None),
-    (SimReport, {"success": True, "packets_sent": 4, "rate": Fraction(1), "trials": 1,
-                 "failures": (), "memory_files": Fraction(1, 2)}, (),
-     "SimReport(success=True, packets_sent=4, rate=Fraction(1, 1), trials=1, "
-     "failures=(), memory_files=Fraction(1, 2))",
-     {"success": True, "packets_sent": 4, "rate": "1", "trials": 1, "failures": [],
-      "memory_files": "1/2"}),
+    (SimReport, {"success": True, "packets_sent": 4, "trials": 1, "failures": ()}, (),
+     "SimReport(success=True, packets_sent=4, trials=1, failures=())",
+     {"success": True, "packets_sent": 4, "trials": 1, "failures": []}),
     # a failure is a dict, so this report's field values are not hashable
-    (SimReport, {"success": False, "packets_sent": 4, "rate": Fraction(1), "trials": 2,
-                 "failures": (_FAILURE,), "memory_files": Fraction(1, 2)}, (),
-     "SimReport(success=False, packets_sent=4, rate=Fraction(1, 1), trials=2, "
+    (SimReport, {"success": False, "packets_sent": 4, "trials": 2, "failures": (_FAILURE,)},
+     (),
+     "SimReport(success=False, packets_sent=4, trials=2, "
      "failures=({'trial': 1, 'user': 0, "
-     "'error': 'slot 0 mixes packet (0, 1, 0) twice; array is not decodable'},), "
-     "memory_files=Fraction(1, 2))",
-     {"success": False, "packets_sent": 4, "rate": "1", "trials": 2,
-      "failures": [_FAILURE], "memory_files": "1/2"}),
+     "'error': 'slot 0 mixes packet (0, 1, 0) twice; array is not decodable'},))",
+     {"success": False, "packets_sent": 4, "trials": 2, "failures": [_FAILURE]}),
     # P4, an array with coded cells: its slot index is a slot, not a field
     (Dpda, {"k": 4, "lp": 1, "f": 4, "z": 2, "s": 4, "grid": _P4_GRID}, (),
      "Dpda(k=4, lp=1, f=4, z=2, s=4, grid=((Coded(slot=2, sender=2), None, None, "

@@ -17,6 +17,7 @@ from itertools import product
 import pytest
 
 import dpda.sim
+from dpda.cli import _fast_args
 from dpda import (
     Coded,
     Demand,
@@ -27,6 +28,7 @@ from dpda import (
     construct_odd,
     lift,
     parse_dpda,
+    serialize_dpda,
     simulate,
 )
 
@@ -47,6 +49,15 @@ from golden import P3_TEXT, P4_TEXT, P6_TEXT, Q_LIFTED_P4_TEXT
 def _chunk_trials(p: Dpda, size: int) -> int:
     """Trials per chunk of ``simulate``, by the rule its docstring states."""
     return max(1, dpda.sim.CHUNK_BYTES // (size * (p.k * p.rows + p.s) + 512))
+
+
+def _document(tmp_path, p: Dpda, *argv: str, json: bool = True) -> str | dict:
+    """What ``dpda simulate`` on ``p`` writes, as ``_cmd_simulate`` returns it:
+    the ``--json`` document, or the text."""
+    path = tmp_path / "array.dpda"
+    path.write_text(serialize_dpda(p))
+    argv = ["simulate", str(path), *argv] + ["--json"] * json
+    return dpda.sim._cmd_simulate(_fast_args(argv))[0]
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -240,28 +251,29 @@ class TestDecode:
 
 
 class TestSimulate:
-    def test_worked_scenario_report(self):
+    def test_worked_scenario_report(self, tmp_path):
         q = parse_dpda(Q_LIFTED_P4_TEXT)
         rep = simulate(q, 4, 3, demand=Demand(d=(0, 1, 2, 3), b=(0, 1, 0, 1)))
         assert rep.success
         assert rep.packets_sent == 8
-        assert rep.rate == 1
         assert rep.trials == 1
         assert rep.failures == ()
-        assert rep.memory_files == 2
+        j = _document(tmp_path, q, "--files", "4", "--blocks", "3", "--demand", "0,1,2,3;0,1,0,1")
+        assert j["rate"] == "1"
+        assert j["memory_files"] == "2"
 
     def test_p6_rate_is_half(self):
         p = parse_dpda(P6_TEXT)
         rep = simulate(p, 6, 2, packet_size=16, trials=5, seed=11)
         assert rep.success
-        assert rep.rate == Fraction(1, 2)
+        assert Fraction(rep.packets_sent, p.lp * p.f) == Fraction(1, 2)
 
     def test_grid_q2_hundred_random_demands(self):
-        rep = simulate(construct_grid(2), 4, 2, packet_size=16,
-                       trials=100, seed=7)
+        p = construct_grid(2)
+        rep = simulate(p, 4, 2, packet_size=16, trials=100, seed=7)
         assert rep.success
         assert rep.trials == 100
-        assert rep.rate == Fraction(4, 4)
+        assert Fraction(rep.packets_sent, p.lp * p.f) == Fraction(4, 4)
 
     def test_trials_are_seed_deterministic(self):
         p = construct_odd(1)
@@ -269,14 +281,17 @@ class TestSimulate:
         b = simulate(p, 3, 2, packet_size=8, trials=20, seed=3)
         assert a == b
 
-    def test_non_integer_memory_reported(self):
-        rep = simulate(construct_even(2), 3, 2, packet_size=8, trials=2, seed=0)
+    def test_non_integer_memory_reported(self, tmp_path):
+        p = construct_even(2)
+        rep = simulate(p, 3, 2, packet_size=8, trials=2, seed=0)
         assert rep.success
-        assert rep.memory_files == Fraction(3, 2)
+        j = _document(tmp_path, p, "--files", "3", "--blocks", "2", "--packet-size", "8",
+                      "--trials", "2")
+        assert j["memory_files"] == "3/2"
 
-    def test_report_json_shape(self):
+    def test_report_json_shape(self, tmp_path):
         q = parse_dpda(Q_LIFTED_P4_TEXT)
-        j = simulate(q, 4, 3, demand=Demand(d=(0, 1, 2, 3), b=(0, 1, 0, 1))).to_json()
+        j = _document(tmp_path, q, "--files", "4", "--blocks", "3", "--demand", "0,1,2,3;0,1,0,1")
         assert list(j) == ["success", "packets_sent", "rate", "trials",
                            "failures", "memory_files"]
         assert j["rate"] == "1"
@@ -287,7 +302,7 @@ class TestSimulate:
             p = lift(base, 3)
             rep = simulate(p, 3, 5, packet_size=16, trials=50, seed=21)
             assert rep.success, rep.failures[:1]
-            assert rep.rate == Fraction(base.s, base.f)
+            assert Fraction(rep.packets_sent, p.lp * p.f) == Fraction(base.s, base.f)
 
     def test_blocks_equal_to_request_length(self):
         # L == L' leaves a single admissible start block
@@ -631,3 +646,35 @@ class TestAgainstReference:
                     dpda.sim._pid(dem, p.f, i, k): x.to_bytes(size, "little")
                     for i, x in enumerate(dpda.sim._recover(plan[2], ints, payloads, k))}), \
                     (p, dem, k)
+
+    @pytest.mark.parametrize("group", list(REFERENCE_CORPUS))
+    def test_cli_document_matches_fraction_document(self, tmp_path, group):
+        # the handler renders the rate S/(L'F) and the cache size ZN/F
+        # without fractions; its document must be the one built from the
+        # reference's report and Fraction, as text and as --json, for
+        # --trials and --demand runs, faults and refusals included
+        rng = random.Random(f"document/{group}")
+        for p in REFERENCE_CORPUS[group]:
+            n, l = rng.randrange(1, 4), p.lp + rng.randrange(2)
+            dem = Demand(d=tuple(rng.randrange(n) for _ in range(p.k)),
+                         b=tuple(rng.randrange(l - p.lp + 1) for _ in range(p.k)))
+            literal = ",".join(map(str, dem.d)) + ";" + ",".join(map(str, dem.b))
+            for kwargs, argv in (
+                    (dict(trials=5, seed=3), ["--trials", "5", "--seed", "3"]),
+                    (dict(demand=dem), ["--demand", literal])):
+                rep = reference.simulate(p, n, l, packet_size=8, **kwargs)
+                expected = {"success": rep.success, "packets_sent": rep.packets_sent,
+                            "rate": str(Fraction(rep.packets_sent, p.lp * p.f)),
+                            "trials": rep.trials, "failures": list(rep.failures),
+                            "memory_files": str(Fraction(p.z * n, p.f))}
+                argv = ["--files", str(n), "--blocks", str(l), "--packet-size", "8", *argv]
+                assert _document(tmp_path, p, *argv) == expected, (p, argv)
+                assert _document(tmp_path, p, *argv, json=False) == "".join(
+                    f"{key}: {value}\n" for key, value in expected.items()), (p, argv)
+
+
+def test_ratio_is_the_fraction_str():
+    pairs = [*product(range(201), range(1, 201)),
+             (2**64, 2**64 + 2), (2**64 + 1, 2**64 + 1), (3**50, 2**70), (6**40, 6**41),
+             (0, 2**65), (10**30 * 7, 10**30), (2**100 - 1, 2**100 + 1)]
+    assert [(a, b) for a, b in pairs if dpda.sim._ratio(a, b) != str(Fraction(a, b))] == []

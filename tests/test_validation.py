@@ -6,6 +6,7 @@ import ast
 import inspect
 import random
 import re
+import tracemalloc
 import typing
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from dpda import (
     STAR,
     lift,
     parse_dpda,
+    RateOptimality,
     ValidationReport,
     validate,
 )
@@ -341,3 +343,21 @@ def test_slot_index_matches_reference_scan():
     for p in differential_corpus():
         cells = validation_reference.slot_cells(p)
         assert p._cells == [cells.get(s, []) for s in range(p.s)], p
+
+
+def test_validate_memory_is_linear_in_k():
+    # one row of K stars: the walk XORs a column's bit out of its row's mask
+    # where it uses it, so no table of K masks of K bits is built (27.9 MB
+    # at this K)
+    k = 20_000
+    p = Dpda(k=k, lp=1, f=1, z=1, s=0, grid=[[None] * k])
+    tracemalloc.start()
+    try:
+        report = validate(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000, peak
+    expected = validation_reference.report_fields(p)
+    assert {name: getattr(report, name) for name in expected} == expected
+    assert report.rate_optimality == RateOptimality(True, True)
