@@ -12,7 +12,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-from fractions import Fraction
 
 from dpda import (
     bounds_for_array,
@@ -43,7 +42,7 @@ def main() -> int:
             cmp = compare_to_jcm(p)
             rows.append([
                 name, q, p.k, f"{p.z}/{p.f}", p.f, cmp.f_jcm,
-                cmp.ratio, Fraction(p.s, p.f),
+                cmp.ratio, cmp.rate,
             ])
     print(format_table(
         ["family", "q", "K", "Z/F", "F", "F_baseline", "F_ratio", "rate"],

@@ -17,9 +17,12 @@ distinct) and a sender column still holds a star in every class row (C3).
 Pruning never changes answers, only node counts:
 
 * symmetry - only canonical star patterns are extended, one per orbit under
-  row and column permutation; their lines (rows when K <= F, else columns)
-  are sorted, so only sorted line sequences are generated, and a row
-  sequence is cut once a column sum can no longer end at Z;
+  row and column permutation.  One orderly generator chooses their lines
+  (rows when K <= F, else columns) one at a time in sorted order.  It cuts
+  a row prefix once a column sum can no longer end at Z, and any prefix
+  that a transposition of cells, then sorting, makes smaller: every prefix
+  of a canonical pattern is canonical.  A complete list is kept iff no
+  permutation makes it smaller;
 * slot relabeling is quotiented away structurally (classes are numbered in
   first-cell order);
 * capacity - a slot class can never exceed min(F, K-1, Z) cells, since its
@@ -32,8 +35,8 @@ explicit instead of silently partial: a refused instance raises
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from itertools import combinations, combinations_with_replacement, permutations
+from collections.abc import Iterable
+from itertools import combinations, permutations
 from math import comb
 from types import SimpleNamespace
 
@@ -73,12 +76,6 @@ class SearchResult(_Record):
     exhausted: bool
 
     to_json = _as_json
-
-
-def _pattern_canonical(lines: tuple[int, ...], images: list[list[int]]) -> bool:
-    """True iff no table in ``images`` (each line's image under one permutation
-    of its cells), then sorting, makes ``lines`` smaller: its orbit's canonical member."""
-    return all(lines <= tuple(sorted(image[line] for line in lines)) for image in images)
 
 
 def _partition_cells(pattern: tuple, f: int, k: int, z: int,
@@ -149,51 +146,48 @@ def _check_instance(k: int, f: int, z: int, s: int, s_name: str,
         )
 
 
-def _sorted_rows(k: int, f: int, z: int) -> Iterator[tuple[int, ...]]:
-    """Every sorted sequence of F row masks with Z stars in each column.
-    Rows are chosen one at a time, and a branch is cut as soon as a column
-    holds more than Z stars or can no longer reach Z."""
-    rows: list[int] = []
-
-    def extend(start: int, sums: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        left = f - len(rows) - 1  # rows still to choose after this one
-        full = sum(1 << b for b, n in enumerate(sums) if n == z)  # sums[b] counts bit b
-        need = sum(1 << b for b, n in enumerate(sums) if n + left < z)
-        for row in range(start, 1 << k):
-            if row & full or row & need != need:
-                continue
-            rows.append(row)
-            if left:
-                yield from extend(row, tuple(n + (row >> b & 1) for b, n in enumerate(sums)))
-            else:
-                yield tuple(rows)
-            rows.pop()
-
-    return extend(0, (0,) * k)
-
-
 def _canonical_patterns(k: int, f: int, z: int) -> list[tuple[int, tuple]]:
     """Canonical star patterns with their 1-based positions in ``product``
-    order, sorted by position; only sorted line sequences (rows when K <= F,
-    else columns) with Z stars per column are generated.  A pattern is its
-    coded cells in row-major order with its row and column masks."""
+    order, sorted by position; a pattern is its coded cells in row-major
+    order with its row and column masks.  Rows may be any mask, columns
+    only a Z-star mask; only rows have a cross-sum goal."""
     rank = {sum(1 << f - 1 - r for r in cs): i for i, cs in enumerate(combinations(range(f), z))}
     by_rows = k <= f
-    width = k if by_rows else f
+    width, depth = (k, f) if by_rows else (f, k)
+    allowed = range(1 << k) if by_rows else sorted(rank)
+    perms = list(permutations(range(width)))
     images = [[sum(1 << width - 1 - j for j, i in enumerate(perm) if line >> width - 1 - i & 1)
-               for line in range(1 << width)] for perm in permutations(range(width))]
-    candidates = (_sorted_rows(k, f, z) if by_rows
-                  else combinations_with_replacement(sorted(rank), k))
+               for line in range(1 << width)] for perm in perms]
+    swaps = [image for image, perm in zip(images, perms)
+             if sum(i != j for j, i in enumerate(perm)) == 2]
+    kept = []
+
+    def extend(start: int, prefix: tuple[int, ...], sums: tuple[int, ...]) -> None:
+        left = depth - len(prefix) - 1  # lines still to choose after this one
+        full = sum(1 << b for b, n in enumerate(sums) if n == z)  # sums[b] counts bit b
+        need = sum(1 << b for b, n in enumerate(sums) if n + left < z)
+        for i in range(start, len(allowed)):
+            line = allowed[i]
+            if line & full or line & need != need:
+                continue
+            lines = prefix + (line,)
+            if all(lines <= tuple(sorted(image[x] for x in lines))
+                   for image in (swaps if left else images)):
+                if left:
+                    extend(i, lines, tuple(n + (line >> b & 1) for b, n in enumerate(sums)))
+                else:
+                    kept.append(lines)
+
+    extend(0, (), (0,) * k if by_rows else ())
     found = []
-    for lines in candidates:
-        if _pattern_canonical(lines, images):
-            crossing = tuple(sum(1 << len(lines) - 1 - i for i, line in enumerate(lines)
-                                 if line >> width - 1 - j & 1) for j in range(width))
-            rows, cols = (lines, crossing) if by_rows else (crossing, lines)
-            pos = 1 + sum(rank[col] * len(rank) ** (k - 1 - c) for c, col in enumerate(cols))
-            cells = tuple((r, c) for r in range(f) for c in range(k)
-                          if not rows[r] >> k - 1 - c & 1)
-            found.append((pos, (cells, rows, cols)))
+    for lines in kept:
+        crossing = tuple(sum(1 << depth - 1 - i for i, line in enumerate(lines)
+                             if line >> width - 1 - j & 1) for j in range(width))
+        rows, cols = (lines, crossing) if by_rows else (crossing, lines)
+        pos = 1 + sum(rank[col] * len(rank) ** (k - 1 - c) for c, col in enumerate(cols))
+        cells = tuple((r, c) for r in range(f) for c in range(k)
+                      if not rows[r] >> k - 1 - c & 1)
+        found.append((pos, (cells, rows, cols)))
     return sorted(found)
 
 

@@ -26,12 +26,19 @@ tuple by tuple.  ``dpda.search._canonical_patterns`` holds each line as an
 MSB-first mask and tests against a table of each line's image under each
 permutation, and must return the same patterns in the same order.
 ``facts`` gives a bool-row pattern in the form ``dpda.search`` holds it.
+
+``orbit_size`` counts the star patterns in a pattern's orbit from its line
+masks, with no table of ``dpda.search``'s: each star pattern lies in one
+canonical pattern's orbit, so the orbit sizes of the canonical patterns
+must sum to ``C(F,Z)^K``, the completeness certificate of orderly
+generation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import factorial
+from math import factorial, prod
 from typing import Iterator
 
 from dpda import STAR, Coded, Dpda
@@ -248,3 +255,15 @@ def sorted_line_patterns(k: int, f: int, z: int) -> list[tuple[int, _Rows]]:
                           for c, col in enumerate(cols))
             found.append((pos, tuple(zip(*cols))))
     return sorted(found)
+
+
+def orbit_size(lines: tuple[int, ...], width: int) -> int:
+    """The number of line tuples in the orbit of ``lines`` (masks of ``width``
+    cells, the first cell most significant) under permutation of the cells
+    within every line and of the lines: over each distinct sorted image under
+    a cell permutation, its n!/(m_1!...m_j!) distinct line orders."""
+    flags = [tuple(bool(line >> width - 1 - i & 1) for i in range(width)) for line in lines]
+    images = {tuple(sorted(tuple(line[i] for i in perm) for line in flags))
+              for perm in permutations(range(width))}
+    return sum(factorial(len(lines)) // prod(map(factorial, Counter(image).values()))
+               for image in images)

@@ -242,6 +242,21 @@ def test_canonical_patterns_match_bool_row_generator():
              for pos, star in search_reference.sorted_line_patterns(k, f, z)], (k, f, z)
 
 
+def test_orbit_sizes_of_the_canonical_patterns_count_every_pattern():
+    # the completeness certificate: every star pattern lies in the orbit of
+    # exactly one canonical pattern, so the orbit sizes sum to C(F,Z)^K; it
+    # reaches (6,6,2), where the reference generators are too slow for this suite
+    from dpda.search import _canonical_patterns
+
+    cases = search_reference.instances(24) + [(5, 6, 3), (6, 6, 2)]
+    assert {k <= f for k, f, _z in cases} == {True, False}
+    for k, f, z in cases:
+        sizes = [search_reference.orbit_size(rows, k) if k <= f
+                 else search_reference.orbit_size(cols, f)
+                 for _pos, (_cells, rows, cols) in _canonical_patterns(k, f, z)]
+        assert sum(sizes) == comb(f, z) ** k, (k, f, z)
+
+
 def test_partition_matches_set_based_reference():
     # the bitmask partition keeps the set-based one's verdicts, classes,
     # lowest senders and node counts on every star pattern, canonical or not

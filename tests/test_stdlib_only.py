@@ -1,4 +1,5 @@
-"""The package and its scripts run on the standard library alone."""
+"""The package and its scripts run on the standard library alone, and
+parse as Python 3.10, the floor ``pyproject.toml`` declares."""
 
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ def _absolute_imports(tree: ast.Module) -> list[str]:
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_imports_only_the_standard_library_and_dpda(path):
-    names = _absolute_imports(ast.parse(path.read_text(encoding="utf-8")))
+    # parsed in the grammar of Python 3.10, pyproject.toml's requires-python floor
+    names = _absolute_imports(ast.parse(path.read_text(encoding="utf-8"), feature_version=(3, 10)))
     assert [name for name in names
             if name != "dpda" and name not in sys.stdlib_module_names] == []
 
