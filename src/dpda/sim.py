@@ -25,8 +25,9 @@ a failure is a plan fault or a demand's refusal.
 Trials run in chunks that fit a byte budget, in trial order: a cell's
 packets for every trial of a chunk sit side by side in one little-endian
 integer, built from the byte rule, so a chunk XORs each slot and strips
-each user's side packets once.  That run on real bytes is asserted as an
-identity: a payload minus its side cells is the user's own cell.
+each user's side packets once.  Recovery on those bytes is asserted for
+each coded cell of each user that decodes (a star row's packet is cached):
+its slot's payload minus its side cells is that cell.
 :func:`simulate` is the protocol's one path; the tests pin its cell
 integers to ``Library.packet`` of the materialised library in
 ``tests/sim_reference.py``, and compare its reports with that per-call
@@ -139,7 +140,7 @@ def _slot_plan(p: Dpda) -> tuple[list[tuple[int, ...]], _Fault | None]:
 
 def _user_plan(p: Dpda, k: int,
                ) -> tuple[list[tuple[int, int, int, int]], _Fault | None, list[tuple]]:
-    """User k's decoding, checked in row order: (clashes, fault, rows).
+    """User k's decoding, checked in row order: (clashes, fault, coded).
 
     User k holds cell (i, j)'s packet when row i mod F of column k is a
     star (band 0 is the placement), and every slot in [0, S) is sent.
@@ -147,16 +148,17 @@ def _user_plan(p: Dpda, k: int,
     cannot strip.
     ``clashes`` lists, up to it, each side cell (i2, j2) in coded row i's
     in-band row as (i, j2, shift, slot): it carries the wanted packet itself
-    when b_j2 = b_k + shift.  ``rows[i]`` is row i's (slot, side cells).
+    when b_j2 = b_k + shift.  ``coded`` holds the cells user k decodes, one
+    (own cell, slot, side cells) per coded row, in row order, as flat
+    indices: recovery is checked on each; a star row's packet is held.
     """
     f, nrows, grid, cells = p.f, p.rows, p.grid, p._cells
-    clashes, rows = [], []
+    clashes, coded = [], []
     for i, row in enumerate(grid):
         e = row[k]
         if e is None:
             if grid[i % f][k] is not None:
-                return clashes, (f"user {k} should have cached {{}} but has not", (i, k)), rows
-            rows.append((None, ()))
+                return clashes, (f"user {k} should have cached {{}} but has not", (i, k)), coded
             continue
         sides = [(i2, j2) for i2, j2 in cells[e.slot] if (i2, j2) != (i, k)]
         for i2, j2 in sides:
@@ -164,16 +166,16 @@ def _user_plan(p: Dpda, k: int,
                 clashes.append((i, j2, i // f - i2 // f, e.slot))
             if grid[i2 % f][k] is not None:
                 return clashes, (f"user {k} cannot remove uncached packet {{}} "
-                                 f"from slot {e.slot}", (i2, j2)), rows
-        rows.append((e.slot, tuple(j2 * nrows + i2 for i2, j2 in sides)))
-    return clashes, None, rows
+                                 f"from slot {e.slot}", (i2, j2)), coded
+        coded.append((k * nrows + i, e.slot, tuple(j2 * nrows + i2 for i2, j2 in sides)))
+    return clashes, None, coded
 
 
 def _refusal(plan: tuple, dem: Demand, k: int, f: int) -> str | None:
     """Why user k cannot decode ``dem`` by ``plan`` (None if it can): its
     first side packet equal to the wanted one, which would cancel inside the
     XOR (valid arrays have none), else the plan's fault."""
-    clashes, fault, _rows = plan
+    clashes, fault, _coded = plan
     d, b = dem.d, dem.b
     for i, j2, shift, slot in clashes:
         if d[j2] == d[k] and b[j2] == b[k] + shift:
@@ -220,29 +222,19 @@ def _payloads(mix: list[tuple[int, ...]], ints: Sequence[int]) -> list[int]:
     return [reduce(xor, map(ints.__getitem__, occ)) for occ in mix]
 
 
-def _recover(rows: list[tuple], ints: Sequence[int], payloads: list[int],
-             k: int) -> list[int]:
-    """User ``k``'s recovered integers by row: its own, or a slot's minus side cells."""
-    own, got = k * len(rows), []
-    for i, (slot, sides) in enumerate(rows):
-        x = ints[own + i] if slot is None else payloads[slot]
-        for c in sides:  # a star row has none
-            x ^= ints[c]
-        got.append(x)
-    return got
-
-
 def _assert_recovery(first: int, width: int, plans: list, mix: list[tuple[int, ...]],
                      ints: list[int]) -> None:
-    """Assert that each user that decodes recovers its own cells from the
-    cell integers ``ints`` of trials ``first`` .. ``first + width - 1``: a
-    slot's payload minus its side cells is that cell, whatever the bytes."""
+    """Assert that each user that decodes recovers each cell it decodes from
+    the cell integers ``ints`` of trials ``first`` .. ``first + width - 1``:
+    a slot's payload minus its side cells is that cell, whatever the bytes."""
     payloads = _payloads(mix, ints)
-    for k, (_clashes, stuck, rows) in enumerate(plans):
-        own = k * len(rows)
-        if not stuck and _recover(rows, ints, payloads, k) != ints[own:own + len(rows)]:
-            raise AssertionError(f"user {k} recovered other bytes than it requested "
-                                 f"in trials {first}..{first + width - 1}")
+    for k, (_clashes, stuck, coded) in enumerate(plans):
+        if stuck:
+            continue
+        for cell, slot, sides in coded:
+            if reduce(xor, map(ints.__getitem__, sides), payloads[slot]) != ints[cell]:
+                raise AssertionError(f"user {k} recovered other bytes than it requested "
+                                     f"in trials {first}..{first + width - 1}")
 
 
 class SimReport(_Record):
@@ -275,8 +267,8 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
     core) or ``trials`` (that many uniformly sampled demands, deterministic
     from ``seed``, each drawn in trial order) must be given.  A failure is a
     plan fault, which the array decides, or a demand's refusal (a packet a
-    slot mixes twice).  Each user's recovery of its own cells is asserted
-    on every chunk, so a bug raises ``AssertionError``.
+    slot mixes twice).  On every chunk, recovery is asserted for each coded
+    cell of each user that decodes, so a bug raises ``AssertionError``.
 
     Trials run in chunks of ``CHUNK_BYTES // (packet_size*(K*rows + S) + 512)``
     trials (at least one), as a trial takes a packet per cell and per slot
@@ -308,7 +300,7 @@ def simulate(p: Dpda, n: int, l: int, packet_size: int = 64, *,
             fault = (str(exc), None)
     width = max(1, CHUNK_BYTES // (packet_size * (p.k * p.rows + p.s) + 512))
     bounds = [(n, n.bit_length())] * k_users + [(starts, starts.bit_length())] * k_users
-    refusing = [k for k, (clashes, stuck, _rows) in enumerate(plans) if clashes or stuck]
+    refusing = [k for k, (clashes, stuck, _coded) in enumerate(plans) if clashes or stuck]
     memo: dict[int, int] = {}
     failures: list[dict] = []
     for start in range(0, count, width):

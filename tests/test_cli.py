@@ -12,6 +12,7 @@ import os
 import pkgutil
 import random
 import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -51,10 +52,12 @@ from search_reference import instances
 # `simulate p4 ... --json`.  `search.json.out`, `search24.json.out`,
 # `search.out`, `bounds_compare.out`, `grid_mutated.json.out` and
 # `grid_gap.out` hold one transcript block per run: the argv, stdout, and the
-# exit code.  `compare_families.out` and `certify_floors.out` hold the stdout
-# of those scripts.  `help.out` and `usage.out` hold argparse's help text and
-# usage errors: the argv, stdout or stderr, and the exit code.  `decks.sha256`
-# holds one output digest per op of the benchmark decks at seed 1.
+# exit code.  `compare_families.out`, `certify_floors.out` and
+# `certify_floors--max-cells-36.out` hold the stdout of those scripts, the
+# last two at `--max-cells 12` and `36`.  `help.out` and `usage.out` hold
+# argparse's help text and usage errors: the argv, stdout or stderr, and the
+# exit code.  `decks.sha256` holds one output digest per op of the benchmark
+# decks at seed 1.
 GOLDEN_CLI = Path(__file__).parent / "golden_cli"
 SRC = Path(__file__).resolve().parent.parent / "src"
 BENCH = SRC.parent / "bench"
@@ -563,15 +566,39 @@ def test_failed_assertion_is_internal_error(monkeypatch, tmp_path, capsys):
 
 
 def test_broken_recovery_identity_is_internal_error(monkeypatch, tmp_path, capsys):
-    # no array can make a decoding user recover other bytes, so a corrupt
-    # recovery is a bug (exit 3), never a failed run (exit 1)
-    recover = dpda.sim._recover
+    # no array can make a decoding user recover other bytes, so a plan that
+    # leaves a side cell in a slot's payload is a bug (exit 3), never a
+    # failed run (exit 1)
+    user_plan = dpda.sim._user_plan
 
-    def corrupting(rows, ints, payloads, k):
-        got = recover(rows, ints, payloads, k)
-        return [x ^ 1 for x in got] if k == 2 else got
+    def dropping(p, k):
+        clashes, fault, coded = user_plan(p, k)
+        if k == 1:
+            (cell, slot, sides), *rest = coded
+            coded = [(cell, slot, sides[1:]), *rest]
+        return clashes, fault, coded
 
-    monkeypatch.setattr(dpda.sim, "_recover", corrupting)
+    monkeypatch.setattr(dpda.sim, "_user_plan", dropping)
+    f = tmp_path / "p4.dpda"
+    f.write_text(P4_TEXT)
+    code, out, err = run(capsys, "simulate", str(f), "--files", "4", "--blocks", "2",
+                         "--trials", "20", "--seed", "5")
+    assert (code, out) == (3, "")
+    assert err == ("internal assertion failed: user 1 recovered other bytes than it "
+                   "requested in trials 0..19\n")
+
+
+def test_flipped_payload_bit_is_internal_error(monkeypatch, tmp_path, capsys):
+    # a flipped payload bit breaks the identity for the lowest user that
+    # decodes from that slot: P4's slot 0 mixes users 2 and 3's cells
+    payloads = dpda.sim._payloads
+
+    def flipping(mix, ints):
+        out = payloads(mix, ints)
+        out[0] ^= 1 << 13
+        return out
+
+    monkeypatch.setattr(dpda.sim, "_payloads", flipping)
     f = tmp_path / "p4.dpda"
     f.write_text(P4_TEXT)
     code, out, err = run(capsys, "simulate", str(f), "--files", "4", "--blocks", "2",
@@ -818,16 +845,42 @@ def test_process_entry_freezes_the_heap_and_prints_the_same(tmp_path, capsys, ar
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err + "True\n")
 
 
-@pytest.mark.parametrize("script, args", [
-    ("compare_families", ()),
-    ("certify_floors", ("--max-cells", "12")),
-])
-def test_scripts_golden_stdout(script, args):
-    # both validate every array they build or find, through the library
+@pytest.mark.parametrize("script, args, golden", [
+    ("compare_families", (), "compare_families.out"),
+    ("certify_floors", ("--max-cells", "12"), "certify_floors.out"),
+    ("certify_floors", ("--max-cells", "36"), "certify_floors--max-cells-36.out"),
+], ids=["compare_families-args0", "certify_floors-args1", "certify_floors-args2"])
+def test_scripts_golden_stdout(script, args, golden):
+    # both validate every array they build or find, through the library;
+    # certify_floors' minima up to 36 cells are the search oracle's, each
+    # found with cells_limit passed explicitly
     env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
     proc = subprocess.run([sys.executable, str(SRC.parent / "scripts" / f"{script}.py"), *args],
                           env=env, capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout) == (0, (GOLDEN_CLI / f"{script}.out").read_text())
+    assert (proc.returncode, proc.stdout) == (0, (GOLDEN_CLI / golden).read_text())
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block of README's section ``heading``."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = text[text.index(f"\n## {heading}\n"):]
+    start = section.index(f"```{lang}\n") + len(lang) + 4
+    return section[start:section.index("```", start)]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # each `dpda ...` example exits 0, in order: one saves the array that
+    # the later ones read
+    monkeypatch.chdir(tmp_path)
+    commands = [line for line in _readme_block("Command line", "sh").splitlines()
+                if line.startswith("dpda ")]
+    assert len(commands) == 9
+    for line in commands:
+        assert run(capsys, *shlex.split(line)[1:])[0] == 0, line
+
+
+def test_readme_library_example_runs():
+    exec(compile(_readme_block("Library", "python"), "README.md", "exec"), {})
 
 
 def test_startup_profile_runs(tmp_path):

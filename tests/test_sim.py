@@ -12,7 +12,9 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import xor
 
 import pytest
 
@@ -312,16 +314,20 @@ class TestSimulate:
         assert rep.packets_sent == 8
 
     def test_wrong_recovered_bytes_raise(self, monkeypatch):
-        # recovery is an identity, so corrupt bytes are a simulator bug: an
-        # assertion names the user and the trial, and no report is made
-        recover = dpda.sim._recover
+        # a plan that leaves a side cell in user 1's first coded cell is a
+        # plan bug: the recovery identity breaks, an assertion names the user
+        # and the trial, and no report is made
+        user_plan = dpda.sim._user_plan
+
+        def dropping(p, k):
+            clashes, fault, coded = user_plan(p, k)
+            if k == 1:
+                (cell, slot, sides), *rest = coded
+                coded = [(cell, slot, sides[1:]), *rest]
+            return clashes, fault, coded
+
+        monkeypatch.setattr(dpda.sim, "_user_plan", dropping)
         p = lift(construct_even(2), 2)
-
-        def corrupting(rows, ints, payloads, k):
-            got = recover(rows, ints, payloads, k)
-            return [x ^ 1 if k == 1 and i // p.f == 1 else x for i, x in enumerate(got)]
-
-        monkeypatch.setattr(dpda.sim, "_recover", corrupting)
         dem = Demand(d=(0, 1, 2, 0), b=(0, 1, 0, 1))
         with pytest.raises(AssertionError, match=r"^user 1 .* in trials 0\.\.0$"):
             simulate(p, 3, 3, packet_size=8, demand=dem)
@@ -359,27 +365,29 @@ class TestSimulate:
         assert peak < 2_000_000, peak
 
     def test_corrupt_trial_mid_run_raises_for_its_chunk(self, monkeypatch):
-        # corrupt what user 1 recovers for the second trial of the second
-        # chunk only: the assertion names that chunk's trials, and no later
-        # chunk runs
-        recover = dpda.sim._recover
-        p, n, l, size, seed = lift(construct_even(2), 2), 3, 3, 64, 4
+        # flip one bit of one slot's payload in the second trial of the
+        # second chunk only: the lowest user that decodes from that slot
+        # names that chunk's trials, and no later chunk runs
+        payloads = dpda.sim._payloads
+        p, n, l, size, seed, slot = lift(construct_even(2), 2), 3, 3, 64, 4, 5
         width = _chunk_trials(p, size)
         trials = 3 * width - 5
-        users = []
+        calls = []
 
-        def corrupting(rows, ints, payloads, k):
-            users.append(k)
-            got = recover(rows, ints, payloads, k)
-            if k == 1 and users.count(0) == 2:
-                return [x ^ 1 << 8 * size for x in got]
-            return got
+        def flipping(mix, ints):
+            calls.append(len(mix))
+            out = payloads(mix, ints)
+            if len(calls) == 2:
+                out[slot] ^= 1 << 8 * size + 13
+            return out
 
-        monkeypatch.setattr(dpda.sim, "_recover", corrupting)
+        monkeypatch.setattr(dpda.sim, "_payloads", flipping)
+        first = min(k for k in range(p.k) for row in p.grid
+                    if row[k] is not None and row[k].slot == slot)
         with pytest.raises(AssertionError,
-                           match=rf"^user 1 .* in trials {width}\.\.{2 * width - 1}$"):
+                           match=rf"^user {first} .* in trials {width}\.\.{2 * width - 1}$"):
             simulate(p, n, l, packet_size=size, trials=trials, seed=seed)
-        assert users.count(0) == 2
+        assert len(calls) == 2
 
     def test_drawn_demands_follow_randrange(self):
         # an unused slot is a fault that names every trial's demand, so the
@@ -642,10 +650,16 @@ class TestAgainstReference:
                 plan = dpda.sim._user_plan(p, k)
                 message = dpda.sim._refusal(plan, dem, k, p.f)
                 got = _outcome(decode, p, user_cache_bytes(lib, caches, k), signals, dem, k)
-                assert got == ((SimulationError, message) if message else {
-                    dpda.sim._pid(dem, p.f, i, k): x.to_bytes(size, "little")
-                    for i, x in enumerate(dpda.sim._recover(plan[2], ints, payloads, k))}), \
-                    (p, dem, k)
+                if message:
+                    assert got == (SimulationError, message), (p, dem, k)
+                    continue
+                # a coded cell is its slot's payload minus its side cells; a
+                # cached row is the user's own cell integer
+                own = ints[k * p.rows:(k + 1) * p.rows]
+                for cell, slot, sides in plan[2]:
+                    own[cell - k * p.rows] = reduce(xor, (ints[c] for c in sides), payloads[slot])
+                assert got == {dpda.sim._pid(dem, p.f, i, k): x.to_bytes(size, "little")
+                               for i, x in enumerate(own)}, (p, dem, k)
 
     @pytest.mark.parametrize("group", list(REFERENCE_CORPUS))
     def test_cli_document_matches_fraction_document(self, tmp_path, group):
